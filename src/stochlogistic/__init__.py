@@ -47,10 +47,6 @@ from .maps import (
     ParameterDistribution,
     SamplePath,
     generate_path,
-    iterate_deterministic,
-    logistic_step,
-    sample_parameter,
-    stochastic_step,
     stream_rng,
 )
 from .measure import (

@@ -8,12 +8,15 @@ Subcommands map one-to-one onto the experiment operations:
   verify        the lemma verification suite for a two-cycle window
   flipflop      sign table of the mean inequality across 2^rho regimes
 
-Artifacts are written as CSV/JSON/SVG under the output directory
-(--outdir, else $STOCHLOGISTIC_OUTDIR, else the working directory) with
-names <subcommand>-<lambda_bar>-<delta>-<seed>.<ext>.  Settings come
-from defaults, then an optional flat key=value config file (--config),
-then explicit flags, in increasing precedence.  The seed always
-defaults to the fixed constant 12345, never the clock.
+Artifacts are written as CSV/JSON/SVG, in that order, under the output
+directory (--outdir, else $STOCHLOGISTIC_OUTDIR, else the working
+directory) with names <subcommand>-<lambda_bar>-<delta>-<seed>.<ext>.
+Settings come from defaults, then an optional flat key=value config file
+(--config), then explicit flags, in increasing precedence.  The config
+keys are the keys of OPTIONS, which also defines every flag.  A default
+fills a setting only when it is missing, so an explicit zero is
+validated, never replaced.  The seed always defaults to the fixed
+constant 12345, never the clock.
 
 Exit codes: 0 success, 2 validation error (bad flag, malformed config,
 window in the wrong regime), 1 runtime failure during computation.
@@ -26,6 +29,7 @@ import csv
 import json
 import os
 import sys
+from itertools import chain
 from pathlib import Path
 
 from . import analytic, experiments, svgplot
@@ -37,56 +41,52 @@ ENV_OUTDIR = "STOCHLOGISTIC_OUTDIR"
 
 _FORMATS = ("csv", "json", "svg")
 
-# config-file vocabulary: key -> conversion from the raw string
-_CONFIG_PARSERS = {
-    "lambda_bar": float,
-    "delta": float,
-    "lam_from": float,
-    "lam_to": float,
-    "step": float,
-    "kind": str,
-    "n_init": int,
-    "n_iter": int,
-    "particles": int,
-    "generations": int,
-    "window": int,
-    "bins": int,
-    "checkpoints": lambda s: tuple(int(v) for v in s.split(",")),
-    "rho": lambda s: tuple(int(v) for v in s.split(",")),
-    "seed": int,
-    "outdir": str,
-    "format": lambda s: tuple(s.split(",")),
-    "scale": str,
+
+def _int_list(text: str) -> tuple[int, ...]:
+    return tuple(int(v) for v in text.split(","))
+
+
+def _format_list(text: str) -> tuple[str, ...]:
+    fmts = tuple(text.split(","))
+    bad = [f for f in fmts if f not in _FORMATS]
+    if bad:
+        raise argparse.ArgumentTypeError(f"unknown output format(s) {bad}; choose from {_FORMATS}")
+    return fmts
+
+
+#: Every setting: key -> (flag, converter from the raw string, default,
+#: further add_argument keywords).  A default of None is filled per
+#: scale (particles, generations, window) or per subcommand (format).
+OPTIONS = {
+    "lambda_bar": ("--lambda-bar", float, None, {}),
+    "delta": ("--delta", float, 0.0, {"help": "noise half-width of the growth rate"}),
+    "lam_from": ("--from", float, 0.0, {}),
+    "lam_to": ("--to", float, 4.0, {}),
+    "step": ("--step", float, 0.001, {}),
+    "kind": ("--kind", str, "deterministic", {"choices": ("deterministic", "stochastic")}),
+    "n_init": ("--n-init", int, 100, {}),
+    "n_iter": ("--n-iter", int, 1000, {}),
+    "particles": ("--particles", int, None, {}),
+    "generations": ("--generations", int, None, {}),
+    "window": ("--window", int, None, {}),
+    "bins": ("--bins", int, 200, {}),
+    "checkpoints": (
+        "--checkpoints", _int_list, (0, 1, 10, 50, 100, 10_000),
+        {"help": "comma-separated generations to snapshot"},
+    ),
+    "rho": ("--rho", _int_list, (1, 2, 3), {"help": "comma-separated doubling levels"}),
+    "seed": ("--seed", int, DEFAULT_SEED, {"help": f"RNG seed (default {DEFAULT_SEED})"}),
+    "outdir": ("--outdir", str, None, {"help": "output directory"}),
+    "format": ("--format", _format_list, None, {"help": "comma-separated subset of csv,json,svg"}),
+    "scale": (
+        "--scale", str, "desk",
+        {"choices": ("desk", "paper"),
+         "help": "desk: 2000 particles x 2000 generations; paper: 20000 x 10000"},
+    ),
 }
 
-_DEFAULTS = {
-    "lambda_bar": None,
-    "delta": 0.0,
-    "lam_from": 0.0,
-    "lam_to": 4.0,
-    "step": 0.001,
-    "kind": "deterministic",
-    "n_init": 100,
-    "n_iter": 1000,
-    "particles": None,  # per scale
-    "generations": None,  # per scale
-    "window": None,  # per scale
-    "bins": 200,
-    "checkpoints": (0, 1, 10, 50, 100, 10_000),
-    "rho": (1, 2, 3),
-    "seed": DEFAULT_SEED,
-    "outdir": None,
-    "format": None,  # per subcommand
-    "scale": "desk",
-}
-
-_DEFAULT_FORMAT = {
-    "bifurcation": ("csv",),
-    "evolve": ("csv",),
-    "compare": ("json",),
-    "verify": ("json",),
-    "flipflop": ("json",),
-}
+_COMMON = ("seed", "outdir", "format", "scale")
+_ENSEMBLE = ("delta", "particles", "generations", "window")
 
 
 def load_config(path: str | Path) -> dict:
@@ -94,7 +94,8 @@ def load_config(path: str | Path) -> dict:
 
     Lines are ``key = value``; blank lines and ``#`` comments are
     ignored.  ConfigError (with the line number) on malformed lines,
-    unknown keys, or unparseable values.
+    unknown keys, unparseable values, or values outside an option's
+    choices.
     """
     settings: dict = {}
     text = Path(path).read_text(encoding="utf-8")
@@ -102,19 +103,20 @@ def load_config(path: str | Path) -> dict:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        key, _, value = line.partition("=")
+        key, eq, value = line.partition("=")
         key = key.strip()
-        value = value.strip()
-        if key not in _CONFIG_PARSERS:
+        if not eq:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+        if key not in OPTIONS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        _, convert, _, extras = OPTIONS[key]
         try:
-            settings[key] = _CONFIG_PARSERS[key](value)
-        except ConfigError:
-            raise
-        except Exception as exc:
+            settings[key] = convert(value.strip())
+        except (ValueError, argparse.ArgumentTypeError) as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
+        choices = extras.get("choices")
+        if choices and settings[key] not in choices:
+            raise ConfigError(f"{path}:{lineno}: {key!r} must be one of {choices}")
     return settings
 
 
@@ -124,208 +126,112 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Monte-Carlo analysis of the logistic map with a random growth rate",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", type=str, default=None, help="flat key=value settings file")
-        p.add_argument("--seed", type=int, default=None, help=f"RNG seed (default {DEFAULT_SEED})")
-        p.add_argument("--outdir", type=str, default=None, help="output directory")
-        p.add_argument(
-            "--format",
-            type=str,
-            default=None,
-            help="comma-separated subset of csv,json,svg",
-        )
-        p.add_argument(
-            "--scale",
-            choices=("desk", "paper"),
-            default=None,
-            help="desk: 2000 particles x 2000 generations; paper: 20000 x 10000",
-        )
-
-    p = sub.add_parser("bifurcation", help="terminal-state sweep over growth rates")
-    p.add_argument("--kind", choices=("deterministic", "stochastic"), default=None)
-    p.add_argument("--from", dest="lam_from", type=float, default=None)
-    p.add_argument("--to", dest="lam_to", type=float, default=None)
-    p.add_argument("--step", type=float, default=None)
-    p.add_argument("--delta", type=float, default=None, help="noise half-width (stochastic)")
-    p.add_argument("--n-init", dest="n_init", type=int, default=None)
-    p.add_argument("--n-iter", dest="n_iter", type=int, default=None)
-    common(p)
-
-    p = sub.add_parser("evolve", help="distribution snapshots under iteration")
-    p.add_argument("--lambda-bar", dest="lambda_bar", type=float, default=None)
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--particles", type=int, default=None)
-    p.add_argument(
-        "--checkpoints",
-        type=str,
-        default=None,
-        help="comma-separated generations to snapshot",
-    )
-    p.add_argument("--bins", type=int, default=None)
-    common(p)
-
-    for name, helptext in (
-        ("compare", "stochastic vs deterministic mean with verdict"),
-        ("verify", "two-cycle lemma verification suite"),
-    ):
+    for name, (_, helptext, keys, _) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=helptext)
-        p.add_argument("--lambda-bar", dest="lambda_bar", type=float, default=None)
-        p.add_argument("--delta", type=float, default=None)
-        p.add_argument("--particles", type=int, default=None)
-        p.add_argument("--generations", type=int, default=None)
-        p.add_argument("--window", type=int, default=None)
-        common(p)
-
-    p = sub.add_parser("flipflop", help="mean-inequality sign table across 2^rho regimes")
-    p.add_argument("--rho", type=str, default=None, help="comma-separated doubling levels")
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--particles", type=int, default=None)
-    p.add_argument("--generations", type=int, default=None)
-    p.add_argument("--window", type=int, default=None)
-    common(p)
-
+        for key in (*keys, *_COMMON):
+            flag, convert, _, extras = OPTIONS[key]
+            p.add_argument(flag, dest=key, type=convert, default=None, **extras)
+        p.add_argument("--config", help="flat key=value settings file")
     return parser
 
 
-def _resolve(ns: argparse.Namespace, config: dict, key: str):
-    flag = getattr(ns, key, None)
-    if flag is not None:
-        if key == "checkpoints":
-            return tuple(int(v) for v in flag.split(",")) if isinstance(flag, str) else flag
-        if key == "rho":
-            return tuple(int(v) for v in flag.split(",")) if isinstance(flag, str) else flag
-        if key == "format":
-            return tuple(flag.split(",")) if isinstance(flag, str) else flag
-        return flag
-    if key in config:
-        return config[key]
-    return _DEFAULTS[key]
+def _resolve(ns: argparse.Namespace, config: dict) -> None:
+    """Fill each setting no flag gave from the config file, else the
+    subcommand's default, else the option table's; create the outdir."""
+    _, _, keys, defaults = _SUBCOMMANDS[ns.subcommand]
+    for key in (*keys, *_COMMON):
+        if getattr(ns, key) is None:
+            setattr(ns, key, config.get(key, defaults.get(key, OPTIONS[key][2])))
+    if "lambda_bar" in keys and ns.lambda_bar is None:
+        raise DomainError(f"{ns.subcommand} requires --lambda-bar")
+    ns.outdir = Path(os.environ.get(ENV_OUTDIR, ".") if ns.outdir is None else ns.outdir)
+    try:
+        ns.outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise DomainError(f"output directory {str(ns.outdir)!r} is not writable: {exc}") from exc
 
 
-def _mc_config(ns, config) -> MonteCarloConfig:
-    scale = _resolve(ns, config, "scale")
-    base = MonteCarloConfig.paper() if scale == "paper" else MonteCarloConfig.desk()
-    particles = _resolve(ns, config, "particles") or base.n_particles
-    generations = _resolve(ns, config, "generations") or base.generations
-    window = _resolve(ns, config, "window") or min(base.window, generations)
+def _mc_config(ns) -> MonteCarloConfig:
+    base = MonteCarloConfig.paper() if ns.scale == "paper" else MonteCarloConfig.desk()
+    generations = base.generations if ns.generations is None else ns.generations
     return MonteCarloConfig(
-        n_particles=particles,
+        n_particles=base.n_particles if ns.particles is None else ns.particles,
         generations=generations,
-        window=window,
-        seed=_resolve(ns, config, "seed"),
+        window=min(base.window, generations) if ns.window is None else ns.window,
+        seed=ns.seed,
     )
 
 
-def _outdir(ns, config) -> Path:
-    outdir = _resolve(ns, config, "outdir") or os.environ.get(ENV_OUTDIR) or "."
-    path = Path(outdir)
-    try:
-        path.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise DomainError(f"output directory {outdir!r} is not writable: {exc}") from exc
-    return path
+def _write(ns, mid: str, delta: float, payload, rows, svg=None) -> int:
+    """Write <outdir>/<subcommand>-<mid>-<delta>-<seed>.<ext> for every
+    requested format the subcommand supplies, in the order csv, json,
+    svg, and print each path.
 
-
-def _formats(ns, config, subcommand: str) -> tuple[str, ...]:
-    fmts = _resolve(ns, config, "format") or _DEFAULT_FORMAT[subcommand]
-    bad = [f for f in fmts if f not in _FORMATS]
-    if bad:
-        raise DomainError(f"unknown output format(s) {bad}; choose from {_FORMATS}")
-    return tuple(fmts)
-
-
-def _artifact(outdir: Path, sub: str, mid: str, delta: float, seed: int, ext: str) -> Path:
-    return outdir / f"{sub}-{mid}-{delta:g}-{seed}.{ext}"
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"wrote {path}")
-
-
-def _write_text(path: Path, text: str) -> None:
-    path.write_text(text, encoding="utf-8")
-    print(f"wrote {path}")
-
-
-def _run_bifurcation(ns, config) -> int:
-    kind = _resolve(ns, config, "kind")
-    lam_from = _resolve(ns, config, "lam_from")
-    lam_to = _resolve(ns, config, "lam_to")
-    step = _resolve(ns, config, "step")
-    delta = _resolve(ns, config, "delta")
-    n_init = _resolve(ns, config, "n_init")
-    n_iter = _resolve(ns, config, "n_iter")
-    seed = _resolve(ns, config, "seed")
-    outdir = _outdir(ns, config)
-    formats = _formats(ns, config, "bifurcation")
-    if kind == "deterministic":
-        data = experiments.deterministic_bifurcation(
-            lam_from, lam_to, step, n_init=n_init, n_iter=n_iter, seed=seed
-        )
-    else:
-        data = experiments.stochastic_bifurcation(
-            lam_from, lam_to, step, delta_lambda=delta, n_init=n_init, n_iter=n_iter, seed=seed
-        )
-    mid = f"{kind}-{lam_from:g}to{lam_to:g}"
-    if "csv" in formats:
-        path = _artifact(outdir, "bifurcation", mid, delta if kind == "stochastic" else 0.0, seed, "csv")
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["parameter", "terminal_state"])
-            for lam, x in data.csv_rows():
-                writer.writerow([f"{lam:.17g}", f"{x:.17g}"])
+    ``rows`` is an iterable of CSV rows, header first, streamed to disk;
+    ``payload`` returns the JSON object and ``svg`` the drawing.  Nothing
+    is produced for a format that was not requested.
+    """
+    for ext in _FORMATS:
+        if ext not in ns.format or (ext == "svg" and svg is None):
+            continue
+        path = ns.outdir / f"{ns.subcommand}-{mid}-{delta:g}-{ns.seed}.{ext}"
+        if ext == "csv":
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                csv.writer(fh).writerows(rows)
+        else:
+            text = svg() if ext == "svg" else json.dumps(payload(), indent=2, sort_keys=True) + "\n"
+            path.write_text(text, encoding="utf-8")
         print(f"wrote {path}")
-    if "json" in formats:
-        path = _artifact(outdir, "bifurcation", mid, delta if kind == "stochastic" else 0.0, seed, "json")
-        _write_json(path, data.to_dict())
-    if "svg" in formats:
-        vlines = tuple(
-            svgplot.Marker(x, "#555555", label)
-            for x, label in (
-                (analytic.LAMBDA_C2, "first doubling"),
-                (analytic.LAMBDA_C4, "second doubling"),
-                (analytic.LAMBDA_C3, "period-3 onset"),
-            )
-            if lam_from <= x <= lam_to
-        )
-        path = _artifact(outdir, "bifurcation", mid, delta if kind == "stochastic" else 0.0, seed, "svg")
-        _write_text(path, svgplot.render_scatter(data, vlines=vlines, title=f"{kind} bifurcation sweep"))
     return 0
 
 
-def _run_evolve(ns, config) -> int:
-    lambda_bar = _resolve(ns, config, "lambda_bar")
-    if lambda_bar is None:
-        raise DomainError("evolve requires --lambda-bar")
-    delta = _resolve(ns, config, "delta")
-    particles = _resolve(ns, config, "particles") or 1000
-    checkpoints = _resolve(ns, config, "checkpoints")
-    bins = _resolve(ns, config, "bins")
-    seed = _resolve(ns, config, "seed")
-    outdir = _outdir(ns, config)
-    formats = _formats(ns, config, "evolve")
-    dist = ParameterDistribution(lambda_bar, delta)
-    snaps = experiments.distribution_evolution(
-        dist, n_particles=particles, checkpoints=checkpoints, seed=seed, n_bins=bins
+def _run_bifurcation(ns) -> int:
+    sizes = {"n_init": ns.n_init, "n_iter": ns.n_iter, "seed": ns.seed}
+    if ns.kind == "deterministic":
+        data = experiments.deterministic_bifurcation(ns.lam_from, ns.lam_to, ns.step, **sizes)
+    else:
+        data = experiments.stochastic_bifurcation(
+            ns.lam_from, ns.lam_to, ns.step, delta_lambda=ns.delta, **sizes
+        )
+    vlines = tuple(
+        svgplot.Marker(x, "#555555", label)
+        for x, label in (
+            (analytic.LAMBDA_C2, "first doubling"),
+            (analytic.LAMBDA_C4, "second doubling"),
+            (analytic.LAMBDA_C3, "period-3 onset"),
+        )
+        if ns.lam_from <= x <= ns.lam_to
     )
-    mid = f"{lambda_bar:g}"
-    if "csv" in formats:
-        path = _artifact(outdir, "evolve", mid, delta, seed, "csv")
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["generation", "bin_lo", "bin_hi", "count", "density"])
-            for snap in snaps:
-                for lo, hi, count, dens in snap.histogram.csv_rows():
-                    writer.writerow([snap.generation, f"{lo:.17g}", f"{hi:.17g}", count, f"{dens:.17g}"])
-        print(f"wrote {path}")
-    if "json" in formats:
-        path = _artifact(outdir, "evolve", mid, delta, seed, "json")
-        payload = {
-            "lambda_bar": lambda_bar,
-            "delta_lambda": delta,
-            "seed": seed,
+    rows = ((f"{lam:.17g}", f"{x:.17g}") for lam, x in data.csv_rows())
+    return _write(
+        ns,
+        f"{ns.kind}-{ns.lam_from:g}to{ns.lam_to:g}",
+        data.delta_lambda,
+        data.to_dict,
+        chain([("parameter", "terminal_state")], rows),
+        lambda: svgplot.render_scatter(data, vlines=vlines, title=f"{ns.kind} bifurcation sweep"),
+    )
+
+
+def _run_evolve(ns) -> int:
+    snaps = experiments.distribution_evolution(
+        ParameterDistribution(ns.lambda_bar, ns.delta),
+        n_particles=ns.particles,
+        checkpoints=ns.checkpoints,
+        seed=ns.seed,
+        n_bins=ns.bins,
+    )
+    rows = (
+        (s.generation, f"{lo:.17g}", f"{hi:.17g}", count, f"{dens:.17g}")
+        for s in snaps
+        for lo, hi, count, dens in s.histogram.csv_rows()
+    )
+
+    def payload() -> dict:
+        return {
+            "lambda_bar": ns.lambda_bar,
+            "delta_lambda": ns.delta,
+            "seed": ns.seed,
             "snapshots": [
                 {
                     "generation": s.generation,
@@ -335,130 +241,102 @@ def _run_evolve(ns, config) -> int:
                 for s in snaps
             ],
         }
-        _write_json(path, payload)
-    if "svg" in formats:
-        path = _artifact(outdir, "evolve", mid, delta, seed, "svg")
-        _write_text(
-            path,
-            svgplot.render_histograms(
-                [s.histogram for s in snaps],
-                labels=tuple(f"generation {s.generation}" for s in snaps),
-                title=f"distribution evolution at {lambda_bar:g} +/- {delta:g}",
-            ),
-        )
-    return 0
+
+    return _write(
+        ns,
+        f"{ns.lambda_bar:g}",
+        ns.delta,
+        payload,
+        chain([("generation", "bin_lo", "bin_hi", "count", "density")], rows),
+        lambda: svgplot.render_histograms(
+            [s.histogram for s in snaps],
+            labels=tuple(f"generation {s.generation}" for s in snaps),
+            title=f"distribution evolution at {ns.lambda_bar:g} +/- {ns.delta:g}",
+        ),
+    )
 
 
-def _run_compare(ns, config) -> int:
-    lambda_bar = _resolve(ns, config, "lambda_bar")
-    if lambda_bar is None:
-        raise DomainError("compare requires --lambda-bar")
-    delta = _resolve(ns, config, "delta")
-    # validate the window before any computation
-    analytic.classify_regime(lambda_bar - delta, lambda_bar + delta)
-    cfg = _mc_config(ns, config)
-    outdir = _outdir(ns, config)
-    formats = _formats(ns, config, "compare")
-    report = experiments.mean_comparison(lambda_bar, delta, cfg)
+def _run_compare(ns) -> int:
+    cfg = _mc_config(ns)
+    report = experiments.mean_comparison(ns.lambda_bar, ns.delta, cfg)
     print(
         f"stochastic mean {report.stochastic_mean:.7f} (se {report.stochastic_se:.2e}) vs "
         f"deterministic {report.deterministic_mean:.7f}: z={report.z_score:+.2f} -> {report.verdict}"
     )
-    mid = f"{lambda_bar:g}"
-    if "json" in formats:
-        _write_json(_artifact(outdir, "compare", mid, delta, cfg.seed, "json"), report.to_dict())
-    if "csv" in formats:
-        path = _artifact(outdir, "compare", mid, delta, cfg.seed, "csv")
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            keys = list(report.to_dict())
-            writer.writerow(keys)
-            writer.writerow([report.to_dict()[k] for k in keys])
-        print(f"wrote {path}")
-    if "svg" in formats:
-        dist = ParameterDistribution(lambda_bar, delta)
+    fields = report.to_dict()
+
+    def svg() -> str:
+        dist = ParameterDistribution(ns.lambda_bar, ns.delta)
         ens = pf_iterate(uniform_ensemble(cfg.n_particles, cfg.seed), dist, cfg.generations)
-        hist = Histogram.from_samples(ens.particles)
         markers = (
             svgplot.Marker(report.stochastic_mean, "#008837", "stochastic mean"),
             svgplot.Marker(report.deterministic_mean, "#e66101", "deterministic mean"),
         )
-        path = _artifact(outdir, "compare", mid, delta, cfg.seed, "svg")
-        _write_text(
-            path,
-            svgplot.render_histograms(
-                [hist],
-                markers=markers,
-                title=f"invariant distribution at {lambda_bar:g} +/- {delta:g}",
-            ),
+        return svgplot.render_histograms(
+            [Histogram.from_samples(ens.particles)],
+            markers=markers,
+            title=f"invariant distribution at {ns.lambda_bar:g} +/- {ns.delta:g}",
         )
-    return 0
+
+    return _write(
+        ns, f"{ns.lambda_bar:g}", ns.delta, report.to_dict, [list(fields), list(fields.values())], svg
+    )
 
 
-def _run_verify(ns, config) -> int:
-    lambda_bar = _resolve(ns, config, "lambda_bar")
-    if lambda_bar is None:
-        raise DomainError("verify requires --lambda-bar")
-    delta = _resolve(ns, config, "delta")
-    analytic.require_period2_window(lambda_bar, delta)
-    cfg = _mc_config(ns, config)
-    outdir = _outdir(ns, config)
-    formats = _formats(ns, config, "verify")
-    report = experiments.lemma_suite(lambda_bar, delta, cfg)
+def _run_verify(ns) -> int:
+    report = experiments.lemma_suite(ns.lambda_bar, ns.delta, _mc_config(ns))
     for check in report.checks:
         print(f"{check.name}: {'PASS' if check.passed else 'FAIL'}")
-    if "json" in formats:
-        _write_json(
-            _artifact(outdir, "verify", f"{lambda_bar:g}", delta, cfg.seed, "json"),
-            report.to_dict(),
-        )
-    if "csv" in formats:
-        path = _artifact(outdir, "verify", f"{lambda_bar:g}", delta, cfg.seed, "csv")
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["check", "passed"])
-            for check in report.checks:
-                writer.writerow([check.name, check.passed])
-        print(f"wrote {path}")
-    return 0
+    rows = [("check", "passed"), *((check.name, check.passed) for check in report.checks)]
+    return _write(ns, f"{ns.lambda_bar:g}", ns.delta, report.to_dict, rows)
 
 
-def _run_flipflop(ns, config) -> int:
-    rho = _resolve(ns, config, "rho")
-    delta = _resolve(ns, config, "delta") or 0.024
-    if delta <= 0:
-        raise DomainError("flipflop requires --delta > 0")
-    cfg = _mc_config(ns, config)
-    outdir = _outdir(ns, config)
-    formats = _formats(ns, config, "flipflop")
-    report = experiments.flipflop_scan(tuple(rho), delta, cfg)
+def _run_flipflop(ns) -> int:
+    report = experiments.flipflop_scan(ns.rho, ns.delta, _mc_config(ns))
     for row in report.rows:
         print(
             f"rho={row.rho} (period {row.period}) at {row.lambda_bar:.6g} "
             f"+/- {row.delta_lambda:g}: sign {row.sign} z={row.z_score:+.2f} "
             f"[{row.verdict}]"
         )
+    rows = [list(report.rows[0].to_dict()), *(list(r.to_dict().values()) for r in report.rows)]
     mid = "-".join(str(r.rho) for r in report.rows)
-    if "json" in formats:
-        _write_json(_artifact(outdir, "flipflop", mid, delta, cfg.seed, "json"), report.to_dict())
-    if "csv" in formats:
-        path = _artifact(outdir, "flipflop", mid, delta, cfg.seed, "csv")
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            keys = list(report.rows[0].to_dict())
-            writer.writerow(keys)
-            for row in report.rows:
-                writer.writerow([row.to_dict()[k] for k in keys])
-        print(f"wrote {path}")
-    return 0
+    return _write(ns, mid, ns.delta, report.to_dict, rows)
 
 
-_RUNNERS = {
-    "bifurcation": _run_bifurcation,
-    "evolve": _run_evolve,
-    "compare": _run_compare,
-    "verify": _run_verify,
-    "flipflop": _run_flipflop,
+#: subcommand -> (runner, help, option keys besides the common ones,
+#: defaults that differ from OPTIONS)
+_SUBCOMMANDS = {
+    "bifurcation": (
+        _run_bifurcation,
+        "terminal-state sweep over growth rates",
+        ("kind", "lam_from", "lam_to", "step", "delta", "n_init", "n_iter"),
+        {"format": ("csv",)},
+    ),
+    "evolve": (
+        _run_evolve,
+        "distribution snapshots under iteration",
+        ("lambda_bar", "delta", "particles", "checkpoints", "bins"),
+        {"format": ("csv",), "particles": 1000},
+    ),
+    "compare": (
+        _run_compare,
+        "stochastic vs deterministic mean with verdict",
+        ("lambda_bar", *_ENSEMBLE),
+        {"format": ("json",)},
+    ),
+    "verify": (
+        _run_verify,
+        "two-cycle lemma verification suite",
+        ("lambda_bar", *_ENSEMBLE),
+        {"format": ("json",)},
+    ),
+    "flipflop": (
+        _run_flipflop,
+        "mean-inequality sign table across 2^rho regimes",
+        ("rho", *_ENSEMBLE),
+        {"format": ("json",), "delta": 0.024},
+    ),
 }
 
 
@@ -481,7 +359,8 @@ def parse_and_dispatch(argv: list[str]) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        return _RUNNERS[ns.subcommand](ns, config)
+        _resolve(ns, config)
+        return _SUBCOMMANDS[ns.subcommand][0](ns)
     except (DomainError, RegimeError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -11,13 +11,15 @@ reruns produce identical artifacts byte for byte.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import analytic
 from .analytic import Regime, classify_regime, detect_period, periodic_orbit
-from .errors import ConvergenceError, DomainError, WindowNotFoundError
+from .errors import (
+    ConvergenceError, DomainError, OrderingError, RegimeError, RootCountError, WindowNotFoundError,
+)
 from .maps import INIT_STREAM, ParameterDistribution, generate_path, stream_rng
 from .measure import (
     Histogram,
@@ -215,6 +217,18 @@ def _verdict(z: float) -> str:
     return "inconclusive"
 
 
+def _z_score(diff: float, se: float) -> float:
+    """diff/se, except that differences below float-noise scale are
+    never meaningful however small the standard error (point-mass
+    windows, extinction decay), and a nonzero difference at zero
+    standard error is infinitely significant."""
+    if abs(diff) < 1e-12:
+        return 0.0
+    if se == 0.0:
+        return math.copysign(math.inf, diff)
+    return diff / se
+
+
 def _parity_window(window: int, period: int) -> int:
     w = window - (window % period)
     return max(w, period)
@@ -247,14 +261,7 @@ def mean_comparison(
     dist = ParameterDistribution(lambda_bar, delta_lambda)
     stoch_mean, se = ensemble_time_mean(dist, cfg, window=window, seed=run_seed)
     diff = stoch_mean - det_mean
-    # differences below float-noise scale are never meaningful, however
-    # small the standard error (point-mass windows, extinction decay)
-    if abs(diff) < 1e-12:
-        z = 0.0
-    elif se == 0.0:
-        z = math.copysign(math.inf, diff)
-    else:
-        z = diff / se
+    z = _z_score(diff, se)
     return ComparisonReport(
         lambda_bar=lambda_bar,
         delta_lambda=delta_lambda,
@@ -310,7 +317,7 @@ def _variance_ladder(lambda_bar: float) -> list[float]:
         try:
             analytic.require_period2_window(lambda_bar, h0)
             return [h0, h0 / 2, h0 / 4, h0 / 8]
-        except Exception:
+        except (RegimeError, DomainError):
             h0 /= 2
             if h0 < 1e-6:
                 raise
@@ -325,7 +332,7 @@ def _root_chain_check(lambda_bar: float) -> LemmaCheck:
         try:
             roots = analytic.h_function_roots(lambda_bar, eps)
             break
-        except Exception:
+        except RootCountError:
             eps /= 4
     if roots is None:
         return LemmaCheck("shifted_root_ordering", False, {"error": "no four roots"})
@@ -364,7 +371,7 @@ def lemma_suite(
     try:
         analytic.check_ordering(lambda_bar, delta_lambda)
         ordering_ok = True
-    except Exception:
+    except OrderingError:
         ordering_ok = False
     window = _parity_window(min(cfg.window, cfg.generations), 2)
     stats = stationary_stats(dist, cfg, window=window, seed=run_seed)
@@ -410,7 +417,7 @@ def lemma_suite(
         shift_ok = abs(gap) <= 1e-9
         z_gap = 0.0
     else:
-        z_gap = gap / gap_se if gap_se > 0 else math.inf * math.copysign(1.0, gap)
+        z_gap = _z_score(gap, gap_se)
         shift_ok = z_gap >= Z_THRESHOLD
     checks.append(
         LemmaCheck(
@@ -422,7 +429,7 @@ def lemma_suite(
 
     # (iv) right-peak variance ratio decay with analytic bound
     ladder = _variance_ladder(lambda_bar)
-    profile = right_derivative_profile(lambda_bar, ladder, cfg)
+    profile = right_derivative_profile(lambda_bar, ladder, replace(cfg, seed=run_seed))
     ratios = [r for (_, r, _) in profile]
     ses = [s for (_, _, s) in profile]
     monotone = all(
@@ -587,7 +594,7 @@ def flipflop_scan(
         row_seed = base_seed + rho
         stoch, se = ensemble_time_mean(dist, cfg, window=window, seed=row_seed)
         diff = stoch - det_mean
-        z = diff / se if se > 0 else 0.0
+        z = _z_score(diff, se)
         sign = "+" if diff > 0 else ("-" if diff < 0 else "0")
         verdict = "exploratory" if rho >= 3 else _verdict(z)
         rows.append(

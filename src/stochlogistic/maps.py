@@ -17,7 +17,7 @@ results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,11 +50,8 @@ class ParameterDistribution:
 
     lambda_bar: float
     delta_lambda: float = 0.0
-    kind: str = "uniform"
 
     def __post_init__(self) -> None:
-        if self.kind != "uniform":
-            raise DomainError(f"unsupported distribution kind {self.kind!r}")
         if not np.isfinite(self.lambda_bar) or not np.isfinite(self.delta_lambda):
             raise DomainError("lambda_bar and delta_lambda must be finite")
         if self.delta_lambda < 0:
@@ -76,18 +73,6 @@ class ParameterDistribution:
     def support(self) -> tuple[float, float]:
         return (self.low, self.high)
 
-    def density(self, lam: float) -> float:
-        """Uniform density 1/(2*delta_lambda) on the support.
-
-        For the point-mass case the density is singular: returns ``inf``
-        at lambda_bar and 0 elsewhere.
-        """
-        if self.delta_lambda == 0.0:
-            return float("inf") if lam == self.lambda_bar else 0.0
-        if self.low <= lam <= self.high:
-            return 1.0 / (2.0 * self.delta_lambda)
-        return 0.0
-
 
 @dataclass(frozen=True, eq=False)
 class SamplePath:
@@ -102,7 +87,6 @@ class SamplePath:
     x0: float
     states: np.ndarray
     lambdas: np.ndarray
-    seed: int = field(default=0)
 
     @property
     def n(self) -> int:
@@ -110,63 +94,6 @@ class SamplePath:
 
     def __len__(self) -> int:
         return len(self.states)
-
-
-def _check_lambda(lam: float) -> None:
-    if not 0.0 <= lam <= 4.0:
-        raise DomainError(f"growth rate must lie in [0, 4], got {lam}")
-
-
-def _check_state(x: float) -> None:
-    if not 0.0 <= x <= 1.0:
-        raise DomainError(f"state must lie in [0, 1], got {x}")
-
-
-def logistic_step(lam: float, x: float) -> float:
-    """One application of x -> lam*x*(1-x).
-
-    The result lies in [0, lam/4] which stays inside [0, 1]; this is
-    exact in binary64 arithmetic, not just up to rounding.
-    """
-    _check_lambda(lam)
-    _check_state(x)
-    return lam * x * (1.0 - x)
-
-
-def iterate_deterministic(lam: float, x0: float, n: int) -> np.ndarray:
-    """Orbit [x0, x1, ..., xn] of the fixed-rate map."""
-    _check_lambda(lam)
-    _check_state(x0)
-    if n < 0:
-        raise DomainError(f"n must be >= 0, got {n}")
-    out = np.empty(n + 1, dtype=np.float64)
-    out[0] = x0
-    x = x0
-    for i in range(1, n + 1):
-        x = lam * x * (1.0 - x)
-        out[i] = x
-    return out
-
-
-def sample_parameter(dist: ParameterDistribution, rng: np.random.Generator) -> float:
-    """Draw one growth rate from the distribution.
-
-    Exactly one variate is consumed per call even in the point-mass
-    case, so downstream draws do not depend on delta_lambda.
-    """
-    return float(rng.uniform(dist.low, dist.high))
-
-
-def stochastic_step(
-    dist: ParameterDistribution, x: float, rng: np.random.Generator
-) -> tuple[float, float]:
-    """One skew-product step: draw a rate, advance the state.
-
-    Returns (lambda_used, x_next).
-    """
-    _check_state(x)
-    lam = sample_parameter(dist, rng)
-    return lam, lam * x * (1.0 - x)
 
 
 def generate_path(
@@ -178,7 +105,8 @@ def generate_path(
     give a bit-identical path.  The rate sequence is drawn up front from
     the path stream; state i+1 consumes lambdas[i].
     """
-    _check_state(x0)
+    if not 0.0 <= x0 <= 1.0:
+        raise DomainError(f"state must lie in [0, 1], got {x0}")
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
     rng = stream_rng(seed, PATH_STREAM)
@@ -189,4 +117,4 @@ def generate_path(
     for i in range(n):
         x = lambdas[i] * x * (1.0 - x)
         states[i + 1] = x
-    return SamplePath(x0=x0, states=states, lambdas=lambdas, seed=seed)
+    return SamplePath(x0=x0, states=states, lambdas=lambdas)

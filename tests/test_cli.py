@@ -149,6 +149,46 @@ class TestFlipflop:
         assert payload["rows"][0]["verdict"] == "stochastic_greater"
 
 
+class TestExplicitValues:
+    """A value given on the command line is validated, never replaced by
+    a default."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["flipflop", "--rho", "1", "--delta", "0"],
+            ["compare", "--lambda-bar", "2.8", "--delta", "0.1", "--particles", "0"],
+            ["verify", "--lambda-bar", "3.2", "--delta", "0.05", "--generations", "0"],
+            ["compare", "--lambda-bar", "2.8", "--delta", "0.1", "--window", "0"],
+            ["evolve", "--lambda-bar", "3.2", "--delta", "0.05", "--particles", "0"],
+            # one particle has no standard error, so no verdict either
+            ["compare", "--lambda-bar", "3.2", "--delta", "0.05", "--particles", "1"],
+        ],
+        ids=["flipflop-delta-0", "compare-particles-0", "verify-generations-0",
+             "compare-window-0", "evolve-particles-0", "compare-particles-1"],
+    )
+    def test_rejected_with_exit_2(self, argv, tmp_path, capsys):
+        assert run(argv, tmp_path) == 2
+        assert "error:" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestArtifactWriter:
+    def test_wrote_lines_in_fixed_order(self, tmp_path, capsys):
+        code = run(
+            ["compare", "--lambda-bar", "3.208", "--delta", "0.024",
+             "--format", "svg,json,csv", *FAST_COMPARE],
+            tmp_path,
+        )
+        assert code == 0
+        wrote = [line.rsplit(".", 1)[1] for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("wrote ")]
+        assert wrote == ["csv", "json", "svg"]
+
+    def test_unknown_format_exit_2(self, tmp_path):
+        assert run(["compare", "--lambda-bar", "3.2", "--format", "pdf"], tmp_path) == 2
+
+
 class TestConfigFile:
     def test_minimal_config_fills_defaults(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -186,6 +226,17 @@ class TestConfigFile:
         cfg.write_text("lambda_bar 3.2\n")
         with pytest.raises(ConfigError, match=":1:"):
             load_config(cfg)
+
+    def test_choice_checked(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("kind = chaotic\n")
+        with pytest.raises(ConfigError, match=":1:"):
+            load_config(cfg)
+
+    def test_list_values(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("rho = 1,2\ncheckpoints = 0,5\nformat = csv,svg\n")
+        assert load_config(cfg) == {"rho": (1, 2), "checkpoints": (0, 5), "format": ("csv", "svg")}
 
     def test_bad_value(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import inspect
 import json
+import math
 
 import numpy as np
 import pytest
@@ -30,6 +31,8 @@ from stochlogistic.errors import (
     RegimeError,
     WindowNotFoundError,
 )
+
+from stochlogistic import analytic, experiments
 
 from oracles import quartic_two_cycle
 
@@ -249,6 +252,25 @@ class TestMeanComparison:
         assert payload["lambda_bar"] == 3.208
 
 
+class TestZScoreRule:
+    """compare and flipflop score a difference by one rule."""
+
+    def test_zero_se_is_conclusive_in_both(self, monkeypatch):
+        monkeypatch.setattr(experiments, "ensemble_time_mean", lambda *a, **k: (0.9, 0.0))
+        rep = mean_comparison(3.208, 0.024, FAST)
+        row = flipflop_scan((1,), 0.024, FAST).rows[0]
+        assert rep.z_score == row.z_score == math.inf
+        assert rep.verdict == row.verdict == "stochastic_greater"
+
+    def test_float_noise_difference_scores_zero_in_both(self, monkeypatch):
+        det = float(np.mean(periodic_orbit(3.208, 2)))
+        monkeypatch.setattr(experiments, "ensemble_time_mean", lambda *a, **k: (det + 1e-13, 1e-14))
+        rep = mean_comparison(3.208, 0.024, FAST)
+        row = flipflop_scan((1,), 0.024, FAST).rows[0]
+        assert rep.z_score == row.z_score == 0.0
+        assert rep.verdict == row.verdict == "inconclusive"
+
+
 class TestLemmaSuite:
     def test_reference_window(self):
         cfg = MonteCarloConfig(n_particles=1000, generations=1500, window=750, seed=22)
@@ -282,6 +304,25 @@ class TestLemmaSuite:
         cfg = MonteCarloConfig(n_particles=300, generations=600, window=300, seed=24)
         report = lemma_suite(3.2, 0.01, cfg)
         json.dumps(report.to_dict())
+
+    def test_seed_override_reaches_variance_ladder(self):
+        cfg = MonteCarloConfig(n_particles=300, generations=400, window=200, seed=1)
+
+        def ratios(**seed):
+            checks = lemma_suite(3.2, 0.05, cfg, **seed).checks
+            return next(c for c in checks if c.name == "right_variance_decay").details["ratio"]
+
+        assert ratios() == ratios(seed=1)
+        assert ratios(seed=1) != ratios(seed=2)
+
+    def test_unexpected_error_propagates(self, monkeypatch):
+        def broken(lambda_bar, epsilon):
+            raise ZeroDivisionError("bug in the root scan")
+
+        monkeypatch.setattr(analytic, "h_function_roots", broken)
+        cfg = MonteCarloConfig(n_particles=100, generations=200, window=100, seed=2)
+        with pytest.raises(ZeroDivisionError):
+            lemma_suite(3.2, 0.05, cfg)
 
 
 class TestFlipFlopScan:

@@ -6,31 +6,31 @@ import numpy as np
 import pytest
 
 from stochlogistic import (
+    Ensemble,
     ParameterDistribution,
     generate_path,
-    iterate_deterministic,
-    logistic_step,
-    sample_parameter,
-    stochastic_step,
+    pf_step,
     stream_rng,
+    uniform_ensemble,
 )
 from stochlogistic.errors import DomainError
 
 from oracles import quartic_two_cycle
 
 
+def step(lam: float, x: float) -> float:
+    """One application of the fixed-rate map, through generate_path."""
+    return generate_path(ParameterDistribution(lam, 0.0), x, 1, seed=0).states[1]
+
+
 class TestParameterDistribution:
-    def test_support_and_density(self):
+    def test_support(self):
         dist = ParameterDistribution(3.2, 0.1)
         assert dist.support == (3.1, 3.3000000000000003)
-        assert dist.density(3.2) == pytest.approx(5.0)
-        assert dist.density(3.5) == 0.0
 
     def test_point_mass(self):
         dist = ParameterDistribution(3.2, 0.0)
         assert dist.low == dist.high == 3.2
-        assert dist.density(3.2) == float("inf")
-        assert dist.density(3.1999) == 0.0
 
     @pytest.mark.parametrize(
         "lb,dl",
@@ -40,87 +40,82 @@ class TestParameterDistribution:
         with pytest.raises(DomainError):
             ParameterDistribution(lb, dl)
 
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(DomainError):
-            ParameterDistribution(2.0, 0.1, kind="gaussian")
-
 
 class TestLogisticStep:
+    """The map x -> lam*x*(1-x) as generate_path and pf_step apply it."""
+
     def test_fixed_point(self):
-        assert logistic_step(2.0, 0.5) == 0.5
+        assert step(2.0, 0.5) == 0.5
 
     def test_map_maximum(self):
-        assert logistic_step(4.0, 0.5) == 1.0
+        assert step(4.0, 0.5) == 1.0
 
     def test_direct_evaluation(self):
         # 2.1 * 0.12 * 0.88
-        assert logistic_step(2.1, 0.12) == pytest.approx(0.22176, abs=1e-15)
+        assert step(2.1, 0.12) == pytest.approx(0.22176, abs=1e-15)
 
     @pytest.mark.parametrize("lam,x", [(-0.1, 0.5), (4.1, 0.5), (2.0, -0.01), (2.0, 1.01)])
     def test_domain_errors(self, lam, x):
+        # rates are checked by the distribution, states on entry to a path
         with pytest.raises(DomainError):
-            logistic_step(lam, x)
+            step(lam, x)
 
     def test_unit_interval_invariance(self):
-        rng = np.random.default_rng(0)
-        lam = rng.uniform(0.0, 4.0, 100_000)
-        x = rng.uniform(0.0, 1.0, 100_000)
-        out = lam * x * (1.0 - x)
+        # rates over all of [0, 4], one per particle
+        ens = uniform_ensemble(100_000, seed=0)
+        out = pf_step(ens, ParameterDistribution(2.0, 2.0)).particles
+        lam = stream_rng(0, 1).uniform(0.0, 4.0, 100_000)
+        x = ens.particles
+        assert np.array_equal(out, lam * x * (1.0 - x))
         assert np.all(out >= 0.0) and np.all(out <= 1.0)
-        # scalar path agrees with the vectorized expression bit for bit
-        for i in range(0, 100_000, 9973):
-            assert logistic_step(lam[i], x[i]) == out[i]
 
     def test_fixed_point_identity_two_ulp(self):
         rng = np.random.default_rng(1)
-        for lam in rng.uniform(1.0 + 1e-9, 4.0, 5000):
-            x_star = (lam - 1.0) / lam
-            err = abs(logistic_step(lam, x_star) - x_star)
-            assert err <= 2.0 * np.spacing(x_star)
+        lams = rng.uniform(1.0 + 1e-9, 4.0, 5000)
+        x_star = (lams - 1.0) / lams
+        for lam, x in zip(lams, x_star):
+            assert abs(step(lam, x) - x) <= 2.0 * np.spacing(x)
 
 
 class TestIterateDeterministic:
+    """Fixed-rate orbits: generate_path with a point-mass rate law."""
+
+    @staticmethod
+    def orbit(lam: float, x0: float, n: int) -> np.ndarray:
+        return generate_path(ParameterDistribution(lam, 0.0), x0, n, seed=0).states
+
     def test_fixed_point_orbit(self):
-        assert iterate_deterministic(2.0, 0.5, 3).tolist() == [0.5] * 4
+        assert self.orbit(2.0, 0.5, 3).tolist() == [0.5] * 4
 
     def test_converges_to_fixed_point(self):
-        tail = iterate_deterministic(1.5, 0.2, 2000)[-10:]
+        tail = self.orbit(1.5, 0.2, 2000)[-10:]
         assert tail == pytest.approx([1.0 / 3.0] * 10, abs=1e-12)
 
     def test_two_cycle_tail(self):
         p, q = quartic_two_cycle(3.2)
-        tail = iterate_deterministic(3.2, 0.3, 4000)[-2:]
+        tail = self.orbit(3.2, 0.3, 4000)[-2:]
         assert sorted(tail) == pytest.approx([p, q], abs=1e-6)
 
     def test_length_and_start(self):
-        orbit = iterate_deterministic(3.7, 0.3, 17)
+        orbit = self.orbit(3.7, 0.3, 17)
         assert len(orbit) == 18
         assert orbit[0] == 0.3
 
     def test_negative_n(self):
         with pytest.raises(DomainError):
-            iterate_deterministic(2.0, 0.5, -1)
+            self.orbit(2.0, 0.5, -1)
 
 
 class TestSampleParameter:
-    def test_point_mass_exact(self):
-        dist = ParameterDistribution(3.2, 0.0)
-        rng = stream_rng(42, 0)
-        assert sample_parameter(dist, rng) == 3.2
+    """Rate draws as generate_path consumes them."""
 
-    def test_point_mass_consumes_one_draw(self):
-        a = stream_rng(42, 0)
-        b = stream_rng(42, 0)
-        sample_parameter(ParameterDistribution(3.2, 0.0), a)
-        sample_parameter(ParameterDistribution(3.2, 0.1), b)
-        # both streams advanced identically
-        assert a.uniform() == b.uniform()
+    def test_point_mass_exact(self):
+        path = generate_path(ParameterDistribution(3.2, 0.0), 0.3, 20, seed=42)
+        assert np.all(path.lambdas == 3.2)
 
     def test_support_bound(self):
-        dist = ParameterDistribution(3.2, 0.1)
-        rng = stream_rng(7, 0)
-        draws = [sample_parameter(dist, rng) for _ in range(1000)]
-        assert all(3.1 <= v <= 3.3000000000000003 for v in draws)
+        path = generate_path(ParameterDistribution(3.2, 0.1), 0.3, 1000, seed=7)
+        assert np.all((path.lambdas >= 3.1) & (path.lambdas <= 3.3000000000000003))
 
     def test_law_of_large_numbers(self):
         dist = ParameterDistribution(2.0, 0.5)
@@ -131,21 +126,20 @@ class TestSampleParameter:
 
 
 class TestStochasticStep:
+    """One transfer-operator step of pf_step, particle by particle."""
+
     def test_point_mass(self):
-        lam, x1 = stochastic_step(ParameterDistribution(2.0, 0.0), 0.5, stream_rng(0, 0))
-        assert (lam, x1) == (2.0, 0.5)
+        out = pf_step(Ensemble(np.array([0.5]), 0, 0), ParameterDistribution(2.0, 0.0))
+        assert out.particles.tolist() == [0.5]
 
     def test_zero_is_fixed(self):
-        lam, x1 = stochastic_step(ParameterDistribution(3.2, 0.1), 0.0, stream_rng(0, 0))
-        assert 3.1 <= lam <= 3.3000000000000003
-        assert x1 == 0.0
+        out = pf_step(Ensemble(np.array([0.0, 0.3]), 0, 0), ParameterDistribution(3.2, 0.1))
+        assert out.particles[0] == 0.0
 
     def test_vertex_bound(self):
         dist = ParameterDistribution(3.2, 0.1)
-        rng = stream_rng(11, 0)
-        for _ in range(500):
-            _, x1 = stochastic_step(dist, rng.uniform(), rng)
-            assert x1 <= dist.high / 4.0
+        out = pf_step(uniform_ensemble(500, seed=11), dist)
+        assert np.all(out.particles <= dist.high / 4.0)
 
 
 class TestGeneratePath:
@@ -185,8 +179,8 @@ class TestGeneratePath:
         dist = ParameterDistribution(2.25, 0.25)
         for seed in range(10):
             path = generate_path(dist, 0.12, 3, seed=seed)
-            assert path.states[1] == logistic_step(path.lambdas[0], 0.12)
+            assert path.states[1] == path.lambdas[0] * 0.12 * (1.0 - 0.12)
 
     def test_path_metadata(self):
         path = generate_path(ParameterDistribution(2.0, 0.0), 0.25, 10, seed=3)
-        assert path.n == 10 and len(path) == 11 and path.seed == 3 and path.x0 == 0.25
+        assert path.n == 10 and len(path) == 11 and path.x0 == 0.25

@@ -25,12 +25,7 @@ from stochlogistic import (
     variance_of_right_peak,
 )
 from stochlogistic.errors import DomainError, EmptyPeakError, RegimeError
-from stochlogistic.measure import (
-    load_ensemble_csv,
-    right_derivative_profile,
-    save_ensemble_csv,
-    time_average_se,
-)
+from stochlogistic.measure import right_derivative_profile, time_average_se
 
 from oracles import quartic_two_cycle
 
@@ -292,17 +287,6 @@ class TestHistogram:
             Histogram(edges=np.array([0.0, 0.0, 1.0]), counts=np.array([1, 2]))
 
 
-class TestEnsembleRoundTrip:
-    def test_csv_round_trip_bitwise(self, tmp_path):
-        e = pf_iterate(uniform_ensemble(100, seed=19), ParameterDistribution(3.2, 0.1), 37)
-        path = tmp_path / "snapshot.csv"
-        save_ensemble_csv(e, path)
-        back = load_ensemble_csv(path)
-        assert np.array_equal(back.particles, e.particles)
-        assert back.generation == e.generation == 37
-        assert back.base_seed == e.base_seed == 19
-
-
 class TestEnsembleValidation:
     def test_bounds(self):
         with pytest.raises(DomainError):
@@ -311,6 +295,10 @@ class TestEnsembleValidation:
     def test_empty(self):
         with pytest.raises(DomainError):
             Ensemble(np.array([]), generation=0, base_seed=0)
+
+    def test_nan_rejected(self):
+        with pytest.raises(DomainError):
+            Ensemble(np.array([np.nan, 0.5]), 0, 0)
 
 
 class TestMonteCarloConfig:
@@ -323,5 +311,7 @@ class TestMonteCarloConfig:
     def test_validation(self):
         with pytest.raises(DomainError):
             MonteCarloConfig(n_particles=0)
+        with pytest.raises(DomainError):
+            MonteCarloConfig(n_particles=1)  # no standard error from one particle
         with pytest.raises(DomainError):
             MonteCarloConfig(window=5000, generations=2000)
