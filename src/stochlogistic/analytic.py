@@ -94,10 +94,11 @@ class SupportIntervals:
     def I_q(self) -> tuple[float, float]:
         return (self.q_lo, self.q_hi)
 
-    def contains(self, x: float, inflate: float = 0.0) -> bool:
-        return (
-            self.p_lo - inflate <= x <= self.p_hi + inflate
-            or self.q_lo - inflate <= x <= self.q_hi + inflate
+    def contains(self, x, inflate: float = 0.0):
+        """Whether x lies in I_p or I_q widened by ``inflate``;
+        elementwise for an array."""
+        return ((self.p_lo - inflate <= x) & (x <= self.p_hi + inflate)) | (
+            (self.q_lo - inflate <= x) & (x <= self.q_hi + inflate)
         )
 
 
@@ -187,6 +188,12 @@ def detect_period(lam: float, tol: float = 1e-9, max_iter: int = 200_000) -> int
     total iterations are spent; ConvergenceError if no cycle length is
     found by then (chaotic rate, or a neutral boundary value).
     """
+    return _converged_cycle(lam, tol, max_iter)[0]
+
+
+def _converged_cycle(lam: float, tol: float = 1e-9, max_iter: int = 200_000) -> tuple[int, float]:
+    """detect_period's cycle length together with the orbit state at
+    which the successful check began."""
     if tol <= 0:
         raise DomainError(f"tol must be > 0, got {tol}")
     if not 0.0 <= lam <= 4.0:
@@ -198,6 +205,7 @@ def detect_period(lam: float, tol: float = 1e-9, max_iter: int = 200_000) -> int
         for _ in range(burn):
             x = lam * x * (1.0 - x)
         spent += burn
+        start = x
         orbit = np.empty(_CHECK_SPAN + _MAX_PERIOD, dtype=np.float64)
         for i in range(len(orbit)):
             x = lam * x * (1.0 - x)
@@ -205,7 +213,7 @@ def detect_period(lam: float, tol: float = 1e-9, max_iter: int = 200_000) -> int
         spent += len(orbit)
         for k in range(1, _MAX_PERIOD + 1):
             if np.all(np.abs(orbit[k : k + _CHECK_SPAN] - orbit[:_CHECK_SPAN]) < tol):
-                return k
+                return k, start
         if spent >= max_iter:
             raise ConvergenceError(
                 f"no cycle of length <= {_MAX_PERIOD} within {max_iter} "
@@ -217,19 +225,18 @@ def detect_period(lam: float, tol: float = 1e-9, max_iter: int = 200_000) -> int
 def periodic_orbit(lam: float, period: int) -> list[float]:
     """The attracting cycle points at the given rate, sorted ascending.
 
-    Long iteration from x0 = 0.5 followed by one recorded cycle.  The
-    mean of the returned points is the long-term orbit average of the
-    fixed-rate map.
+    Long iteration from x0 = 0.5 followed by one recorded cycle, taken
+    from the state at which cycle detection converged (burn-in is
+    extended there for slowly attracting cycles).  The mean of the
+    returned points is the long-term orbit average of the fixed-rate
+    map.
     """
-    detected = detect_period(lam)
+    detected, x = _converged_cycle(lam)
     if detected != period:
         raise DomainError(
             f"requested period {period} but the orbit at lam={lam} has "
             f"period {detected}"
         )
-    x = 0.5
-    for _ in range(PERIOD_BURN_IN):
-        x = lam * x * (1.0 - x)
     pts = []
     for _ in range(period):
         pts.append(x)

@@ -10,7 +10,8 @@ Subcommands map one-to-one onto the experiment operations:
 
 Artifacts are written as CSV/JSON/SVG, in that order, under the output
 directory (--outdir, else $STOCHLOGISTIC_OUTDIR, else the working
-directory) with names <subcommand>-<lambda_bar>-<delta>-<seed>.<ext>.
+directory) with names <subcommand>-<lambda_bar>-<delta>-<seed>.<ext>;
+verify and flipflop have no drawing and reject --format svg.
 Settings come from defaults, then an optional flat key=value config file
 (--config), then explicit flags, in increasing precedence.  The config
 keys are the keys of OPTIONS, which also defines every flag.  A default
@@ -86,6 +87,8 @@ OPTIONS = {
 }
 
 _COMMON = ("seed", "outdir", "format", "scale")
+#: Subcommands whose results have no drawing.
+_NO_SVG = ("verify", "flipflop")
 _ENSEMBLE = ("delta", "particles", "generations", "window")
 
 
@@ -144,6 +147,8 @@ def _resolve(ns: argparse.Namespace, config: dict) -> None:
             setattr(ns, key, config.get(key, defaults.get(key, OPTIONS[key][2])))
     if "lambda_bar" in keys and ns.lambda_bar is None:
         raise DomainError(f"{ns.subcommand} requires --lambda-bar")
+    if "svg" in ns.format and ns.subcommand in _NO_SVG:
+        raise DomainError(f"{ns.subcommand} has no SVG view; choose --format from csv,json")
     ns.outdir = Path(os.environ.get(ENV_OUTDIR, ".") if ns.outdir is None else ns.outdir)
     try:
         ns.outdir.mkdir(parents=True, exist_ok=True)
@@ -164,15 +169,15 @@ def _mc_config(ns) -> MonteCarloConfig:
 
 def _write(ns, mid: str, delta: float, payload, rows, svg=None) -> int:
     """Write <outdir>/<subcommand>-<mid>-<delta>-<seed>.<ext> for every
-    requested format the subcommand supplies, in the order csv, json,
-    svg, and print each path.
+    requested format, in the order csv, json, svg, and print each path.
 
     ``rows`` is an iterable of CSV rows, header first, streamed to disk;
-    ``payload`` returns the JSON object and ``svg`` the drawing.  Nothing
-    is produced for a format that was not requested.
+    ``payload`` returns the JSON object and ``svg`` the drawing (None for
+    the subcommands in _NO_SVG, which reject --format svg up front).
+    Nothing is produced for a format that was not requested.
     """
     for ext in _FORMATS:
-        if ext not in ns.format or (ext == "svg" and svg is None):
+        if ext not in ns.format:
             continue
         path = ns.outdir / f"{ns.subcommand}-{mid}-{delta:g}-{ns.seed}.{ext}"
         if ext == "csv":

@@ -374,9 +374,14 @@ def lemma_suite(
     except OrderingError:
         ordering_ok = False
     window = _parity_window(min(cfg.window, cfg.generations), 2)
-    stats = stationary_stats(dist, cfg, window=window, seed=run_seed)
-    x = stats.final.particles
-    inside = np.fromiter((sup.contains(v, inflate=1e-9) for v in x), dtype=bool)
+    # the variance ladder's ensembles share the seed, so they advance in
+    # lockstep with the stationary run and reuse its variates
+    ladder = _variance_ladder(lambda_bar)
+    stats = stationary_stats(
+        dist, cfg, window=window, seed=run_seed,
+        companions=tuple(ParameterDistribution(lambda_bar, h) for h in ladder),
+    )
+    inside = sup.contains(stats.final.particles, inflate=1e-9)
     fraction = float(inside.mean())
     checks.append(
         LemmaCheck(
@@ -428,8 +433,9 @@ def lemma_suite(
     )
 
     # (iv) right-peak variance ratio decay with analytic bound
-    ladder = _variance_ladder(lambda_bar)
-    profile = right_derivative_profile(lambda_bar, ladder, replace(cfg, seed=run_seed))
+    profile = right_derivative_profile(
+        lambda_bar, ladder, replace(cfg, seed=run_seed), stats.companion_finals
+    )
     ratios = [r for (_, r, _) in profile]
     ses = [s for (_, _, s) in profile]
     monotone = all(

@@ -10,12 +10,18 @@ variance response to the noise half-width are estimated here.
 Per-particle rate draws for the step leaving generation g come from a
 counter-based stream keyed by (base_seed, g+1), with the i-th variate
 assigned to particle i, so results are bit-identical however the work
-is scheduled.
+is scheduled.  Ensembles of one size that share a seed therefore consume
+the same variates each generation, whatever their rate law.  A one-slot
+memo holds the last generation's variates, and the lemma suite steps its
+stationary ensemble and its variance ladder in lockstep
+(``stationary_stats(..., companions=...)``), so each generation is drawn
+once for all of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -171,20 +177,32 @@ def uniform_ensemble(n: int, seed: int) -> Ensemble:
     return Ensemble(particles=x, generation=0, base_seed=seed)
 
 
+@lru_cache(maxsize=1)
+def _rate_variates(seed: int, stream: int, n: int) -> np.ndarray:
+    """The first n standard-uniform variates of stream (seed, stream),
+    read-only.  One slot suffices: ensembles stepped in lockstep ask for
+    the same generation's variates one after another."""
+    u = stream_rng(seed, stream).random(n)
+    u.flags.writeable = False
+    return u
+
+
 def pf_step(ensemble: Ensemble, dist: ParameterDistribution) -> Ensemble:
     """One Monte-Carlo transfer-operator step.
 
     Every particle advances with its own independent rate draw; the
-    point-mass case reduces to the plain fixed-rate map.
+    point-mass case reduces to the plain fixed-rate map.  The rate is
+    formed as low + (high - low)*u, the way Generator.uniform maps a
+    variate, and the products keep the order of lam*x*(1 - x), so the
+    in-place update is bit-identical to drawing uniform(low, high).
     """
-    rng = stream_rng(ensemble.base_seed, ensemble.generation + 1)
-    lam = rng.uniform(dist.low, dist.high, size=ensemble.n)
+    u = _rate_variates(ensemble.base_seed, ensemble.generation + 1, ensemble.n)
     x = ensemble.particles
-    return Ensemble(
-        particles=lam * x * (1.0 - x),
-        generation=ensemble.generation + 1,
-        base_seed=ensemble.base_seed,
-    )
+    y = u * (dist.high - dist.low)
+    y += dist.low
+    y *= x
+    y *= 1.0 - x
+    return Ensemble(particles=y, generation=ensemble.generation + 1, base_seed=ensemble.base_seed)
 
 
 def pf_iterate(ensemble: Ensemble, dist: ParameterDistribution, n: int) -> Ensemble:
@@ -241,7 +259,8 @@ class StationaryStats:
     window means are i.i.d. across particles and their spread gives a
     clean standard error that is immune to autocorrelation in time.
     ``left_*``/``right_*`` split each particle's visits at the peak
-    threshold; ``final`` is the last snapshot.
+    threshold; ``final`` is the last snapshot and ``companion_finals``
+    the last snapshots of the companion ensembles, in their order.
     """
 
     mean_pp: np.ndarray
@@ -252,6 +271,7 @@ class StationaryStats:
     window: int
     threshold: float
     final: Ensemble
+    companion_finals: tuple[Ensemble, ...]
 
     @property
     def mean(self) -> float:
@@ -282,10 +302,16 @@ def stationary_stats(
     cfg: MonteCarloConfig,
     window: int | None = None,
     seed: int | None = None,
+    companions: tuple[ParameterDistribution, ...] = (),
 ) -> StationaryStats:
     """Run an ensemble to cfg.generations and pool the last ``window``
     generations into per-particle time averages split at the peak
     threshold (lambda_bar - 1)/lambda_bar.
+
+    Each companion rate law gets its own ensemble from the same seed,
+    stepped in lockstep with the main one, so every generation's
+    variates are drawn once for all of them; their final snapshots are
+    bit-identical to separate ``pf_iterate`` runs of cfg.generations.
 
     EmptyPeakError if some particle never visits one of the sides during
     the window (expected in the two-cycle regime, where every particle
@@ -298,29 +324,30 @@ def stationary_stats(
         raise DomainError("peak threshold needs lambda_bar > 1")
     base_seed = cfg.seed if seed is None else seed
     threshold = (dist.lambda_bar - 1.0) / dist.lambda_bar
-    ens = uniform_ensemble(cfg.n_particles, base_seed)
-    burn = cfg.generations - w
-    ens = pf_iterate(ens, dist, burn)
-    n = ens.n
-    total = np.zeros(n)
-    lsum = np.zeros(n)
-    lsq = np.zeros(n)
+    n = cfg.n_particles
+    ens = uniform_ensemble(n, base_seed)
+    others = [uniform_ensemble(n, base_seed) for _ in companions]
+    total, lsum, lsq, rsum, rsq, lx, rx, sq = np.zeros((8, n))
     lcnt = np.zeros(n, dtype=np.int64)
-    rsum = np.zeros(n)
-    rsq = np.zeros(n)
-    rcnt = np.zeros(n, dtype=np.int64)
-    for _ in range(w):
+    left = np.empty(n, dtype=bool)
+    burn = cfg.generations - w
+    for t in range(cfg.generations):
         ens = pf_step(ens, dist)
+        others = [pf_step(e, d) for e, d in zip(others, companions)]
+        if t < burn:
+            continue
+        # masks as 0/1 factors: exact for x in [0, 1], and no where-temporaries
         x = ens.particles
         total += x
-        left = x <= threshold
-        xx = x * x
-        lsum += np.where(left, x, 0.0)
-        lsq += np.where(left, xx, 0.0)
+        np.less_equal(x, threshold, out=left)
+        np.multiply(x, left, out=lx)
+        np.subtract(x, lx, out=rx)
+        lsum += lx
+        rsum += rx
+        lsq += np.multiply(lx, x, out=sq)
+        rsq += np.multiply(rx, x, out=sq)
         lcnt += left
-        rsum += np.where(left, 0.0, x)
-        rsq += np.where(left, 0.0, xx)
-        rcnt += ~left
+    rcnt = w - lcnt
     if np.any(lcnt == 0) or np.any(rcnt == 0):
         raise EmptyPeakError(
             "some particle never visited one side of the threshold during "
@@ -335,6 +362,7 @@ def stationary_stats(
         window=w,
         threshold=threshold,
         final=ens,
+        companion_finals=tuple(others),
     )
 
 
@@ -364,18 +392,19 @@ def variance_of_right_peak(
     lambda_bar: float,
     delta_lambda: float,
     cfg: MonteCarloConfig,
+    final: Ensemble,
 ) -> tuple[float, float]:
     """Variance of the right peak of the converged distribution, with a
     bootstrap standard error over particles.
 
-    Builds a uniform ensemble, iterates cfg.generations times, splits
-    the final snapshot at the peak threshold, and returns the sample
-    variance of the right side.
+    ``final`` is the converged snapshot of the rate law lambda_bar +/-
+    delta_lambda (``stationary_stats`` returns it for each companion);
+    it is split at the peak threshold and the sample variance of the
+    right side returned.  The bootstrap draws from stream
+    BOOTSTRAP_STREAM of cfg.seed.
     """
     require_period2_window(lambda_bar, delta_lambda)
-    dist = ParameterDistribution(lambda_bar, delta_lambda)
-    ens = pf_iterate(uniform_ensemble(cfg.n_particles, cfg.seed), dist, cfg.generations)
-    right = split_peaks(ens, lambda_bar).right.particles
+    right = split_peaks(final, lambda_bar).right.particles
     # centered evaluation: the naive E[X^2] - mean^2 form cancels badly
     # at the zero-noise limit where the peak is a point mass
     v = float(np.var(right))
@@ -391,18 +420,22 @@ def right_derivative_profile(
     lambda_bar: float,
     h_values: list[float] | tuple[float, ...],
     cfg: MonteCarloConfig,
+    finals: tuple[Ensemble, ...],
 ) -> list[tuple[float, float, float]]:
     """Ratios V(h)/h with standard errors for a decreasing ladder of
-    noise half-widths; the decay of the ratio exhibits a vanishing
-    right-hand derivative of the right-peak variance at h = 0."""
+    noise half-widths, from each rung's converged snapshot in
+    ``finals``; the decay of the ratio exhibits a vanishing right-hand
+    derivative of the right-peak variance at h = 0."""
     hs = list(h_values)
     if not hs or any(h <= 0 for h in hs):
         raise DomainError("h_values must be positive")
     if any(b >= a for a, b in zip(hs, hs[1:])):
         raise DomainError("h_values must be strictly decreasing")
+    if len(finals) != len(hs):
+        raise DomainError(f"need one snapshot per half-width, got {len(finals)} for {len(hs)}")
     out = []
-    for h in hs:
-        v, se = variance_of_right_peak(lambda_bar, h, cfg)
+    for h, final in zip(hs, finals):
+        v, se = variance_of_right_peak(lambda_bar, h, cfg, final)
         out.append((h, v / h, se / h))
     return out
 

@@ -30,7 +30,7 @@ from stochlogistic import (
     stability_preconditions,
     support_intervals,
 )
-from stochlogistic.analytic import Regime
+from stochlogistic.analytic import PERIOD_BURN_IN, Regime
 from stochlogistic.errors import (
     ConvergenceError,
     DomainError,
@@ -188,6 +188,16 @@ class TestPeriodicOrbit:
         with pytest.raises(DomainError):
             periodic_orbit(3.2, 4)
 
+    def test_slow_cycle_recorded_where_detection_converged(self):
+        # just past the first doubling the two-cycle attracts slowly: one
+        # burn-in pass is not enough, detection extends it, and the
+        # recorded cycle must come from where detection converged
+        lam = 3.0001
+        with pytest.raises(ConvergenceError):
+            detect_period(lam, max_iter=PERIOD_BURN_IN)
+        p, q = quartic_two_cycle(lam)
+        assert periodic_orbit(lam, 2) == pytest.approx([p, q], abs=1e-6)
+
 
 class TestSupportIntervals:
     def test_reference_window(self):
@@ -245,6 +255,15 @@ class TestSupportIntervals:
         assert sup.contains(0.8)
         assert not sup.contains(0.7)
         assert sup.contains(sup.p_lo - 1e-10, inflate=1e-9)
+
+    def test_contains_elementwise_on_arrays(self):
+        sup = support_intervals(3.2, 0.1)
+        edges = [sup.p_lo, sup.p_hi, sup.q_lo, sup.q_hi]
+        x = np.concatenate([np.linspace(0.0, 1.0, 1001), edges,
+                            np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)])
+        for inflate in (0.0, 1e-9):
+            want = [sup.contains(float(v), inflate=inflate) for v in x]
+            assert sup.contains(x, inflate=inflate).tolist() == want
 
 
 class TestCheckOrdering:

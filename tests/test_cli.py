@@ -173,6 +173,37 @@ class TestExplicitValues:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestSvgOnlyWhereDrawn:
+    """verify and flipflop have no drawing, so asking for one is bad
+    input, not a silently skipped format."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--lambda-bar", "3.2", "--delta", "0", "--format", "svg"],
+            ["verify", "--lambda-bar", "3.2", "--delta", "0.05", "--format", "json,svg"],
+            ["flipflop", "--rho", "1", "--format", "svg"],
+            ["flipflop", "--rho", "1", "--format", "csv,svg"],
+        ],
+        ids=["verify-svg", "verify-json-svg", "flipflop-svg", "flipflop-csv-svg"],
+    )
+    def test_rejected_with_exit_2(self, argv, tmp_path, capsys):
+        assert run(argv, tmp_path) == 2
+        assert "error:" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_rejected_from_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "settings.cfg"
+        cfg.write_text("format = svg\n")
+        out = tmp_path / "out"
+        code = parse_and_dispatch(
+            ["flipflop", "--rho", "1", "--config", str(cfg), "--outdir", str(out)]
+        )
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestArtifactWriter:
     def test_wrote_lines_in_fixed_order(self, tmp_path, capsys):
         code = run(

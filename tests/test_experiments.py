@@ -5,6 +5,7 @@ from __future__ import annotations
 import inspect
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -314,6 +315,14 @@ class TestLemmaSuite:
 
         assert ratios() == ratios(seed=1)
         assert ratios(seed=1) != ratios(seed=2)
+
+    def test_seed_override_equals_config_seed(self):
+        # the override must reach the stationary run and all four ladder
+        # ensembles that advance in lockstep with it
+        cfg = MonteCarloConfig(n_particles=300, generations=400, window=200, seed=1)
+        overridden = lemma_suite(3.2, 0.05, cfg, seed=5).to_dict()
+        assert overridden == lemma_suite(3.2, 0.05, replace(cfg, seed=5)).to_dict()
+        assert overridden != lemma_suite(3.2, 0.05, cfg).to_dict()
 
     def test_unexpected_error_propagates(self, monkeypatch):
         def broken(lambda_bar, epsilon):

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from stochlogistic import (
     Ensemble,
@@ -25,6 +27,7 @@ from stochlogistic import (
     variance_of_right_peak,
 )
 from stochlogistic.errors import DomainError, EmptyPeakError, RegimeError
+from stochlogistic.maps import stream_rng
 from stochlogistic.measure import right_derivative_profile, time_average_se
 
 from oracles import quartic_two_cycle
@@ -166,6 +169,96 @@ class TestSplitPeaks:
         assert inside.mean() >= 0.99
 
 
+class TestFusedStep:
+    """pf_step draws its rates through a one-slot memo of the stream's
+    variates and updates in place; neither may change a bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        lambda_bar=st.floats(0.0, 4.0),
+        frac=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**64 - 1),
+        n=st.integers(1, 300),
+        generation=st.integers(0, 10_000),
+    )
+    def test_equals_uniform_draw_bitwise(self, lambda_bar, frac, seed, n, generation):
+        try:
+            dist = ParameterDistribution(lambda_bar, frac * min(lambda_bar, 4.0 - lambda_bar))
+        except DomainError:
+            assume(False)
+        x = uniform_ensemble(n, seed=seed).particles
+        out = pf_step(Ensemble(x, generation, seed), dist)
+        lam = stream_rng(seed, generation + 1).uniform(dist.low, dist.high, n)
+        assert out.particles.tobytes() == (lam * x * (1.0 - x)).tobytes()
+        assert out.generation == generation + 1 and out.base_seed == seed
+
+    @pytest.mark.parametrize("sizes, seeds", [((200, 200), (1, 2)), ((200, 350), (1, 1))],
+                             ids=["two-seeds", "two-sizes"])
+    def test_interleaved_runs_equal_separate_runs(self, sizes, seeds):
+        dist = ParameterDistribution(3.2, 0.05)
+        starts = [uniform_ensemble(n, s) for n, s in zip(sizes, seeds)]
+        a, b = starts
+        for _ in range(30):
+            a, b = pf_step(a, dist), pf_step(b, dist)
+        for got, start in zip((a, b), starts):
+            assert got.particles.tobytes() == pf_iterate(start, dist, 30).particles.tobytes()
+
+    def test_step_leaves_its_input_untouched(self):
+        e = uniform_ensemble(100, seed=3)
+        before = e.particles.copy()
+        pf_step(e, ParameterDistribution(3.2, 0.05))
+        assert e.particles.tobytes() == before.tobytes()
+
+
+def _stationary_reference(dist, cfg, w):
+    """stationary_stats' per-particle sums written with np.where, one
+    ensemble run by pf_iterate and pf_step."""
+    threshold = (dist.lambda_bar - 1.0) / dist.lambda_bar
+    ens = pf_iterate(uniform_ensemble(cfg.n_particles, cfg.seed), dist, cfg.generations - w)
+    total, lsum, lsq, lcnt, rsum, rsq, rcnt = np.zeros((7, cfg.n_particles))
+    for _ in range(w):
+        ens = pf_step(ens, dist)
+        x = ens.particles
+        left = x <= threshold
+        total += x
+        lsum += np.where(left, x, 0.0)
+        lsq += np.where(left, x * x, 0.0)
+        lcnt += left
+        rsum += np.where(left, 0.0, x)
+        rsq += np.where(left, 0.0, x * x)
+        rcnt += ~left
+    return ens, (total / w, lsum / lcnt, lsq / lcnt, rsum / rcnt, rsq / rcnt)
+
+
+class TestLockstep:
+    CFG = MonteCarloConfig(n_particles=300, generations=160, window=80, seed=7)
+    DIST = ParameterDistribution(3.2, 0.05)
+    LADDER = tuple(ParameterDistribution(3.2, h) for h in (0.05, 0.025, 0.0125, 0.00625))
+
+    def test_finals_equal_separate_runs(self):
+        stats = stationary_stats(self.DIST, self.CFG, companions=self.LADDER)
+        start = uniform_ensemble(self.CFG.n_particles, self.CFG.seed)
+        alone = pf_iterate(start, self.DIST, self.CFG.generations)
+        assert stats.final.particles.tobytes() == alone.particles.tobytes()
+        assert len(stats.companion_finals) == len(self.LADDER)
+        for dist, final in zip(self.LADDER, stats.companion_finals):
+            alone = pf_iterate(start, dist, self.CFG.generations)
+            assert final.generation == self.CFG.generations
+            assert final.particles.tobytes() == alone.particles.tobytes()
+
+    def test_window_sums_equal_masked_reference(self):
+        stats = stationary_stats(self.DIST, self.CFG, companions=self.LADDER)
+        final, want = _stationary_reference(self.DIST, self.CFG, self.CFG.window)
+        got = (stats.mean_pp, stats.left_mean_pp, stats.left_sq_pp,
+               stats.right_mean_pp, stats.right_sq_pp)
+        assert final.particles.tobytes() == stats.final.particles.tobytes()
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+
+    def test_no_companions(self):
+        assert stationary_stats(self.DIST, self.CFG).companion_finals == ()
+
+
 class TestStationaryStats:
     def test_pushforward_identity_small(self):
         dist = ParameterDistribution(3.208, 0.024)
@@ -182,38 +275,50 @@ class TestStationaryStats:
             stationary_stats(dist, cfg, window=200)
 
 
+def _converged(lambda_bar, h, cfg):
+    """The snapshot variance_of_right_peak takes, run on its own."""
+    dist = ParameterDistribution(lambda_bar, h)
+    return pf_iterate(uniform_ensemble(cfg.n_particles, cfg.seed), dist, cfg.generations)
+
+
 class TestVarianceOfRightPeak:
     def test_zero_noise_gives_zero_variance(self):
         cfg = MonteCarloConfig(n_particles=1000, generations=2000, seed=14)
-        v, se = variance_of_right_peak(3.2, 0.0, cfg)
+        v, se = variance_of_right_peak(3.2, 0.0, cfg, _converged(3.2, 0.0, cfg))
         assert 0.0 <= v < 1e-20
         assert se >= 0.0
 
     def test_positive_and_bounded_by_support(self):
         cfg = MonteCarloConfig(n_particles=2000, generations=1500, seed=15)
         for h in (0.05, 0.024):
-            v, _ = variance_of_right_peak(3.2, h, cfg)
+            v, _ = variance_of_right_peak(3.2, h, cfg, _converged(3.2, h, cfg))
             sup = support_intervals(3.2, h)
             assert 0.0 <= v <= (sup.q_hi - sup.q_lo) ** 2
 
     def test_regime_error(self):
+        cfg = MonteCarloConfig()
         with pytest.raises(RegimeError):
-            variance_of_right_peak(3.2, 0.5, MonteCarloConfig())
+            variance_of_right_peak(3.2, 0.5, cfg, uniform_ensemble(10, cfg.seed))
 
 
 class TestRightDerivativeProfile:
     def test_validation(self):
         cfg = MonteCarloConfig()
+        e = uniform_ensemble(10, cfg.seed)
         with pytest.raises(DomainError):
-            right_derivative_profile(3.2, [0.05, 0.05], cfg)
+            right_derivative_profile(3.2, [0.05, 0.05], cfg, (e, e))
         with pytest.raises(DomainError):
-            right_derivative_profile(3.2, [-0.1], cfg)
+            right_derivative_profile(3.2, [-0.1], cfg, (e,))
         with pytest.raises(DomainError):
-            right_derivative_profile(3.2, [], cfg)
+            right_derivative_profile(3.2, [], cfg, ())
+        # one snapshot per half-width
+        with pytest.raises(DomainError):
+            right_derivative_profile(3.2, [0.05, 0.025], cfg, (e,))
 
     def test_shape(self):
         cfg = MonteCarloConfig(n_particles=500, generations=600, window=300, seed=16)
-        prof = right_derivative_profile(3.2, [0.05, 0.025], cfg)
+        hs = [0.05, 0.025]
+        prof = right_derivative_profile(3.2, hs, cfg, tuple(_converged(3.2, h, cfg) for h in hs))
         assert [h for h, _, _ in prof] == [0.05, 0.025]
         assert all(r >= 0 and s >= 0 for _, r, s in prof)
 
