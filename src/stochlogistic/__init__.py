@@ -9,25 +9,19 @@ from .analytic import (
     LAMBDA_C3,
     LAMBDA_C4,
     LAMBDA_C4_END,
-    LAMBDA_VERTEX,
     Period2Pair,
     Regime,
     SupportIntervals,
     WindowCase,
-    band_geometry,
     check_ordering,
     classify_regime,
-    comparison_functions,
     convexity_on_interval,
     detect_period,
     fixed_point,
-    fixed_points,
     h_function_roots,
     h_second_derivative,
-    period2_average,
     period2_points,
     periodic_orbit,
-    stability_preconditions,
     support_intervals,
 )
 from .experiments import (
@@ -37,7 +31,6 @@ from .experiments import (
     LemmaSuiteReport,
     deterministic_bifurcation,
     distribution_evolution,
-    ergodic_consistency,
     flipflop_scan,
     lemma_suite,
     mean_comparison,
@@ -45,25 +38,17 @@ from .experiments import (
 )
 from .maps import (
     ParameterDistribution,
-    SamplePath,
-    generate_path,
     stream_rng,
 )
 from .measure import (
     DEFAULT_SEED,
     Ensemble,
     Histogram,
-    Moments,
     MonteCarloConfig,
-    PeakSplit,
-    moments,
-    occupation_fraction,
     pf_iterate,
     pf_step,
     right_derivative_profile,
-    split_peaks,
     stationary_stats,
-    time_average,
     uniform_ensemble,
     variance_of_right_peak,
 )

@@ -1,12 +1,11 @@
 """Closed-form quantities of the deterministic logistic map and the
 geometry induced by a uniform growth-rate window.
 
-Covers fixed points, the two-cycle and its average, regime
+Covers the fixed point, the two-cycle, cycle detection, regime
 classification along the period-doubling cascade, the pair of disjoint
 intervals that carry the invariant distribution in the two-cycle
-regime, the comparison functions used to locate the shifted peak of
-that distribution, integrability conditions for a unique invariant
-measure, and the trapping-band geometry of the fixed-point regime.
+regime, and the comparison function H whose roots locate the shifted
+peaks of that distribution.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, OrderingError, RegimeError, RootCountError
-from .maps import ParameterDistribution
 
 # Bifurcation boundaries of the cascade.  The first two are exact; the
 # remaining ones are standard numerical values kept to the precision we
@@ -28,10 +26,6 @@ LAMBDA_C4 = 1.0 + math.sqrt(6.0)
 LAMBDA_C4_END = 3.54409
 LAMBDA_C2_OMEGA = 3.56995
 LAMBDA_C3 = 3.8284
-
-#: Growth rate at which the lower two-cycle point sits exactly on the
-#: map's vertex x = 1/2.
-LAMBDA_VERTEX = 1.0 + math.sqrt(5.0)
 
 #: Default burn-in before cycle detection; the critical point x = 0.5
 #: is in the attracting basin throughout the stable-periodic range.
@@ -51,9 +45,10 @@ class Regime(enum.Enum):
 
 
 class WindowCase(enum.Enum):
-    """Position of a growth-rate window relative to LAMBDA_VERTEX,
-    decided by comparing the two-cycle points to 1/2 so that windows
-    straddling the vertex are handled."""
+    """Position of a growth-rate window relative to 1 + sqrt(5), the
+    rate at which the lower two-cycle point sits on the map's vertex
+    x = 1/2; decided by comparing the two-cycle points to 1/2 so that
+    windows straddling that rate are handled."""
 
     ABOVE = "lambda_above"
     BELOW = "lambda_below"
@@ -67,10 +62,6 @@ class Period2Pair:
     p: float
     q: float
     lam: float
-
-    @property
-    def average(self) -> float:
-        return 0.5 * (self.p + self.q)
 
 
 @dataclass(frozen=True)
@@ -107,15 +98,6 @@ def fixed_point(lam: float) -> float:
     return (lam - 1.0) / lam
 
 
-def fixed_points(lam: float) -> set[float]:
-    """Fixed points of the fixed-rate map on [0, 1]."""
-    if not 0.0 <= lam <= 4.0:
-        raise DomainError(f"growth rate must lie in [0, 4], got {lam}")
-    if lam <= 1.0:
-        return {0.0}
-    return {0.0, fixed_point(lam)}
-
-
 def period2_points(lam: float) -> Period2Pair:
     """The two-cycle points, the non-fixed-point roots of the quartic
     lam^2 x(1-x)(1 - lam x(1-x)) = x:
@@ -130,13 +112,6 @@ def period2_points(lam: float) -> Period2Pair:
     p = (lam + 1.0 - root) / (2.0 * lam)
     q = (lam + 1.0 + root) / (2.0 * lam)
     return Period2Pair(p=p, q=q, lam=lam)
-
-
-def period2_average(lam: float) -> float:
-    """Mean along the two-cycle, (lam + 1)/(2 lam)."""
-    if lam < 3.0:
-        raise DomainError(f"two-cycle requires lam >= 3, got {lam}")
-    return (lam + 1.0) / (2.0 * lam)
 
 
 _BOUNDARIES = (
@@ -332,27 +307,12 @@ def check_ordering(
     return chain
 
 
-def comparison_functions(
-    lambda_bar: float, epsilon: float, x: float
-) -> tuple[float, float, float]:
-    """The triple (F, h, H) used to bound the second iterate:
-
-        F(x) = S(S(x)) - x
-        h(x) = u - u^2 + epsilon      with u = lam*x*(1-x)
-        H(x) = lam*h(x) - x
-
-    so that H = F + lam*epsilon identically.
-    """
-    lam = lambda_bar
-    u = lam * x * (1.0 - x)
-    h = u - u * u + epsilon
-    H = lam * h - x
-    F = lam * (u * (1.0 - u)) - x
-    return F, h, H
-
-
 def h_second_derivative(lambda_bar: float, x: float) -> float:
-    """h''(x) = -2(lam + lam^2) + 12 lam^2 (x - x^2)."""
+    """Second derivative of h(x) = u - u^2 + epsilon, u = lam*x*(1-x),
+    the function with H(x) = lam*h(x) - x:
+
+        h''(x) = -2(lam + lam^2) + 12 lam^2 (x - x^2)
+    """
     lam = lambda_bar
     return -2.0 * (lam + lam * lam) + 12.0 * lam * lam * (x - x * x)
 
@@ -424,44 +384,3 @@ def h_function_roots(
     roots.sort()
     return tuple(roots)  # type: ignore[return-value]
 
-
-def stability_preconditions(dist: ParameterDistribution) -> tuple[float, bool]:
-    """(E[log lam], finiteness of E[|log(4 - lam)|]) for the window.
-
-    A unique, stable invariant measure requires E[log lam] > 0 and the
-    second expectation finite.  For a uniform law on [a, b]:
-
-        E[log lam] = (b log b - a log a - (b - a)) / (b - a)
-
-    and the log(4 - lam) integral converges for every b <= 4, so the
-    flag is true for all valid distributions.
-    """
-    a, b = dist.support
-    if b == a:
-        e_log = math.log(a) if a > 0 else -math.inf
-    else:
-        a_term = a * math.log(a) if a > 0 else 0.0
-        e_log = (b * math.log(b) - a_term - (b - a)) / (b - a)
-    return e_log, True
-
-
-def band_geometry(lambda_bar: float, delta_lambda: float) -> tuple[float, float]:
-    """Center and width of the trapping band of terminal states in the
-    fixed-point regime:
-
-        center = (lam^2 - lam - d^2) / (lam^2 - d^2)
-        width  = 2 d / ((lam + d)(lam - d))
-
-    Requires the window strictly inside (1, 3).
-    """
-    if delta_lambda < 0:
-        raise DomainError(f"delta_lambda must be >= 0, got {delta_lambda}")
-    a, b = lambda_bar - delta_lambda, lambda_bar + delta_lambda
-    if not (1.0 < a and b < LAMBDA_C2):
-        raise RegimeError(
-            f"window [{a}, {b}] must lie strictly inside (1, {LAMBDA_C2:g})"
-        )
-    lam, d = lambda_bar, delta_lambda
-    center = (lam * lam - lam - d * d) / (lam * lam - d * d)
-    width = 2.0 * d / ((lam + d) * (lam - d))
-    return center, width

@@ -20,7 +20,7 @@ from .analytic import Regime, classify_regime, detect_period, periodic_orbit
 from .errors import (
     ConvergenceError, DomainError, OrderingError, RegimeError, RootCountError, WindowNotFoundError,
 )
-from .maps import INIT_STREAM, ParameterDistribution, generate_path, stream_rng
+from .maps import INIT_STREAM, ParameterDistribution, stream_rng
 from .measure import (
     Histogram,
     MonteCarloConfig,
@@ -28,9 +28,8 @@ from .measure import (
     pf_iterate,
     pf_step,
     right_derivative_profile,
+    standard_error,
     stationary_stats,
-    time_average,
-    time_average_se,
     uniform_ensemble,
 )
 
@@ -400,7 +399,7 @@ def lemma_suite(
     # (ii) pushforward identity, per-particle statistic
     g_pp = stats.right_mean_pp - lambda_bar * (stats.left_mean_pp - stats.left_sq_pp)
     g = float(g_pp.mean())
-    g_se = float(g_pp.std(ddof=1) / np.sqrt(len(g_pp))) if len(g_pp) > 1 else 0.0
+    g_se = standard_error(g_pp)
     if g_se == 0.0:
         identity_ok = abs(g) < 1e-12
     else:
@@ -417,7 +416,7 @@ def lemma_suite(
     p_center = analytic.period2_points(lambda_bar).p
     gap_pp = stats.left_mean_pp - p_center
     gap = float(gap_pp.mean())
-    gap_se = float(gap_pp.std(ddof=1) / np.sqrt(len(gap_pp))) if len(gap_pp) > 1 else 0.0
+    gap_se = standard_error(gap_pp)
     if delta_lambda == 0.0:
         shift_ok = abs(gap) <= 1e-9
         z_gap = 0.0
@@ -622,37 +621,3 @@ def flipflop_scan(
         )
     return FlipFlopReport(delta_lambda=delta_lambda, seed=base_seed, rows=tuple(rows))
 
-
-def ergodic_consistency(
-    lambda_bar: float,
-    delta_lambda: float,
-    cfg: MonteCarloConfig,
-    seed: int | None = None,
-    path_steps: int = 10_000,
-    burn_in: int = 1000,
-) -> dict:
-    """Single-path time average versus the converged ensemble mean; the
-    two estimate the same invariant-measure mean, so their difference
-    should sit within combined standard errors."""
-    regime = classify_regime(lambda_bar - delta_lambda, lambda_bar + delta_lambda)
-    period = _REGIME_PERIOD.get(regime, 1)
-    run_seed = cfg.seed if seed is None else seed
-    dist = ParameterDistribution(lambda_bar, delta_lambda)
-    window = _parity_window(min(cfg.window, cfg.generations), period)
-    ens_mean, ens_se = ensemble_time_mean(dist, cfg, window=window, seed=run_seed)
-    path = generate_path(dist, x0=0.3, n=path_steps, seed=run_seed + 1)
-    p_mean = time_average(path, burn_in)
-    p_se = time_average_se(path, burn_in)
-    diff = p_mean - ens_mean
-    combined = math.hypot(ens_se, p_se)
-    return {
-        "lambda_bar": lambda_bar,
-        "delta_lambda": delta_lambda,
-        "path_mean": p_mean,
-        "path_se": p_se,
-        "ensemble_mean": ens_mean,
-        "ensemble_se": ens_se,
-        "difference": diff,
-        "combined_se": combined,
-        "within_3se": bool(abs(diff) <= 3.0 * combined),
-    }

@@ -4,7 +4,7 @@ An equal-weight particle ensemble stands in for a probability measure
 on [0, 1]; one transfer-operator step replaces every particle x by
 l*x*(1-x) with an independently drawn rate l per particle.  Repeated
 application converges (in the stable regimes) to the unique invariant
-measure, whose moments, peak decomposition around (lam-1)/lam, and
+measure, whose mean, peak decomposition around (lam-1)/lam, and
 variance response to the noise half-width are estimated here.
 
 Per-particle rate draws for the step leaving generation g come from a
@@ -27,11 +27,7 @@ import numpy as np
 
 from .analytic import require_period2_window
 from .errors import DomainError, EmptyPeakError
-from .maps import INIT_STREAM, ParameterDistribution, SamplePath, stream_rng
-
-#: Stream index reserved for bootstrap resampling (far away from the
-#: per-generation step streams).
-BOOTSTRAP_STREAM = 1 << 62
+from .maps import BOOTSTRAP_STREAM, INIT_STREAM, ParameterDistribution, stream_rng
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,30 +55,6 @@ class Ensemble:
 
     def __len__(self) -> int:
         return len(self.particles)
-
-
-@dataclass(frozen=True)
-class Moments:
-    """Sample moments of an ensemble; variance uses E[X^2] - mean^2."""
-
-    mean: float
-    second_moment: float
-    variance: float
-    se_mean: float
-
-
-@dataclass(frozen=True, eq=False)
-class PeakSplit:
-    """Partition of an ensemble at the threshold (lam-1)/lam into the
-    left and right peaks, each treated as a conditional measure."""
-
-    left: Ensemble
-    right: Ensemble
-    threshold: float
-
-    @property
-    def left_fraction(self) -> float:
-        return self.left.n / (self.left.n + self.right.n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,43 +186,6 @@ def pf_iterate(ensemble: Ensemble, dist: ParameterDistribution, n: int) -> Ensem
     return ensemble
 
 
-def moments(ensemble: Ensemble) -> Moments:
-    x = ensemble.particles
-    mean = float(x.mean())
-    second = float((x * x).mean())
-    variance = second - mean * mean
-    n = len(x)
-    se = float(np.sqrt(max(variance, 0.0) / (n - 1))) if n > 1 else 0.0
-    return Moments(mean=mean, second_moment=second, variance=variance, se_mean=se)
-
-
-def split_peaks(ensemble: Ensemble, lambda_bar: float) -> PeakSplit:
-    """Partition a converged ensemble at (lambda_bar - 1)/lambda_bar.
-
-    The unstable fixed point separates the two peaks of the invariant
-    distribution in the two-cycle regime; each side renormalized is the
-    conditional peak measure.  EmptyPeakError if either side is empty
-    (not converged, or wrong regime).
-    """
-    if lambda_bar <= 1.0:
-        raise DomainError(f"threshold needs lambda_bar > 1, got {lambda_bar}")
-    threshold = (lambda_bar - 1.0) / lambda_bar
-    x = ensemble.particles
-    left = x[x <= threshold]
-    right = x[x > threshold]
-    if len(left) == 0 or len(right) == 0:
-        raise EmptyPeakError(
-            f"peak split at {threshold:.6f} left {len(left)}/{len(right)} "
-            f"particles on the left/right; ensemble not converged to a "
-            f"two-peak distribution"
-        )
-    return PeakSplit(
-        left=Ensemble(left, ensemble.generation, ensemble.base_seed),
-        right=Ensemble(right, ensemble.generation, ensemble.base_seed),
-        threshold=threshold,
-    )
-
-
 @dataclass(frozen=True, eq=False)
 class StationaryStats:
     """Per-particle time averages over a trailing window of generations.
@@ -263,34 +198,17 @@ class StationaryStats:
     the last snapshots of the companion ensembles, in their order.
     """
 
-    mean_pp: np.ndarray
     left_mean_pp: np.ndarray
     left_sq_pp: np.ndarray
     right_mean_pp: np.ndarray
-    right_sq_pp: np.ndarray
     window: int
     threshold: float
     final: Ensemble
     companion_finals: tuple[Ensemble, ...]
 
-    @property
-    def mean(self) -> float:
-        return float(self.mean_pp.mean())
 
-    @property
-    def se(self) -> float:
-        return _se(self.mean_pp)
-
-    @property
-    def left_mean(self) -> float:
-        return float(self.left_mean_pp.mean())
-
-    @property
-    def right_mean(self) -> float:
-        return float(self.right_mean_pp.mean())
-
-
-def _se(values: np.ndarray) -> float:
+def standard_error(values: np.ndarray) -> float:
+    """Standard error of the mean of i.i.d. values, std(ddof=1)/sqrt(n)."""
     n = len(values)
     if n < 2:
         return 0.0
@@ -327,7 +245,7 @@ def stationary_stats(
     n = cfg.n_particles
     ens = uniform_ensemble(n, base_seed)
     others = [uniform_ensemble(n, base_seed) for _ in companions]
-    total, lsum, lsq, rsum, rsq, lx, rx, sq = np.zeros((8, n))
+    lsum, lsq, rsum, lx, rx, sq = np.zeros((6, n))
     lcnt = np.zeros(n, dtype=np.int64)
     left = np.empty(n, dtype=bool)
     burn = cfg.generations - w
@@ -338,14 +256,12 @@ def stationary_stats(
             continue
         # masks as 0/1 factors: exact for x in [0, 1], and no where-temporaries
         x = ens.particles
-        total += x
         np.less_equal(x, threshold, out=left)
         np.multiply(x, left, out=lx)
         np.subtract(x, lx, out=rx)
         lsum += lx
         rsum += rx
         lsq += np.multiply(lx, x, out=sq)
-        rsq += np.multiply(rx, x, out=sq)
         lcnt += left
     rcnt = w - lcnt
     if np.any(lcnt == 0) or np.any(rcnt == 0):
@@ -354,11 +270,9 @@ def stationary_stats(
             "the averaging window"
         )
     return StationaryStats(
-        mean_pp=total / w,
         left_mean_pp=lsum / lcnt,
         left_sq_pp=lsq / lcnt,
         right_mean_pp=rsum / rcnt,
-        right_sq_pp=rsq / rcnt,
         window=w,
         threshold=threshold,
         final=ens,
@@ -385,7 +299,7 @@ def ensemble_time_mean(
         ens = pf_step(ens, dist)
         total += ens.particles
     per_particle = total / w
-    return float(per_particle.mean()), _se(per_particle)
+    return float(per_particle.mean()), standard_error(per_particle)
 
 
 def variance_of_right_peak(
@@ -404,7 +318,15 @@ def variance_of_right_peak(
     BOOTSTRAP_STREAM of cfg.seed.
     """
     require_period2_window(lambda_bar, delta_lambda)
-    right = split_peaks(final, lambda_bar).right.particles
+    threshold = (lambda_bar - 1.0) / lambda_bar
+    x = final.particles
+    right = x[x > threshold]
+    if len(right) in (0, len(x)):
+        raise EmptyPeakError(
+            f"peak split at {threshold:.6f} left {len(x) - len(right)}/{len(right)} "
+            f"particles on the left/right; ensemble not converged to a "
+            f"two-peak distribution"
+        )
     # centered evaluation: the naive E[X^2] - mean^2 form cancels badly
     # at the zero-noise limit where the peak is a point mass
     v = float(np.var(right))
@@ -438,46 +360,3 @@ def right_derivative_profile(
         v, se = variance_of_right_peak(lambda_bar, h, cfg, final)
         out.append((h, v / h, se / h))
     return out
-
-
-def time_average(path: SamplePath, burn_in: int) -> float:
-    """Running-orbit mean after discarding states X_0 ... X_{burn_in}.
-
-    The averaged window has length n - burn_in; in a 2-cycle this keeps
-    the window parity-balanced when n and burn_in are both even.
-    """
-    if burn_in < 0:
-        raise DomainError(f"burn_in must be >= 0, got {burn_in}")
-    if path.n <= burn_in:
-        raise DomainError(
-            f"path has {path.n} steps which is not longer than burn_in={burn_in}"
-        )
-    return float(path.states[burn_in + 1 :].mean())
-
-
-def time_average_se(path: SamplePath, burn_in: int, n_batches: int = 25) -> float:
-    """Batch-means standard error of the post-burn-in orbit average."""
-    if path.n <= burn_in:
-        raise DomainError(
-            f"path has {path.n} steps which is not longer than burn_in={burn_in}"
-        )
-    tail = path.states[burn_in + 1 :]
-    n_batches = min(n_batches, len(tail))
-    batches = np.array_split(tail, n_batches)
-    means = np.array([b.mean() for b in batches])
-    return _se(means)
-
-
-def occupation_fraction(
-    path: SamplePath, interval: tuple[float, float], burn_in: int
-) -> float:
-    """Fraction of post-burn-in states in the closed interval."""
-    lo, hi = interval
-    if hi < lo:
-        raise DomainError(f"interval must satisfy lo <= hi, got {interval}")
-    if path.n <= burn_in:
-        raise DomainError(
-            f"path has {path.n} steps which is not longer than burn_in={burn_in}"
-        )
-    tail = path.states[burn_in + 1 :]
-    return float(np.mean((tail >= lo) & (tail <= hi)))

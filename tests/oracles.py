@@ -2,8 +2,9 @@
 
 These deliberately avoid the code paths they check: two-cycle points
 come from the roots of the second-iterate polynomial, interval images
-from brute-force grid sweeps, integrals from quadrature, and orbit
-averages from plain iteration.
+from brute-force grid sweeps, orbit averages from plain iteration, and
+the remaining closed forms (two-cycle mean, fixed-point band, the
+comparison functions F and h) are written out here from the theory.
 """
 
 from __future__ import annotations
@@ -53,3 +54,35 @@ def orbit_tail_mean(lam: float, period: int, burn: int = 5000) -> float:
 
 def central_second_difference(f, x: float, step: float = 1e-5) -> float:
     return (f(x + step) - 2.0 * f(x) + f(x - step)) / (step * step)
+
+
+def two_cycle_mean(lam: float) -> float:
+    """Mean along the two-cycle, (lam + 1)/(2 lam): half of Vieta's sum
+    p + q of the cycle quadratic."""
+    return (lam + 1.0) / (2.0 * lam)
+
+
+def band_geometry(lam: float, delta: float) -> tuple[float, float]:
+    """Center and width of the trapping band of terminal states in the
+    fixed-point regime, for rates uniform on [lam - delta, lam + delta]:
+
+        center = (lam^2 - lam - d^2) / (lam^2 - d^2)
+        width  = 2 d / ((lam + d)(lam - d))
+    """
+    d = delta
+    center = (lam * lam - lam - d * d) / (lam * lam - d * d)
+    width = 2.0 * d / ((lam + d) * (lam - d))
+    return center, width
+
+
+def second_iterate_gap(lam: float, x: float) -> float:
+    """F(x) = S(S(x)) - x for the fixed-rate map S."""
+    u = lam * x * (1.0 - x)
+    return lam * (u * (1.0 - u)) - x
+
+
+def comparison_h(lam: float, eps: float, x: float) -> float:
+    """h(x) = u - u^2 + eps with u = lam*x*(1-x), so that
+    H(x) = lam*h(x) - x = F(x) + lam*eps."""
+    u = lam * x * (1.0 - x)
+    return u - u * u + eps

@@ -1,5 +1,5 @@
 """Tests for the closed-form theory: cycle points, regimes, support
-geometry, comparison functions, and stability integrals."""
+geometry, and the comparison function H."""
 
 from __future__ import annotations
 
@@ -7,30 +7,26 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, optimize
+from scipy import optimize
 
 from stochlogistic import (
     LAMBDA_C4,
-    LAMBDA_VERTEX,
+    Ensemble,
     ParameterDistribution,
     WindowCase,
-    band_geometry,
     check_ordering,
     classify_regime,
-    comparison_functions,
     convexity_on_interval,
     detect_period,
     fixed_point,
-    fixed_points,
     h_function_roots,
     h_second_derivative,
-    period2_average,
     period2_points,
     periodic_orbit,
-    stability_preconditions,
+    pf_step,
     support_intervals,
 )
-from stochlogistic.analytic import PERIOD_BURN_IN, Regime
+from stochlogistic.analytic import PERIOD_BURN_IN, Regime, _H_value
 from stochlogistic.errors import (
     ConvergenceError,
     DomainError,
@@ -40,10 +36,14 @@ from stochlogistic.errors import (
 )
 
 from oracles import (
+    band_geometry,
     central_second_difference,
+    comparison_h,
     grid_image_sweep,
     orbit_tail_mean,
     quartic_two_cycle,
+    second_iterate_gap,
+    two_cycle_mean,
 )
 
 # frozen by the plain-iteration oracle (5000 burn-in steps, see
@@ -52,18 +52,25 @@ PERIOD4_MEAN_AT_3_508 = 0.6466413116608533
 
 
 class TestFixedPoints:
+    """Fixed points of the fixed-rate map on [0, 1]: 0 always, and
+    fixed_point(lam) once lam > 1."""
+
     def test_extinction_only_zero(self):
-        assert fixed_points(0.5) == {0.0}
+        assert not 0.0 <= fixed_point(0.5) <= 1.0
+        out = pf_step(Ensemble(np.array([0.0]), 0, 0), ParameterDistribution(0.5, 0.0))
+        assert out.particles.tolist() == [0.0]
 
     def test_two_fixed_points(self):
-        assert fixed_points(2.0) == {0.0, 0.5}
+        assert fixed_point(2.0) == 0.5
+        out = pf_step(Ensemble(np.array([0.0, 0.5]), 0, 0), ParameterDistribution(2.0, 0.0))
+        assert out.particles.tolist() == [0.0, 0.5]
 
     def test_value(self):
-        assert sorted(fixed_points(3.2)) == pytest.approx([0.0, 0.6875], abs=1e-15)
+        assert fixed_point(3.2) == pytest.approx(0.6875, abs=1e-15)
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            fixed_points(4.2)
+            periodic_orbit(4.2, 1)
 
 
 class TestPeriod2Points:
@@ -102,15 +109,20 @@ class TestPeriod2Points:
 
 
 class TestPeriod2Average:
+    """The two-cycle mean (lam + 1)/(2 lam), from the closed-form pair
+    and from the recorded orbit that compare averages."""
+
     def test_values(self):
-        assert period2_average(3.0) == pytest.approx(2.0 / 3.0, abs=1e-15)
-        assert period2_average(3.2) == pytest.approx(0.65625, abs=1e-15)
-        assert period2_average(3.208) == pytest.approx(4.208 / 6.416, abs=1e-7)
+        for lam, want in ((3.0, 2.0 / 3.0), (3.2, 0.65625), (3.208, 4.208 / 6.416)):
+            pair = period2_points(lam)
+            assert 0.5 * (pair.p + pair.q) == pytest.approx(want, abs=1e-15)
+        assert float(np.mean(periodic_orbit(3.2, 2))) == pytest.approx(0.65625, abs=1e-15)
 
     def test_matches_pair_mean(self):
         pair = period2_points(3.3)
-        avg = period2_average(3.3)
-        assert abs(pair.average - avg) <= 2 * np.spacing(avg)
+        avg = two_cycle_mean(3.3)
+        assert abs(0.5 * (pair.p + pair.q) - avg) <= 2 * np.spacing(avg)
+        assert abs(float(np.mean(periodic_orbit(3.3, 2))) - avg) <= 2 * np.spacing(avg)
 
 
 class TestClassifyRegime:
@@ -227,7 +239,7 @@ class TestSupportIntervals:
     def test_window_above_vertex(self):
         sup = support_intervals(3.3, 0.02)
         assert sup.case is WindowCase.ABOVE
-        assert 3.3 - 0.02 > LAMBDA_VERTEX
+        assert 3.3 - 0.02 > 1.0 + math.sqrt(5.0)
 
     def test_regime_error(self):
         with pytest.raises(RegimeError):
@@ -307,17 +319,17 @@ class TestCheckOrdering:
 
 
 class TestComparisonFunctions:
+    """H(x) = lam*h(x) - x as h_function_roots evaluates it, against
+    F(x) = S(S(x)) - x: H = F + lam*epsilon identically."""
+
     def test_fixed_point_is_second_iterate_fixed(self):
-        f, _, _ = comparison_functions(3.2, 0.0, 0.6875)
-        assert abs(f) < 1e-12
+        assert abs(_H_value(3.2, 0.0, 0.6875)) < 1e-12
 
     def test_zero_is_zero(self):
-        f, _, big_h = comparison_functions(3.3, 0.0, 0.0)
-        assert f == 0.0 and big_h == 0.0
+        assert second_iterate_gap(3.3, 0.0) == 0.0 and _H_value(3.3, 0.0, 0.0) == 0.0
 
     def test_shift_at_zero(self):
-        _, _, big_h = comparison_functions(3.2, 0.001, 0.0)
-        assert big_h == pytest.approx(0.0032, abs=1e-18)
+        assert _H_value(3.2, 0.001, 0.0) == pytest.approx(0.0032, abs=1e-18)
 
     def test_shift_identity_property(self):
         rng = np.random.default_rng(4)
@@ -325,20 +337,19 @@ class TestComparisonFunctions:
             lam = rng.uniform(3.0, LAMBDA_C4)
             eps = rng.uniform(0.0, 0.01)
             x = rng.uniform(0.0, 1.0)
-            f, _, big_h = comparison_functions(lam, eps, x)
+            f, big_h = second_iterate_gap(lam, x), _H_value(lam, eps, x)
             scale = max(abs(f), abs(big_h), 1.0)
             assert abs((big_h - f) - lam * eps) <= 4.0 * np.spacing(scale)
 
     def test_deterministic_limit_property(self):
-        # lam * h(x) with no shift equals the second iterate
+        # H(x) + x = lam * h(x) with no shift equals the second iterate
         rng = np.random.default_rng(5)
         for _ in range(1000):
             lam = rng.uniform(3.0, LAMBDA_C4)
             x = rng.uniform(0.0, 1.0)
-            _, h, _ = comparison_functions(lam, 0.0, x)
             u = lam * x * (1.0 - x)
             ss = lam * (u * (1.0 - u))
-            assert abs(lam * h - ss) <= 4.0 * np.spacing(max(abs(ss), 1.0))
+            assert abs(_H_value(lam, 0.0, x) + x - ss) <= 4.0 * np.spacing(max(abs(ss), 1.0))
 
 
 class TestHSecondDerivative:
@@ -361,7 +372,7 @@ class TestHSecondDerivative:
         for _ in range(1000):
             lam = rng.uniform(3.0, LAMBDA_C4)
             x = rng.uniform(0.0, 1.0)
-            h_of = lambda t: comparison_functions(lam, 0.0, t)[1]  # noqa: E731
+            h_of = lambda t: comparison_h(lam, 0.0, t)  # noqa: E731
             fd = central_second_difference(h_of, x)
             exact = h_second_derivative(lam, x)
             assert abs(fd - exact) <= 1e-5 * max(1.0, abs(exact))
@@ -432,36 +443,14 @@ class TestHFunctionRoots:
             assert z_h < 0.0 < pair.p < p_h < xs_h < x_star < pair.q < q_h
 
 
-class TestStabilityPreconditions:
-    def test_narrow_window_near_log_center(self):
-        dist = ParameterDistribution(1.508, 0.024)
-        e_log, finite = stability_preconditions(dist)
-        assert finite is True
-        assert e_log > 0.0
-        assert e_log == pytest.approx(math.log(1.508), abs=1e-4)
-
-    def test_matches_quadrature(self):
-        for lb, dl in [(1.508, 0.024), (0.7, 0.2), (3.208, 0.024), (2.0, 1.9)]:
-            dist = ParameterDistribution(lb, dl)
-            e_log, _ = stability_preconditions(dist)
-            a, b = dist.support
-            expected, _ = integrate.quad(lambda t: math.log(t) / (b - a), a, b)
-            assert e_log == pytest.approx(expected, abs=1e-10)
-
-    def test_negative_window(self):
-        e_log, finite = stability_preconditions(ParameterDistribution(0.7, 0.2))
-        assert e_log < 0.0 and finite is True
-
-    def test_degenerate_at_one(self):
-        e_log, _ = stability_preconditions(ParameterDistribution(1.0, 0.0))
-        assert e_log == 0.0
-
-
 class TestBandGeometry:
+    """The fixed-point-regime trapping band is [x*(a), x*(b)], the
+    fixed points of the window's end rates."""
+
     def test_reference_values(self):
-        center, width = band_geometry(2.0, 0.1)
-        assert center == pytest.approx(0.4987469, abs=1e-7)
-        assert width == pytest.approx(0.0501253, abs=1e-7)
+        lo, hi = fixed_point(1.9), fixed_point(2.1)
+        assert (lo + hi) / 2.0 == pytest.approx(0.4987469, abs=1e-7)
+        assert hi - lo == pytest.approx(0.0501253, abs=1e-7)
 
     def test_matches_fixed_point_endpoints(self):
         # the band is the interval between the two endpoint fixed points
@@ -473,13 +462,8 @@ class TestBandGeometry:
 
     def test_degenerate(self):
         assert band_geometry(2.0, 0.0) == (pytest.approx(0.5), pytest.approx(0.0))
+        assert fixed_point(2.0 - 0.0) == fixed_point(2.0 + 0.0) == 0.5
 
     def test_monotone_center(self):
         center, _ = band_geometry(1.508, 0.024)
         assert fixed_point(1.484) < center < fixed_point(1.532)
-
-    def test_regime_error(self):
-        with pytest.raises(RegimeError):
-            band_geometry(2.0, 1.5)
-        with pytest.raises(RegimeError):
-            band_geometry(3.1, 0.05)

@@ -1,4 +1,5 @@
-"""Tests for the core map evaluation and path generation."""
+"""Tests for the growth-rate law, the random-stream registry, and the
+map as the ensemble kernel pf_step applies it."""
 
 from __future__ import annotations
 
@@ -7,26 +8,41 @@ import pytest
 
 from stochlogistic import (
     Ensemble,
+    MonteCarloConfig,
     ParameterDistribution,
-    generate_path,
+    lemma_suite,
+    pf_iterate,
     pf_step,
     stream_rng,
     uniform_ensemble,
 )
+from stochlogistic import measure
 from stochlogistic.errors import DomainError
+from stochlogistic.maps import BOOTSTRAP_STREAM, INIT_STREAM
 
 from oracles import quartic_two_cycle
 
 
 def step(lam: float, x: float) -> float:
-    """One application of the fixed-rate map, through generate_path."""
-    return generate_path(ParameterDistribution(lam, 0.0), x, 1, seed=0).states[1]
+    """One application of the fixed-rate map, through pf_step."""
+    ens = Ensemble(np.array([x]), generation=0, base_seed=0)
+    return float(pf_step(ens, ParameterDistribution(lam, 0.0)).particles[0])
+
+
+def orbit(dist: ParameterDistribution, x0: float, n: int, seed: int = 0) -> np.ndarray:
+    """States x0, x1, ..., xn of one particle stepped by pf_step."""
+    ens = Ensemble(np.array([x0]), generation=0, base_seed=seed)
+    states = [x0]
+    for _ in range(n):
+        ens = pf_step(ens, dist)
+        states.append(ens.particles[0])
+    return np.array(states)
 
 
 class TestParameterDistribution:
     def test_support(self):
         dist = ParameterDistribution(3.2, 0.1)
-        assert dist.support == (3.1, 3.3000000000000003)
+        assert (dist.low, dist.high) == (3.1, 3.3000000000000003)
 
     def test_point_mass(self):
         dist = ParameterDistribution(3.2, 0.0)
@@ -42,7 +58,7 @@ class TestParameterDistribution:
 
 
 class TestLogisticStep:
-    """The map x -> lam*x*(1-x) as generate_path and pf_step apply it."""
+    """The map x -> lam*x*(1-x) as pf_step applies it."""
 
     def test_fixed_point(self):
         assert step(2.0, 0.5) == 0.5
@@ -56,7 +72,7 @@ class TestLogisticStep:
 
     @pytest.mark.parametrize("lam,x", [(-0.1, 0.5), (4.1, 0.5), (2.0, -0.01), (2.0, 1.01)])
     def test_domain_errors(self, lam, x):
-        # rates are checked by the distribution, states on entry to a path
+        # rates are checked by the distribution, states by the ensemble
         with pytest.raises(DomainError):
             step(lam, x)
 
@@ -78,11 +94,11 @@ class TestLogisticStep:
 
 
 class TestIterateDeterministic:
-    """Fixed-rate orbits: generate_path with a point-mass rate law."""
+    """Fixed-rate orbits: pf_step with a point-mass rate law."""
 
     @staticmethod
     def orbit(lam: float, x0: float, n: int) -> np.ndarray:
-        return generate_path(ParameterDistribution(lam, 0.0), x0, n, seed=0).states
+        return orbit(ParameterDistribution(lam, 0.0), x0, n)
 
     def test_fixed_point_orbit(self):
         assert self.orbit(2.0, 0.5, 3).tolist() == [0.5] * 4
@@ -103,19 +119,27 @@ class TestIterateDeterministic:
 
     def test_negative_n(self):
         with pytest.raises(DomainError):
-            self.orbit(2.0, 0.5, -1)
+            pf_iterate(Ensemble(np.array([0.5]), 0, 0), ParameterDistribution(2.0, 0.0), -1)
 
 
 class TestSampleParameter:
-    """Rate draws as generate_path consumes them."""
+    """Rate draws as pf_step consumes them."""
 
     def test_point_mass_exact(self):
-        path = generate_path(ParameterDistribution(3.2, 0.0), 0.3, 20, seed=42)
-        assert np.all(path.lambdas == 3.2)
+        e = uniform_ensemble(20, seed=42)
+        out = pf_iterate(e, ParameterDistribution(3.2, 0.0), 20).particles
+        x = e.particles
+        for _ in range(20):
+            x = 3.2 * x * (1.0 - x)
+        assert np.array_equal(out, x)
 
     def test_support_bound(self):
-        path = generate_path(ParameterDistribution(3.2, 0.1), 0.3, 1000, seed=7)
-        assert np.all((path.lambdas >= 3.1) & (path.lambdas <= 3.3000000000000003))
+        # rounding is monotone, so a rate inside [low, high] gives a state
+        # between the two endpoint images, computed in the same order
+        dist = ParameterDistribution(3.2, 0.1)
+        x = uniform_ensemble(1000, seed=7).particles
+        out = pf_step(Ensemble(x, 0, 7), dist).particles
+        assert np.all((out >= dist.low * x * (1.0 - x)) & (out <= dist.high * x * (1.0 - x)))
 
     def test_law_of_large_numbers(self):
         dist = ParameterDistribution(2.0, 0.5)
@@ -143,44 +167,72 @@ class TestStochasticStep:
 
 
 class TestGeneratePath:
+    """Single-particle sample paths X_0, X_1, ..., X_n through pf_step."""
+
     def test_two_cycle_return(self):
         p, _ = quartic_two_cycle(3.2)
-        path = generate_path(ParameterDistribution(3.2, 0.0), p, 2, seed=5)
-        assert abs(path.states[2] - p) < 1e-12
+        path = orbit(ParameterDistribution(3.2, 0.0), p, 2, seed=5)
+        assert abs(path[2] - p) < 1e-12
 
     def test_absorbing_zero(self):
-        path = generate_path(ParameterDistribution(3.2, 0.1), 0.0, 50, seed=5)
-        assert np.all(path.states == 0.0)
+        path = orbit(ParameterDistribution(3.2, 0.1), 0.0, 50, seed=5)
+        assert np.all(path == 0.0)
 
     def test_same_seed_identical(self):
         dist = ParameterDistribution(3.2, 0.1)
-        a = generate_path(dist, 0.3, 200, seed=99)
-        b = generate_path(dist, 0.3, 200, seed=99)
-        assert np.array_equal(a.states, b.states)
-        assert np.array_equal(a.lambdas, b.lambdas)
+        a = orbit(dist, 0.3, 200, seed=99)
+        b = orbit(dist, 0.3, 200, seed=99)
+        assert np.array_equal(a, b)
 
     def test_different_seed_differs(self):
         dist = ParameterDistribution(3.2, 0.1)
-        a = generate_path(dist, 0.3, 200, seed=99)
-        b = generate_path(dist, 0.3, 200, seed=100)
-        assert not np.array_equal(a.lambdas, b.lambdas)
+        a = orbit(dist, 0.3, 200, seed=99)
+        b = orbit(dist, 0.3, 200, seed=100)
+        assert not np.array_equal(a, b)
 
     def test_recurrence_exact_and_support(self):
+        # the step leaving generation g consumes the first variate of
+        # stream g+1
         dist = ParameterDistribution(3.2, 0.1)
-        path = generate_path(dist, 0.3, 500, seed=1)
-        x = path.states
-        lam = path.lambdas
+        x = orbit(dist, 0.3, 500, seed=1)
+        lam = np.array([stream_rng(1, g + 1).uniform(dist.low, dist.high) for g in range(500)])
         assert np.array_equal(x[1:], lam * x[:-1] * (1.0 - x[:-1]))
         assert np.all((lam >= dist.low) & (lam <= dist.high))
         assert np.all((x >= 0.0) & (x <= 1.0))
 
     def test_first_iterate_depends_only_on_first_rate(self):
-        # the projected step is a function of (lambda_1, x0) alone
+        # particle 0's step is a function of (seed, generation, its state)
+        # alone, whatever the other particles are
         dist = ParameterDistribution(2.25, 0.25)
         for seed in range(10):
-            path = generate_path(dist, 0.12, 3, seed=seed)
-            assert path.states[1] == path.lambdas[0] * 0.12 * (1.0 - 0.12)
+            alone = pf_step(Ensemble(np.array([0.12]), 0, seed), dist).particles[0]
+            crowd = pf_step(Ensemble(np.array([0.12, 0.5, 0.9]), 0, seed), dist).particles[0]
+            lam = stream_rng(seed, 1).uniform(dist.low, dist.high)
+            assert alone == crowd == lam * 0.12 * (1.0 - 0.12)
 
     def test_path_metadata(self):
-        path = generate_path(ParameterDistribution(2.0, 0.0), 0.25, 10, seed=3)
-        assert path.n == 10 and len(path) == 11 and path.x0 == 0.25
+        start = Ensemble(np.full(11, 0.25), generation=0, base_seed=3)
+        out = pf_iterate(start, ParameterDistribution(2.0, 0.0), 10)
+        assert out.generation == 10 and out.n == len(out) == 11 and out.base_seed == 3
+
+
+class TestStreamRegistry:
+    """Every (seed, stream) key has one role: initial conditions, the
+    rates of one generation, or bootstrap resampling."""
+
+    def test_lemma_suite_keys_are_disjoint_roles(self, monkeypatch):
+        keys = []
+
+        def recording(seed, stream):
+            keys.append((seed, stream))
+            return stream_rng(seed, stream)
+
+        monkeypatch.setattr(measure, "stream_rng", recording)
+        measure._rate_variates.cache_clear()
+        cfg = MonteCarloConfig(n_particles=200, generations=60, window=30, seed=5)
+        lemma_suite(3.2, 0.05, cfg, seed=8)
+        init = {(8, INIT_STREAM)}
+        rates = {(8, g) for g in range(1, cfg.generations + 1)}
+        bootstrap = {(8, BOOTSTRAP_STREAM)}
+        assert not (init & rates or init & bootstrap or rates & bootstrap)
+        assert set(keys) == init | rates | bootstrap

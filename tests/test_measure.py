@@ -13,22 +13,17 @@ from stochlogistic import (
     MonteCarloConfig,
     ParameterDistribution,
     fixed_point,
-    generate_path,
-    moments,
-    occupation_fraction,
     period2_points,
     pf_iterate,
     pf_step,
-    split_peaks,
     stationary_stats,
     support_intervals,
-    time_average,
     uniform_ensemble,
     variance_of_right_peak,
 )
 from stochlogistic.errors import DomainError, EmptyPeakError, RegimeError
 from stochlogistic.maps import stream_rng
-from stochlogistic.measure import right_derivative_profile, time_average_se
+from stochlogistic.measure import ensemble_time_mean, right_derivative_profile, standard_error
 
 from oracles import quartic_two_cycle
 
@@ -100,61 +95,61 @@ class TestPfIterate:
 
 
 class TestMoments:
+    """The standard error of a mean over particles, as every verdict
+    computes it."""
+
     def test_point_mass(self):
-        e = Ensemble(np.full(10, 0.3), generation=0, base_seed=0)
-        m = moments(e)
-        assert m.mean == pytest.approx(0.3)
-        assert m.second_moment == pytest.approx(0.09)
-        assert m.variance == pytest.approx(0.0, abs=1e-16)
+        assert standard_error(np.full(10, 0.3)) == pytest.approx(0.0, abs=1e-16)
 
     def test_uniform_variance(self):
-        m = moments(uniform_ensemble(1_000_000, seed=8))
-        assert m.variance == pytest.approx(1.0 / 12.0, abs=5e-4)
+        x = uniform_ensemble(1_000_000, seed=8).particles
+        assert standard_error(x) ** 2 * len(x) == pytest.approx(1.0 / 12.0, abs=5e-4)
 
     def test_two_mass_mean(self):
         pair = period2_points(3.2)
-        e = Ensemble(np.array([pair.p, pair.q]), generation=0, base_seed=0)
-        assert moments(e).mean == pytest.approx(0.65625, abs=1e-12)
+        se = standard_error(np.array([pair.p, pair.q]))
+        assert se == pytest.approx((pair.q - pair.p) / 2.0, abs=1e-12)
+
+
+def _split(x: np.ndarray, lambda_bar: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """Left and right peaks at the threshold (lambda_bar - 1)/lambda_bar."""
+    threshold = (lambda_bar - 1.0) / lambda_bar
+    left = x <= threshold
+    return x[left], x[~left], threshold
 
 
 class TestSplitPeaks:
     def test_threshold_value(self):
-        e = Ensemble(np.array([0.5, 0.8]), generation=0, base_seed=0)
-        split = split_peaks(e, 3.208)
-        assert split.threshold == pytest.approx(0.6882793, abs=1e-7)
+        cfg = MonteCarloConfig(n_particles=100, generations=200, window=100, seed=1)
+        stats = stationary_stats(ParameterDistribution(3.208, 0.024), cfg)
+        assert stats.threshold == pytest.approx(0.6882793, abs=1e-7)
+        assert stats.threshold == fixed_point(3.208)
 
     def test_balanced_split_after_convergence(self):
         dist = ParameterDistribution(3.208, 0.024)
         e = pf_iterate(uniform_ensemble(2000, seed=9), dist, 2000)
-        split = split_peaks(e, 3.208)
-        assert split.left.n + split.right.n == 2000
-        assert abs(split.left_fraction - 0.5) < 0.05
-        assert np.all(split.left.particles <= split.threshold)
-        assert np.all(split.right.particles > split.threshold)
+        left, right, _ = _split(e.particles, 3.208)
+        assert len(left) + len(right) == 2000
+        assert abs(len(left) / 2000 - 0.5) < 0.05
 
     def test_degenerate_point_masses(self):
         pair = period2_points(3.2)
         dist = ParameterDistribution(3.2, 0.0)
         e = pf_iterate(uniform_ensemble(512, seed=10), dist, 2000)
-        split = split_peaks(e, 3.2)
-        assert np.allclose(split.left.particles, pair.p, atol=1e-9)
-        assert np.allclose(split.right.particles, pair.q, atol=1e-9)
-
-    def test_empty_peak_error(self):
-        e = Ensemble(np.array([0.1, 0.2, 0.3]), generation=0, base_seed=0)
-        with pytest.raises(EmptyPeakError):
-            split_peaks(e, 3.2)
+        left, right, _ = _split(e.particles, 3.2)
+        assert np.allclose(left, pair.p, atol=1e-9)
+        assert np.allclose(right, pair.q, atol=1e-9)
 
     def test_alternation(self):
         # one step maps the left peak entirely across the threshold and
         # vice versa
         dist = ParameterDistribution(3.208, 0.024)
         e = pf_iterate(uniform_ensemble(2000, seed=11), dist, 2000)
-        split = split_peaks(e, 3.208)
-        left_next = pf_step(split.left, dist)
-        right_next = pf_step(split.right, dist)
-        assert np.all(left_next.particles > split.threshold)
-        assert np.all(right_next.particles <= split.threshold)
+        left, right, threshold = _split(e.particles, 3.208)
+        left_next = pf_step(Ensemble(left, e.generation, e.base_seed), dist)
+        right_next = pf_step(Ensemble(right, e.generation, e.base_seed), dist)
+        assert np.all(left_next.particles > threshold)
+        assert np.all(right_next.particles <= threshold)
 
     def test_containment_fraction_in_analytic_intervals(self):
         # nearly all mass sits in the closed-form intervals; the true
@@ -163,9 +158,7 @@ class TestSplitPeaks:
         dist = ParameterDistribution(3.2, 0.1)
         e = pf_iterate(uniform_ensemble(4000, seed=12), dist, 1000)
         sup = support_intervals(3.2, 0.1)
-        inside = np.fromiter(
-            (sup.contains(float(x), inflate=1e-9) for x in e.particles), dtype=bool
-        )
+        inside = sup.contains(e.particles, inflate=1e-9)
         assert inside.mean() >= 0.99
 
 
@@ -215,19 +208,17 @@ def _stationary_reference(dist, cfg, w):
     ensemble run by pf_iterate and pf_step."""
     threshold = (dist.lambda_bar - 1.0) / dist.lambda_bar
     ens = pf_iterate(uniform_ensemble(cfg.n_particles, cfg.seed), dist, cfg.generations - w)
-    total, lsum, lsq, lcnt, rsum, rsq, rcnt = np.zeros((7, cfg.n_particles))
+    lsum, lsq, lcnt, rsum, rcnt = np.zeros((5, cfg.n_particles))
     for _ in range(w):
         ens = pf_step(ens, dist)
         x = ens.particles
         left = x <= threshold
-        total += x
         lsum += np.where(left, x, 0.0)
         lsq += np.where(left, x * x, 0.0)
         lcnt += left
         rsum += np.where(left, 0.0, x)
-        rsq += np.where(left, 0.0, x * x)
         rcnt += ~left
-    return ens, (total / w, lsum / lcnt, lsq / lcnt, rsum / rcnt, rsq / rcnt)
+    return ens, (lsum / lcnt, lsq / lcnt, rsum / rcnt)
 
 
 class TestLockstep:
@@ -249,8 +240,7 @@ class TestLockstep:
     def test_window_sums_equal_masked_reference(self):
         stats = stationary_stats(self.DIST, self.CFG, companions=self.LADDER)
         final, want = _stationary_reference(self.DIST, self.CFG, self.CFG.window)
-        got = (stats.mean_pp, stats.left_mean_pp, stats.left_sq_pp,
-               stats.right_mean_pp, stats.right_sq_pp)
+        got = (stats.left_mean_pp, stats.left_sq_pp, stats.right_mean_pp)
         assert final.particles.tobytes() == stats.final.particles.tobytes()
         for g, w in zip(got, want):
             assert g.tobytes() == w.tobytes()
@@ -300,6 +290,13 @@ class TestVarianceOfRightPeak:
         with pytest.raises(RegimeError):
             variance_of_right_peak(3.2, 0.5, cfg, uniform_ensemble(10, cfg.seed))
 
+    def test_empty_peak_error(self):
+        # all left of the threshold 0.6875, then all right of it
+        for particles in ([0.1, 0.2, 0.3], [0.7, 0.8, 0.9]):
+            e = Ensemble(np.array(particles), generation=0, base_seed=0)
+            with pytest.raises(EmptyPeakError):
+                variance_of_right_peak(3.2, 0.05, MonteCarloConfig(), e)
+
 
 class TestRightDerivativeProfile:
     def test_validation(self):
@@ -324,48 +321,63 @@ class TestRightDerivativeProfile:
 
 
 class TestTimeAverages:
+    """Per-particle time averages, pooled over a trailing window by
+    ensemble_time_mean."""
+
+    CFG = MonteCarloConfig(n_particles=200, generations=2000, window=1000, seed=1)
+
     def test_constant_path(self):
-        path = generate_path(ParameterDistribution(2.0, 0.0), 0.5, 100, seed=1)
-        assert time_average(path, 10) == pytest.approx(0.5, abs=1e-15)
+        mean, se = ensemble_time_mean(ParameterDistribution(2.0, 0.0), self.CFG)
+        assert mean == pytest.approx(0.5, abs=1e-15)
+        assert se == pytest.approx(0.0, abs=1e-15)
 
     def test_two_cycle_average(self):
-        path = generate_path(ParameterDistribution(3.2, 0.0), 0.3, 10_000, seed=2)
-        assert time_average(path, 1000) == pytest.approx(0.65625, abs=1e-6)
+        mean, _ = ensemble_time_mean(ParameterDistribution(3.2, 0.0), self.CFG)
+        assert mean == pytest.approx(0.65625, abs=1e-6)
 
     def test_fixed_point_average(self):
-        path = generate_path(ParameterDistribution(2.5, 0.0), 0.3, 10_000, seed=3)
-        assert time_average(path, 1000) == pytest.approx(0.6, abs=1e-9)
+        mean, _ = ensemble_time_mean(ParameterDistribution(2.5, 0.0), self.CFG)
+        assert mean == pytest.approx(0.6, abs=1e-9)
 
     def test_length_error(self):
-        path = generate_path(ParameterDistribution(2.0, 0.0), 0.5, 10, seed=1)
         with pytest.raises(DomainError):
-            time_average(path, 10)
+            ensemble_time_mean(ParameterDistribution(2.0, 0.0), self.CFG, window=2001)
+        with pytest.raises(DomainError):
+            ensemble_time_mean(ParameterDistribution(2.0, 0.0), self.CFG, window=0)
 
     def test_batch_se_positive(self):
-        path = generate_path(ParameterDistribution(3.2, 0.1), 0.3, 5000, seed=4)
-        assert time_average_se(path, 500) > 0.0
+        _, se = ensemble_time_mean(ParameterDistribution(3.2, 0.1), self.CFG)
+        assert se > 0.0
+
+
+def _pooled_states(dist, n_particles, burn, window, seed):
+    """Every particle's states over the window after burn-in, pooled."""
+    ens = pf_iterate(uniform_ensemble(n_particles, seed), dist, burn)
+    states = []
+    for _ in range(window):
+        ens = pf_step(ens, dist)
+        states.append(ens.particles)
+    return np.concatenate(states)
 
 
 class TestOccupationFraction:
+    """Fraction of the states a converged ensemble visits over a window
+    that fall in an interval."""
+
     def test_whole_interval(self):
-        path = generate_path(ParameterDistribution(3.2, 0.1), 0.3, 500, seed=5)
-        assert occupation_fraction(path, (0.0, 1.0), 50) == 1.0
+        x = _pooled_states(ParameterDistribution(3.2, 0.1), 100, 50, 50, seed=5)
+        assert np.mean((x >= 0.0) & (x <= 1.0)) == 1.0
 
     def test_half_time_in_each_peak(self):
         sup = support_intervals(3.208, 0.024)
-        path = generate_path(ParameterDistribution(3.208, 0.024), 0.3, 10_000, seed=6)
-        frac = occupation_fraction(path, sup.I_p, 1000)
+        x = _pooled_states(ParameterDistribution(3.208, 0.024), 100, 1000, 100, seed=6)
+        frac = np.mean((x >= sup.p_lo) & (x <= sup.p_hi))
         assert frac == pytest.approx(0.5, abs=0.01)
 
     def test_gap_unvisited(self):
         # strictly between the true support components nothing is visited
-        path = generate_path(ParameterDistribution(3.208, 0.024), 0.3, 10_000, seed=7)
-        assert occupation_fraction(path, (0.55, 0.78), 1000) == 0.0
-
-    def test_validation(self):
-        path = generate_path(ParameterDistribution(2.0, 0.0), 0.5, 10, seed=1)
-        with pytest.raises(DomainError):
-            occupation_fraction(path, (0.5, 0.1), 2)
+        x = _pooled_states(ParameterDistribution(3.208, 0.024), 100, 1000, 100, seed=7)
+        assert np.mean((x >= 0.55) & (x <= 0.78)) == 0.0
 
 
 class TestHistogram:

@@ -1,0 +1,52 @@
+"""The library's public surface is what the package itself runs.
+
+Every public module-level function, class and constant of
+``stochlogistic`` must be loaded by name somewhere in the package: as a
+name read in an expression or annotation, or as an attribute.  An
+``import`` or an ``__init__`` re-export is not a use, so a name that only
+tests reach fails here; such API is either wired into a subcommand or
+deleted.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "stochlogistic"
+
+
+def _public_definitions(tree: ast.Module) -> list[str]:
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                elts = target.elts if isinstance(target, ast.Tuple) else [target]
+                names.extend(e.id for e in elts if isinstance(e, ast.Name))
+    return [n for n in names if not n.startswith("_")]
+
+
+def _loaded_names(tree: ast.Module) -> set[str]:
+    loaded = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            loaded.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            loaded.add(node.attr)
+    return loaded
+
+
+def test_every_public_name_is_loaded_in_src():
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    loaded = set().union(*(_loaded_names(tree) for tree in trees.values()))
+    unused = [
+        f"{module[:-3]}.{name}"
+        for module, tree in trees.items()
+        if module != "__init__.py"
+        for name in _public_definitions(tree)
+        if name not in loaded
+    ]
+    assert not unused, f"public names that nothing in src/ loads: {unused}"
