@@ -166,6 +166,29 @@ def detect_period(lam: float, tol: float = 1e-9, max_iter: int = 200_000) -> int
     return _converged_cycle(lam, tol, max_iter)[0]
 
 
+def find_cycle(lam, x, burn: int, tol: float = 1e-9):
+    """Burn x in for ``burn`` steps at rate lam, record the next 128
+    states, and return (smallest k <= 64 with |x_{n+k} - x_n| < tol on
+    the first 64 of them, -1 where none; the state where recording
+    began; the last state).  Floats for one rate keep a fast scalar loop;
+    arrays for a grid of rates give elementwise the same numbers."""
+    for _ in range(burn):
+        x = lam * x * (1.0 - x)
+    start = x
+    states = []
+    for _ in range(_CHECK_SPAN + _MAX_PERIOD):
+        x = lam * x * (1.0 - x)
+        states.append(x)
+    orbit = np.array(states)
+    period = np.full(np.shape(x), -1)
+    for k in range(1, _MAX_PERIOD + 1):
+        hit = np.all(np.abs(orbit[k : k + _CHECK_SPAN] - orbit[:_CHECK_SPAN]) < tol, axis=0)
+        period = np.where((period < 0) & hit, k, period)
+        if np.all(period > 0):
+            break
+    return period, start, x
+
+
 def _converged_cycle(lam: float, tol: float = 1e-9, max_iter: int = 200_000) -> tuple[int, float]:
     """detect_period's cycle length together with the orbit state at
     which the successful check began."""
@@ -173,28 +196,16 @@ def _converged_cycle(lam: float, tol: float = 1e-9, max_iter: int = 200_000) -> 
         raise DomainError(f"tol must be > 0, got {tol}")
     if not 0.0 <= lam <= 4.0:
         raise DomainError(f"growth rate must lie in [0, 4], got {lam}")
-    x = 0.5
-    spent = 0
-    burn = min(PERIOD_BURN_IN, max_iter)
-    while True:
-        for _ in range(burn):
-            x = lam * x * (1.0 - x)
-        spent += burn
-        start = x
-        orbit = np.empty(_CHECK_SPAN + _MAX_PERIOD, dtype=np.float64)
-        for i in range(len(orbit)):
-            x = lam * x * (1.0 - x)
-            orbit[i] = x
-        spent += len(orbit)
-        for k in range(1, _MAX_PERIOD + 1):
-            if np.all(np.abs(orbit[k : k + _CHECK_SPAN] - orbit[:_CHECK_SPAN]) < tol):
-                return k, start
-        if spent >= max_iter:
-            raise ConvergenceError(
-                f"no cycle of length <= {_MAX_PERIOD} within {max_iter} "
-                f"iterations at lam={lam}"
-            )
+    x, spent = 0.5, 0
+    while spent < max_iter:
         burn = min(PERIOD_BURN_IN, max_iter - spent)
+        period, start, x = find_cycle(lam, x, burn, tol)
+        if period > 0:
+            return int(period), start
+        spent += burn + _CHECK_SPAN + _MAX_PERIOD
+    raise ConvergenceError(
+        f"no cycle of length <= {_MAX_PERIOD} within {max_iter} iterations at lam={lam}"
+    )
 
 
 def periodic_orbit(lam: float, period: int) -> list[float]:

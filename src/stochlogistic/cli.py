@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from itertools import chain
@@ -41,6 +42,13 @@ from .measure import DEFAULT_SEED, MonteCarloConfig, pf_iterate, uniform_ensembl
 ENV_OUTDIR = "STOCHLOGISTIC_OUTDIR"
 
 _FORMATS = ("csv", "json", "svg")
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -59,11 +67,11 @@ def _format_list(text: str) -> tuple[str, ...]:
 #: further add_argument keywords).  A default of None is filled per
 #: scale (particles, generations, window) or per subcommand (format).
 OPTIONS = {
-    "lambda_bar": ("--lambda-bar", float, None, {}),
-    "delta": ("--delta", float, 0.0, {"help": "noise half-width of the growth rate"}),
-    "lam_from": ("--from", float, 0.0, {}),
-    "lam_to": ("--to", float, 4.0, {}),
-    "step": ("--step", float, 0.001, {}),
+    "lambda_bar": ("--lambda-bar", _finite, None, {}),
+    "delta": ("--delta", _finite, 0.0, {"help": "noise half-width of the growth rate"}),
+    "lam_from": ("--from", _finite, 0.0, {}),
+    "lam_to": ("--to", _finite, 4.0, {}),
+    "step": ("--step", _finite, 0.001, {}),
     "kind": ("--kind", str, "deterministic", {"choices": ("deterministic", "stochastic")}),
     "n_init": ("--n-init", int, 100, {}),
     "n_iter": ("--n-iter", int, 1000, {}),

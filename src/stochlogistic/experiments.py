@@ -5,7 +5,11 @@ verification suite for the two-cycle regime, and the sign scanner for
 the alternation of the mean inequality across period-2^rho regimes.
 
 Every experiment is a pure function of its configuration and seed;
-reruns produce identical artifacts byte for byte.
+reruns produce identical artifacts byte for byte.  The ensemble
+experiments take their seed and averaging window from the
+MonteCarloConfig alone (``replace(cfg, ...)`` derives a per-row seed or a
+cycle-aligned window), and each flipflop row is the ``mean_comparison``
+report of its period-2^rho window.
 """
 
 from __future__ import annotations
@@ -126,7 +130,7 @@ def stochastic_bifurcation(
     uniform in [lambda_bar - delta, lambda_bar + delta] for each grid
     value of lambda_bar.  With delta_lambda = 0 the output coincides
     with the deterministic sweep at the same seed."""
-    if delta_lambda < 0:
+    if not delta_lambda >= 0:  # also rejects NaN
         raise DomainError(f"delta_lambda must be >= 0, got {delta_lambda}")
     grid = _rate_grid(lam_lo, lam_hi, step)
     if grid[0] - delta_lambda < 0.0 or grid[-1] + delta_lambda > 4.0:
@@ -234,10 +238,7 @@ def _parity_window(window: int, period: int) -> int:
 
 
 def mean_comparison(
-    lambda_bar: float,
-    delta_lambda: float,
-    cfg: MonteCarloConfig,
-    seed: int | None = None,
+    lambda_bar: float, delta_lambda: float, cfg: MonteCarloConfig
 ) -> ComparisonReport:
     """Compare the converged stochastic mean against the mean of the
     attracting cycle of the fixed-rate map at lambda_bar.
@@ -248,7 +249,6 @@ def mean_comparison(
     equally); its standard error comes from the spread of per-particle
     time averages, which are independent across particles.
     """
-    run_seed = cfg.seed if seed is None else seed
     regime = classify_regime(lambda_bar - delta_lambda, lambda_bar + delta_lambda)
     if regime is Regime.EXTINCTION:
         period = 1
@@ -256,9 +256,8 @@ def mean_comparison(
     else:
         period = _REGIME_PERIOD.get(regime) or detect_period(lambda_bar)
         det_mean = float(np.mean(periodic_orbit(lambda_bar, period)))
-    window = _parity_window(min(cfg.window, cfg.generations), period)
-    dist = ParameterDistribution(lambda_bar, delta_lambda)
-    stoch_mean, se = ensemble_time_mean(dist, cfg, window=window, seed=run_seed)
+    cfg = replace(cfg, window=_parity_window(cfg.window, period))
+    stoch_mean, se = ensemble_time_mean(ParameterDistribution(lambda_bar, delta_lambda), cfg)
     diff = stoch_mean - det_mean
     z = _z_score(diff, se)
     return ComparisonReport(
@@ -274,8 +273,8 @@ def mean_comparison(
         verdict=_verdict(z),
         n_particles=cfg.n_particles,
         generations=cfg.generations,
-        window=window,
-        seed=run_seed,
+        window=cfg.window,
+        seed=cfg.seed,
     )
 
 
@@ -345,10 +344,7 @@ def _root_chain_check(lambda_bar: float) -> LemmaCheck:
 
 
 def lemma_suite(
-    lambda_bar: float,
-    delta_lambda: float,
-    cfg: MonteCarloConfig,
-    seed: int | None = None,
+    lambda_bar: float, delta_lambda: float, cfg: MonteCarloConfig
 ) -> LemmaSuiteReport:
     """Run the numerical verification chain behind the two-cycle mean
     inequality and report each step.
@@ -361,7 +357,6 @@ def lemma_suite(
     the shifted comparison-function roots, (vi) convexity of h on I_p.
     """
     analytic.require_period2_window(lambda_bar, delta_lambda)
-    run_seed = cfg.seed if seed is None else seed
     dist = ParameterDistribution(lambda_bar, delta_lambda)
     sup = analytic.support_intervals(lambda_bar, delta_lambda)
     checks: list[LemmaCheck] = []
@@ -372,12 +367,11 @@ def lemma_suite(
         ordering_ok = True
     except OrderingError:
         ordering_ok = False
-    window = _parity_window(min(cfg.window, cfg.generations), 2)
     # the variance ladder's ensembles share the seed, so they advance in
     # lockstep with the stationary run and reuse its variates
     ladder = _variance_ladder(lambda_bar)
     stats = stationary_stats(
-        dist, cfg, window=window, seed=run_seed,
+        dist, replace(cfg, window=_parity_window(cfg.window, 2)),
         companions=tuple(ParameterDistribution(lambda_bar, h) for h in ladder),
     )
     inside = sup.contains(stats.final.particles, inflate=1e-9)
@@ -432,9 +426,7 @@ def lemma_suite(
     )
 
     # (iv) right-peak variance ratio decay with analytic bound
-    profile = right_derivative_profile(
-        lambda_bar, ladder, replace(cfg, seed=run_seed), stats.companion_finals
-    )
+    profile = right_derivative_profile(lambda_bar, ladder, cfg, stats.companion_finals)
     ratios = [r for (_, r, _) in profile]
     ses = [s for (_, _, s) in profile]
     monotone = all(
@@ -471,9 +463,16 @@ def lemma_suite(
     return LemmaSuiteReport(
         lambda_bar=lambda_bar,
         delta_lambda=delta_lambda,
-        seed=run_seed,
+        seed=cfg.seed,
         checks=tuple(checks),
     )
+
+
+#: FlipFlopRow fields copied from the row's ComparisonReport.
+_FROM_COMPARISON = (
+    "period", "lambda_bar", "delta_lambda", "stochastic_mean", "stochastic_se",
+    "deterministic_mean", "difference", "z_score",
+)
 
 
 @dataclass(frozen=True)
@@ -514,24 +513,6 @@ class FlipFlopReport:
 _RHO_CENTERS = {1: 3.208, 2: 3.508}
 
 
-def _periods_on_grid(lams: np.ndarray, burn: int = 20_000, tol: float = 1e-9) -> np.ndarray:
-    """Vectorized cycle-length detection over a grid (period <= 64,
-    -1 where undetected)."""
-    x = np.full(len(lams), 0.5)
-    for _ in range(burn):
-        x = lams * x * (1.0 - x)
-    span = 128
-    orbit = np.empty((span, len(lams)))
-    for i in range(span):
-        x = lams * x * (1.0 - x)
-        orbit[i] = x
-    periods = np.full(len(lams), -1, dtype=np.int64)
-    for k in range(1, 65):
-        hit = np.all(np.abs(orbit[k : k + 64] - orbit[:64]) < tol, axis=0)
-        periods = np.where((periods == -1) & hit, k, periods)
-    return periods
-
-
 def _window_for_rho(rho: int, delta_lambda: float) -> tuple[float, float]:
     """(lambda_bar, usable half-width) for a window inside the stable
     period-2^rho regime; rho >= 3 windows are located by scanning the
@@ -544,7 +525,7 @@ def _window_for_rho(rho: int, delta_lambda: float) -> tuple[float, float]:
         grid = np.linspace(
             analytic.LAMBDA_C4_END, analytic.LAMBDA_C2_OMEGA, 257
         )[1:-1]
-        periods = _periods_on_grid(grid)
+        periods, _, _ = analytic.find_cycle(grid, np.full(len(grid), 0.5), burn=20_000)
         hits = np.flatnonzero(periods == target)
         if len(hits) == 0:
             raise WindowNotFoundError(
@@ -572,52 +553,38 @@ def _window_for_rho(rho: int, delta_lambda: float) -> tuple[float, float]:
 
 
 def flipflop_scan(
-    rho_values: tuple[int, ...],
-    delta_lambda: float,
-    cfg: MonteCarloConfig,
-    seed: int | None = None,
+    rho_values: tuple[int, ...], delta_lambda: float, cfg: MonteCarloConfig
 ) -> FlipFlopReport:
     """Sign table of (stochastic mean - deterministic cycle mean) across
     period-2^rho regimes.
 
-    rho = 1 and 2 get conclusive verdicts at the usual z threshold;
-    rows with rho >= 3 are exploratory (conjectured alternation) and
-    carry a 3-sigma confidence interval instead of a pass/fail claim.
+    Each row is the ``mean_comparison`` report of the rho window, run
+    at seed cfg.seed + rho.  rho = 1 and 2 keep its verdict at the usual
+    z threshold; rows with rho >= 3 are exploratory (conjectured
+    alternation) and carry a 3-sigma confidence interval instead of a
+    pass/fail claim.
     """
-    if delta_lambda <= 0:
-        raise DomainError("delta_lambda must be > 0 for the scan")
-    base_seed = cfg.seed if seed is None else seed
+    if not (math.isfinite(delta_lambda) and delta_lambda > 0):
+        raise DomainError(f"delta_lambda must be finite and > 0 for the scan, got {delta_lambda}")
     rows = []
     for rho in rho_values:
         if rho < 1:
             raise DomainError(f"rho must be >= 1, got {rho}")
-        period = 2**rho
         center, delta = _window_for_rho(rho, delta_lambda)
-        det_mean = float(np.mean(periodic_orbit(center, period)))
-        window = _parity_window(min(cfg.window, cfg.generations), period)
-        dist = ParameterDistribution(center, delta)
-        row_seed = base_seed + rho
-        stoch, se = ensemble_time_mean(dist, cfg, window=window, seed=row_seed)
-        diff = stoch - det_mean
-        z = _z_score(diff, se)
-        sign = "+" if diff > 0 else ("-" if diff < 0 else "0")
-        verdict = "exploratory" if rho >= 3 else _verdict(z)
+        rep = mean_comparison(center, delta, replace(cfg, seed=cfg.seed + rho))
+        if rep.period != 2**rho:
+            raise DomainError(
+                f"requested period {2**rho} but the orbit at lam={center} has period {rep.period}"
+            )
+        diff, half = rep.difference, Z_THRESHOLD * rep.stochastic_se
         rows.append(
             FlipFlopRow(
                 rho=rho,
-                period=period,
-                lambda_bar=center,
-                delta_lambda=delta,
-                stochastic_mean=stoch,
-                stochastic_se=se,
-                deterministic_mean=det_mean,
-                difference=diff,
-                z_score=z,
-                sign=sign,
-                verdict=verdict,
-                ci_low=diff - Z_THRESHOLD * se,
-                ci_high=diff + Z_THRESHOLD * se,
+                sign="+" if diff > 0 else ("-" if diff < 0 else "0"),
+                verdict="exploratory" if rho >= 3 else rep.verdict,
+                ci_low=diff - half,
+                ci_high=diff + half,
+                **{k: getattr(rep, k) for k in _FROM_COMPARISON},
             )
         )
-    return FlipFlopReport(delta_lambda=delta_lambda, seed=base_seed, rows=tuple(rows))
-
+    return FlipFlopReport(delta_lambda=delta_lambda, seed=cfg.seed, rows=tuple(rows))

@@ -16,6 +16,10 @@ memo holds the last generation's variates, and the lemma suite steps its
 stationary ensemble and its variance ladder in lockstep
 (``stationary_stats(..., companions=...)``), so each generation is drawn
 once for all of them.
+
+Run settings (sizes, averaging window, seed) come only from a
+MonteCarloConfig, which validates them once; a caller that needs another
+window or seed passes ``dataclasses.replace(cfg, ...)``.
 """
 
 from __future__ import annotations
@@ -218,13 +222,11 @@ def standard_error(values: np.ndarray) -> float:
 def stationary_stats(
     dist: ParameterDistribution,
     cfg: MonteCarloConfig,
-    window: int | None = None,
-    seed: int | None = None,
     companions: tuple[ParameterDistribution, ...] = (),
 ) -> StationaryStats:
-    """Run an ensemble to cfg.generations and pool the last ``window``
-    generations into per-particle time averages split at the peak
-    threshold (lambda_bar - 1)/lambda_bar.
+    """Run an ensemble from cfg.seed to cfg.generations and pool the
+    last cfg.window generations into per-particle time averages split at
+    the peak threshold (lambda_bar - 1)/lambda_bar.
 
     Each companion rate law gets its own ensemble from the same seed,
     stepped in lockstep with the main one, so every generation's
@@ -235,16 +237,12 @@ def stationary_stats(
     the window (expected in the two-cycle regime, where every particle
     alternates sides each generation).
     """
-    w = cfg.window if window is None else window
-    if not 0 < w <= cfg.generations:
-        raise DomainError(f"need 0 < window <= generations, got {w}")
     if dist.lambda_bar <= 1.0:
         raise DomainError("peak threshold needs lambda_bar > 1")
-    base_seed = cfg.seed if seed is None else seed
     threshold = (dist.lambda_bar - 1.0) / dist.lambda_bar
-    n = cfg.n_particles
-    ens = uniform_ensemble(n, base_seed)
-    others = [uniform_ensemble(n, base_seed) for _ in companions]
+    n, w = cfg.n_particles, cfg.window
+    ens = uniform_ensemble(n, cfg.seed)
+    others = [uniform_ensemble(n, cfg.seed) for _ in companions]
     lsum, lsq, rsum, lx, rx, sq = np.zeros((6, n))
     lcnt = np.zeros(n, dtype=np.int64)
     left = np.empty(n, dtype=bool)
@@ -280,19 +278,11 @@ def stationary_stats(
     )
 
 
-def ensemble_time_mean(
-    dist: ParameterDistribution,
-    cfg: MonteCarloConfig,
-    window: int | None = None,
-    seed: int | None = None,
-) -> tuple[float, float]:
-    """(mean, standard error) of the state pooled over particles and a
-    trailing window of generations."""
-    w = cfg.window if window is None else window
-    if not 0 < w <= cfg.generations:
-        raise DomainError(f"need 0 < window <= generations, got {w}")
-    base_seed = cfg.seed if seed is None else seed
-    ens = uniform_ensemble(cfg.n_particles, base_seed)
+def ensemble_time_mean(dist: ParameterDistribution, cfg: MonteCarloConfig) -> tuple[float, float]:
+    """(mean, standard error) of the state pooled over particles and the
+    trailing cfg.window generations of a run from cfg.seed."""
+    w = cfg.window
+    ens = uniform_ensemble(cfg.n_particles, cfg.seed)
     ens = pf_iterate(ens, dist, cfg.generations - w)
     total = np.zeros(ens.n)
     for _ in range(w):

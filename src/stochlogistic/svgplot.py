@@ -124,15 +124,7 @@ class _Canvas:
             f'<line x1="{px:.2f}" y1="{y1}" x2="{px:.2f}" y2="{y0}" '
             f'stroke="{color}" stroke-width="1.5" stroke-dasharray="6 3"/>'
         )
-        ly = _MT + 16 + 16 * slot
-        self.parts.append(
-            f'<line x1="{_WIDTH - _MR - 150}" y1="{ly - 4}" x2="{_WIDTH - _MR - 126}" '
-            f'y2="{ly - 4}" stroke="{color}" stroke-width="2"/>'
-        )
-        self.parts.append(
-            f'<text x="{_WIDTH - _MR - 120}" y="{ly}" font-family="sans-serif" '
-            f'font-size="11">{label}</text>'
-        )
+        self.legend(color, label, slot)
 
     def legend(self, color: str, label: str, slot: int) -> None:
         ly = _MT + 16 + 16 * slot

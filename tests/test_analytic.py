@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import optimize
 
 from stochlogistic import (
@@ -26,7 +28,7 @@ from stochlogistic import (
     pf_step,
     support_intervals,
 )
-from stochlogistic.analytic import PERIOD_BURN_IN, Regime, _H_value
+from stochlogistic.analytic import PERIOD_BURN_IN, Regime, _H_value, find_cycle
 from stochlogistic.errors import (
     ConvergenceError,
     DomainError,
@@ -179,6 +181,38 @@ class TestDetectPeriod:
     def test_bad_tol(self):
         with pytest.raises(DomainError):
             detect_period(3.2, tol=0.0)
+
+
+class TestFindCycle:
+    """One routine detects cycles for a single rate and for a grid."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        lams=st.lists(st.floats(2.5, 3.57), min_size=1, max_size=6),
+        burn=st.integers(0, 3000),
+    )
+    def test_array_path_equals_scalar_path(self, lams, burn):
+        periods, starts, ends = find_cycle(np.array(lams), np.full(len(lams), 0.5), burn)
+        for i, lam in enumerate(lams):
+            period, start, end = find_cycle(lam, 0.5, burn)
+            assert periods[i] == period
+            assert np.float64(start).tobytes() == starts[i].tobytes()
+            assert np.float64(end).tobytes() == ends[i].tobytes()
+
+    def test_scalar_path_stays_on_python_floats(self):
+        period, start, end = find_cycle(3.2, 0.5, 100)
+        assert period == 2
+        assert type(start) is float and type(end) is float
+
+    def test_no_cycle_is_minus_one(self):
+        periods, _, _ = find_cycle(np.array([3.2, 3.9]), np.full(2, 0.5), 2000)
+        assert periods.tolist() == [2, -1]
+        assert find_cycle(3.9, 0.5, 2000)[0] == -1
+
+    def test_grid_matches_detect_period(self):
+        lams = [2.5, 3.2, 3.5, 3.56]
+        periods, _, _ = find_cycle(np.array(lams), np.full(len(lams), 0.5), 20_000)
+        assert periods.tolist() == [detect_period(lam) for lam in lams] == [1, 2, 4, 8]
 
 
 class TestPeriodicOrbit:

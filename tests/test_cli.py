@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from stochlogistic import Histogram, uniform_ensemble
-from stochlogistic.cli import ENV_OUTDIR, load_config, parse_and_dispatch
+from stochlogistic.cli import ENV_OUTDIR, OPTIONS, load_config, parse_and_dispatch
 from stochlogistic.errors import ConfigError, DomainError
 from stochlogistic.svgplot import Marker, render_histograms, render_scatter
 
@@ -171,6 +171,36 @@ class TestExplicitValues:
         assert run(argv, tmp_path) == 2
         assert "error:" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+
+class TestFiniteFloats:
+    """The float options take finite numbers only, from a flag or from a
+    config file; nothing is written for a rejected value."""
+
+    @pytest.mark.parametrize(
+        "base, key, value",
+        [
+            (["bifurcation", "--kind", "stochastic"], "delta", "nan"),
+            (["bifurcation"], "lam_from", "nan"),
+            (["bifurcation"], "lam_to", "inf"),
+            (["bifurcation"], "step", "nan"),
+            (["compare", "--delta", "0.1"], "lambda_bar", "inf"),
+            (["flipflop", "--rho", "1"], "delta", "inf"),
+            (["flipflop", "--rho", "1"], "delta", "-inf"),
+        ],
+        ids=["stochastic-delta-nan", "from-nan", "to-inf", "step-nan", "lambda-bar-inf",
+             "flipflop-delta-inf", "flipflop-delta-minus-inf"],
+    )
+    def test_rejected_with_exit_2(self, base, key, value, tmp_path, capsys):
+        out = tmp_path / "out"
+        flag = OPTIONS[key][0]
+        assert parse_and_dispatch([*base, f"{flag}={value}", "--outdir", str(out)]) == 2
+        assert "finite" in capsys.readouterr().err
+        cfg = tmp_path / "settings.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        assert parse_and_dispatch([*base, "--config", str(cfg), "--outdir", str(out)]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSvgOnlyWhereDrawn:

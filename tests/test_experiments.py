@@ -31,6 +31,7 @@ from stochlogistic.errors import (
 )
 
 from stochlogistic import analytic, experiments
+from stochlogistic.measure import pf_iterate, right_derivative_profile, uniform_ensemble
 
 from oracles import band_geometry, quartic_two_cycle, two_cycle_mean
 
@@ -234,7 +235,7 @@ class TestMeanComparison:
         a = mean_comparison(3.208, 0.024, FAST)
         b = mean_comparison(3.208, 0.024, FAST)
         assert a == b
-        c = mean_comparison(3.208, 0.024, FAST, seed=99)
+        c = mean_comparison(3.208, 0.024, replace(FAST, seed=99))
         assert c.stochastic_mean != a.stochastic_mean
 
     def test_extinction_window(self):
@@ -304,22 +305,24 @@ class TestLemmaSuite:
         json.dumps(report.to_dict())
 
     def test_seed_override_reaches_variance_ladder(self):
-        cfg = MonteCarloConfig(n_particles=300, generations=400, window=200, seed=1)
+        # a seed set with replace() reaches the four ladder ensembles that
+        # advance in lockstep with the stationary run, and their bootstrap:
+        # the ratios equal those of rungs run on their own at that seed
+        base = MonteCarloConfig(n_particles=300, generations=400, window=200, seed=1)
 
-        def ratios(**seed):
-            checks = lemma_suite(3.2, 0.05, cfg, **seed).checks
+        def ratios(cfg):
+            checks = lemma_suite(3.2, 0.05, cfg).checks
             return next(c for c in checks if c.name == "right_variance_decay").details["ratio"]
 
-        assert ratios() == ratios(seed=1)
-        assert ratios(seed=1) != ratios(seed=2)
-
-    def test_seed_override_equals_config_seed(self):
-        # the override must reach the stationary run and all four ladder
-        # ensembles that advance in lockstep with it
-        cfg = MonteCarloConfig(n_particles=300, generations=400, window=200, seed=1)
-        overridden = lemma_suite(3.2, 0.05, cfg, seed=5).to_dict()
-        assert overridden == lemma_suite(3.2, 0.05, replace(cfg, seed=5)).to_dict()
-        assert overridden != lemma_suite(3.2, 0.05, cfg).to_dict()
+        cfg = replace(base, seed=2)
+        ladder = experiments._variance_ladder(3.2)
+        finals = tuple(
+            pf_iterate(uniform_ensemble(300, cfg.seed), ParameterDistribution(3.2, h), 400)
+            for h in ladder
+        )
+        alone = [r for _, r, _ in right_derivative_profile(3.2, ladder, cfg, finals)]
+        assert ratios(cfg) == alone
+        assert ratios(cfg) != ratios(base)
 
     def test_unexpected_error_propagates(self, monkeypatch):
         def broken(lambda_bar, epsilon):
@@ -363,6 +366,20 @@ class TestFlipFlopScan:
         with pytest.raises(DomainError):
             flipflop_scan((0,), 0.01, FAST)
 
+    @pytest.mark.parametrize("delta", [math.inf, -math.inf, math.nan])
+    def test_non_finite_delta_rejected(self, delta):
+        # an infinite half-width used to be halved forever while the
+        # window search looked for a usable one
+        with pytest.raises(DomainError):
+            flipflop_scan((1,), delta, FAST)
+
+    def test_rows_are_mean_comparison_reports(self):
+        row = flipflop_scan((2,), 0.024, FAST).rows[0]
+        rep = mean_comparison(row.lambda_bar, row.delta_lambda, replace(FAST, seed=FAST.seed + 2))
+        for key in ("period", "stochastic_mean", "stochastic_se", "deterministic_mean",
+                    "difference", "z_score", "verdict"):
+            assert getattr(row, key) == getattr(rep, key)
+
 
 def _ergodic_consistency(lambda_bar, delta_lambda, cfg):
     """Time average against space average of the invariant mean: the
@@ -370,8 +387,10 @@ def _ergodic_consistency(lambda_bar, delta_lambda, cfg):
     converged snapshot of an independently seeded one.  Both estimate
     the same mean, so they should agree within combined standard errors."""
     dist = ParameterDistribution(lambda_bar, delta_lambda)
-    time_mean, time_se = experiments.ensemble_time_mean(dist, cfg, window=cfg.window)
-    space_mean, space_se = experiments.ensemble_time_mean(dist, cfg, window=1, seed=cfg.seed + 1)
+    time_mean, time_se = experiments.ensemble_time_mean(dist, cfg)
+    space_mean, space_se = experiments.ensemble_time_mean(
+        dist, replace(cfg, window=1, seed=cfg.seed + 1)
+    )
     return abs(time_mean - space_mean) <= 3.0 * math.hypot(time_se, space_se)
 
 

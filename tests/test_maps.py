@@ -3,6 +3,8 @@ map as the ensemble kernel pf_step applies it."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -230,7 +232,7 @@ class TestStreamRegistry:
         monkeypatch.setattr(measure, "stream_rng", recording)
         measure._rate_variates.cache_clear()
         cfg = MonteCarloConfig(n_particles=200, generations=60, window=30, seed=5)
-        lemma_suite(3.2, 0.05, cfg, seed=8)
+        lemma_suite(3.2, 0.05, replace(cfg, seed=8))
         init = {(8, INIT_STREAM)}
         rates = {(8, g) for g in range(1, cfg.generations + 1)}
         bootstrap = {(8, BOOTSTRAP_STREAM)}

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -262,7 +264,7 @@ class TestStationaryStats:
         dist = ParameterDistribution(3.208, 0.024)
         cfg = MonteCarloConfig(n_particles=10, generations=100, window=50, seed=1)
         with pytest.raises(DomainError):
-            stationary_stats(dist, cfg, window=200)
+            stationary_stats(dist, replace(cfg, window=200))
 
 
 def _converged(lambda_bar, h, cfg):
@@ -341,9 +343,9 @@ class TestTimeAverages:
 
     def test_length_error(self):
         with pytest.raises(DomainError):
-            ensemble_time_mean(ParameterDistribution(2.0, 0.0), self.CFG, window=2001)
+            ensemble_time_mean(ParameterDistribution(2.0, 0.0), replace(self.CFG, window=2001))
         with pytest.raises(DomainError):
-            ensemble_time_mean(ParameterDistribution(2.0, 0.0), self.CFG, window=0)
+            ensemble_time_mean(ParameterDistribution(2.0, 0.0), replace(self.CFG, window=0))
 
     def test_batch_se_positive(self):
         _, se = ensemble_time_mean(ParameterDistribution(3.2, 0.1), self.CFG)
