@@ -175,11 +175,16 @@ def _mc_config(ns) -> MonteCarloConfig:
     )
 
 
+#: Rows per formatted chunk of the bifurcation CSV.
+_CSV_BLOCK = 4096
+
+
 def _write(ns, mid: str, delta: float, payload, rows, svg=None) -> int:
     """Write <outdir>/<subcommand>-<mid>-<delta>-<seed>.<ext> for every
     requested format, in the order csv, json, svg, and print each path.
 
-    ``rows`` is an iterable of CSV rows, header first, streamed to disk;
+    ``rows`` is an iterable of CSV rows, header first, streamed to disk,
+    or a function that returns the CSV text already formatted, in chunks;
     ``payload`` returns the JSON object and ``svg`` the drawing (None for
     the subcommands in _NO_SVG, which reject --format svg up front).
     Nothing is produced for a format that was not requested.
@@ -190,7 +195,10 @@ def _write(ns, mid: str, delta: float, payload, rows, svg=None) -> int:
         path = ns.outdir / f"{ns.subcommand}-{mid}-{delta:g}-{ns.seed}.{ext}"
         if ext == "csv":
             with open(path, "w", newline="", encoding="utf-8") as fh:
-                csv.writer(fh).writerows(rows)
+                if callable(rows):
+                    fh.writelines(rows())
+                else:
+                    csv.writer(fh).writerows(rows)
         else:
             text = svg() if ext == "svg" else json.dumps(payload(), indent=2, sort_keys=True) + "\n"
             path.write_text(text, encoding="utf-8")
@@ -215,13 +223,24 @@ def _run_bifurcation(ns) -> int:
         )
         if ns.lam_from <= x <= ns.lam_to
     )
-    rows = ((f"{lam:.17g}", f"{x:.17g}") for lam, x in data.csv_rows())
+
+    def sweep_csv():
+        # long format, one (rate, terminal state) row per initial condition,
+        # formatted a block of rows at a time: the bytes csv.writer gives
+        # these strings, with the memory of one block
+        states = data.terminal_states.ravel()
+        lams = data.parameters.repeat(data.terminal_states.shape[1])
+        yield "parameter,terminal_state\r\n"
+        for i in range(0, len(states), _CSV_BLOCK):
+            block = slice(i, i + _CSV_BLOCK)
+            yield "".join(map("{:.17g},{:.17g}\r\n".format, lams[block].tolist(), states[block].tolist()))
+
     return _write(
         ns,
         f"{ns.kind}-{ns.lam_from:g}to{ns.lam_to:g}",
         data.delta_lambda,
         data.to_dict,
-        chain([("parameter", "terminal_state")], rows),
+        sweep_csv,
         lambda: svgplot.render_scatter(data, vlines=vlines, title=f"{ns.kind} bifurcation sweep"),
     )
 

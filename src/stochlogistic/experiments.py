@@ -14,6 +14,7 @@ report of its period-2^rho window.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -58,12 +59,6 @@ class BifurcationDataset:
     delta_lambda: float
     n_iter: int
     seed: int
-
-    def csv_rows(self):
-        """Long-format rows (parameter, terminal_state)."""
-        for lam, row in zip(self.parameters, self.terminal_states):
-            for x in row:
-                yield float(lam), float(x)
 
     def to_dict(self) -> dict:
         return {
@@ -513,19 +508,24 @@ class FlipFlopReport:
 _RHO_CENTERS = {1: 3.208, 2: 3.508}
 
 
-def _window_for_rho(rho: int, delta_lambda: float) -> tuple[float, float]:
+def _cascade_periods() -> tuple[np.ndarray, np.ndarray]:
+    """(rates, cycle lengths) of a 254-rate grid across the cascade range
+    (LAMBDA_C4_END, LAMBDA_C2_OMEGA), -1 where no cycle was found."""
+    grid = np.linspace(analytic.LAMBDA_C4_END, analytic.LAMBDA_C2_OMEGA, 257)[1:-1]
+    periods, _, _ = analytic.find_cycle(grid, np.full(len(grid), 0.5), burn=20_000)
+    return grid, periods
+
+
+def _window_for_rho(rho: int, delta_lambda: float, cascade) -> tuple[float, float]:
     """(lambda_bar, usable half-width) for a window inside the stable
-    period-2^rho regime; rho >= 3 windows are located by scanning the
-    cascade range and shrinking the half-width until both endpoints
-    carry the requested cycle length."""
+    period-2^rho regime; rho >= 3 windows are located on the grid scan
+    that ``cascade()`` returns (see _cascade_periods), and the half-width
+    is halved until both endpoints carry the requested cycle length."""
     target = 2**rho
     if rho in _RHO_CENTERS:
         center = _RHO_CENTERS[rho]
     else:
-        grid = np.linspace(
-            analytic.LAMBDA_C4_END, analytic.LAMBDA_C2_OMEGA, 257
-        )[1:-1]
-        periods, _, _ = analytic.find_cycle(grid, np.full(len(grid), 0.5), burn=20_000)
+        grid, periods = cascade()
         hits = np.flatnonzero(periods == target)
         if len(hits) == 0:
             raise WindowNotFoundError(
@@ -539,12 +539,13 @@ def _window_for_rho(rho: int, delta_lambda: float) -> tuple[float, float]:
         center = float(grid[run].mean())
     delta = delta_lambda
     while delta >= 1e-6:
+        # the upper endpoint is tested only when the lower one holds: it
+        # may lie past the cascade, where detection runs to its cap
         try:
-            lo_ok = detect_period(center - delta) == target
-            hi_ok = detect_period(center + delta) == target
+            ok = detect_period(center - delta) == target and detect_period(center + delta) == target
         except (ConvergenceError, DomainError):
-            lo_ok = hi_ok = False
-        if lo_ok and hi_ok:
+            ok = False
+        if ok:
             return center, delta
         delta /= 2.0
     raise WindowNotFoundError(
@@ -567,10 +568,12 @@ def flipflop_scan(
     if not (math.isfinite(delta_lambda) and delta_lambda > 0):
         raise DomainError(f"delta_lambda must be finite and > 0 for the scan, got {delta_lambda}")
     rows = []
+    # one grid scan per call, made only if some rho >= 3 needs it
+    cascade = functools.cache(_cascade_periods)
     for rho in rho_values:
         if rho < 1:
             raise DomainError(f"rho must be >= 1, got {rho}")
-        center, delta = _window_for_rho(rho, delta_lambda)
+        center, delta = _window_for_rho(rho, delta_lambda, cascade)
         rep = mean_comparison(center, delta, replace(cfg, seed=cfg.seed + rho))
         if rep.period != 2**rho:
             raise DomainError(

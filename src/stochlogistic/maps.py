@@ -19,11 +19,21 @@ disjoint families:
 The i-th variate of a stream belongs to particle i, so a draw is a pure
 function of (seed, stream, particle index) and parallel evaluation
 cannot change results.
+
+There is one generator: ``stream_rng`` re-keys a single Philox bit
+generator to (seed, stream) at counter zero instead of building a new
+one per call, which would also seed an unused entropy pool.  The
+generator it returns is therefore valid only until the next
+``stream_rng`` call, and it is not thread-safe: a caller draws what it
+needs from one stream before it asks for another.  The generator is
+built on first use, so importing the package does not load
+``numpy.random``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -38,10 +48,35 @@ INIT_STREAM = 0
 BOOTSTRAP_STREAM = 1 << 62
 
 
+# the state setter copies these words, so one read-only array serves every call
+_ZEROS = np.zeros(4, dtype=np.uint64)
+_ZEROS.flags.writeable = False
+
+
+@cache
+def _generator() -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(key=0))
+
+
 def stream_rng(seed: int, stream: int) -> np.random.Generator:
-    """Counter-based generator keyed by (seed, stream)."""
-    key = (int(seed) & _MASK64) | ((int(stream) & _MASK64) << 64)
-    return np.random.Generator(np.random.Philox(key=key))
+    """The counter-based generator keyed by (seed, stream), at the start
+    of its stream; valid until the next call (see the module docstring).
+
+    Its draws equal those of ``Generator(Philox(key=seed | stream << 64))``
+    (both taken modulo 2**64): the key, the counter, the output buffer and
+    the buffered 32-bit half are all reset.
+    """
+    rng = _generator()
+    key = np.array([int(seed) & _MASK64, int(stream) & _MASK64], dtype=np.uint64)
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZEROS, "key": key},
+        "buffer": _ZEROS,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,26 @@ stationary ensemble and its variance ladder in lockstep
 (``stationary_stats(..., companions=...)``), so each generation is drawn
 once for all of them.
 
+Snapshots are validated where they enter: ``Ensemble(...)`` and
+``uniform_ensemble`` check that every particle lies in [0, 1].  The
+snapshots ``pf_step`` returns skip that scan, because the step cannot
+leave [0, 1] for a rate law that ParameterDistribution accepts
+(0 <= low <= high <= 4):
+
+- The rate is fl(low + fl(u*w)) with w = fl(high - low) and u in
+  [0, 1).  Every term is >= 0, so the rate is >= 0.  fl(u*w) <= w, and
+  w errs by at most half an ulp of high, so low + fl(u*w) <= high +
+  ulp(high)/2.  Below 4 that rounds to at most the float after high,
+  which is <= 4.  At high = 4 either low = 0 and w is exact, or
+  high - low < 4 errs by at most 2**-52, under half the ulp above 4, so
+  the rate rounds to at most 4.
+- For a rate l <= 4 and x in [0, 1], fl(fl(l*x)*fl(1 - x)) lies in
+  [0, 1].  fl(l*x) <= 4x, which is exact.  For x >= 1/2, fl(1 - x) is exact
+  (Sterbenz), the product is at most 4x(1 - x) <= 1 before rounding
+  and so at most 1 after.  For x < 1/2, fl(1 - x) exceeds 1 - x by at
+  most 2**-54, and 4x < 2, so the product stays under 1 + 2**-53 and
+  rounds to at most 1.
+
 Run settings (sizes, averaging window, seed) come only from a
 MonteCarloConfig, which validates them once; a caller that needs another
 window or seed passes ``dataclasses.replace(cfg, ...)``.
@@ -52,6 +72,16 @@ class Ensemble:
         # min/max propagate NaN, so a NaN particle fails this test too
         if not (self.particles.min() >= 0.0 and self.particles.max() <= 1.0):
             raise DomainError("all particles must lie in [0, 1]")
+
+    @classmethod
+    def _unchecked(cls, particles: np.ndarray, generation: int, base_seed: int) -> "Ensemble":
+        """A snapshot of particles already known to lie in [0, 1], built
+        without the range scan (see the module docstring)."""
+        ens = object.__new__(cls)
+        object.__setattr__(ens, "particles", particles)
+        object.__setattr__(ens, "generation", generation)
+        object.__setattr__(ens, "base_seed", base_seed)
+        return ens
 
     @property
     def n(self) -> int:
@@ -171,6 +201,9 @@ def pf_step(ensemble: Ensemble, dist: ParameterDistribution) -> Ensemble:
     formed as low + (high - low)*u, the way Generator.uniform maps a
     variate, and the products keep the order of lam*x*(1 - x), so the
     in-place update is bit-identical to drawing uniform(low, high).
+
+    The result stays in [0, 1] by the argument in the module docstring,
+    so it is returned without a range scan.
     """
     u = _rate_variates(ensemble.base_seed, ensemble.generation + 1, ensemble.n)
     x = ensemble.particles
@@ -178,7 +211,7 @@ def pf_step(ensemble: Ensemble, dist: ParameterDistribution) -> Ensemble:
     y += dist.low
     y *= x
     y *= 1.0 - x
-    return Ensemble(particles=y, generation=ensemble.generation + 1, base_seed=ensemble.base_seed)
+    return Ensemble._unchecked(y, ensemble.generation + 1, ensemble.base_seed)
 
 
 def pf_iterate(ensemble: Ensemble, dist: ParameterDistribution, n: int) -> Ensemble:

@@ -3,10 +3,15 @@ map as the ensemble kernel pf_step applies it."""
 
 from __future__ import annotations
 
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stochlogistic import (
     Ensemble,
@@ -238,3 +243,36 @@ class TestStreamRegistry:
         bootstrap = {(8, BOOTSTRAP_STREAM)}
         assert not (init & rates or init & bootstrap or rates & bootstrap)
         assert set(keys) == init | rates | bootstrap
+
+
+class TestStreamGenerator:
+    """stream_rng re-keys one lazily built Philox generator."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        stream=st.integers(0, 2**64 - 1),
+        other=st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1)),
+        odd=st.integers(0, 20).map(lambda k: 2 * k + 1),
+        n=st.integers(0, 300),
+        m=st.integers(1, 2**40),
+        k=st.integers(0, 300),
+    )
+    def test_rekeyed_draws_equal_fresh_generator(self, seed, stream, other, odd, n, m, k):
+        # an odd count of small integers leaves half a 32-bit word buffered
+        stream_rng(*other).integers(0, 3, size=odd)
+        rng = stream_rng(seed, stream)
+        fresh = np.random.Generator(np.random.Philox(key=seed | stream << 64))
+        assert rng.random(n).tobytes() == fresh.random(n).tobytes()
+        assert rng.integers(0, m, size=k).tobytes() == fresh.integers(0, m, size=k).tobytes()
+
+    def test_import_does_not_load_numpy_random(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        code = (
+            f"import sys; sys.path.insert(0, {src!r}); import stochlogistic.cli; "
+            "print('numpy.random' in sys.modules)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True, timeout=60
+        )
+        assert out.stdout.strip() == "False"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from stochlogistic import (
     uniform_ensemble,
     variance_of_right_peak,
 )
+from stochlogistic import measure
 from stochlogistic.errors import DomainError, EmptyPeakError, RegimeError
 from stochlogistic.maps import stream_rng
 from stochlogistic.measure import ensemble_time_mean, right_derivative_profile, standard_error
@@ -418,6 +420,56 @@ class TestEnsembleValidation:
     def test_nan_rejected(self):
         with pytest.raises(DomainError):
             Ensemble(np.array([np.nan, 0.5]), 0, 0)
+
+
+def _neighbours(x: float, k: int) -> list[float]:
+    """x and the k floats on each side of it."""
+    out = [x]
+    for direction in (0.0, 1.0):
+        y = x
+        for _ in range(k):
+            y = float(np.nextafter(y, direction))
+            out.append(y)
+    return out
+
+
+#: The ends of [0, 1] and the states next to 1/2, where 4x(1-x) peaks and
+#: fl(1 - x) starts to round.
+_EDGE_STATES = [0.0, 1.0, *_neighbours(0.5, 16)]
+
+
+class TestStepRange:
+    """pf_step returns its snapshot without a range scan; the rounding
+    argument in the measure docstring keeps every particle in [0, 1]."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        law=st.one_of(
+            st.tuples(st.floats(0.0, 4.0), st.floats(0.0, 1.0)).map(
+                lambda t: (t[0], t[1] * min(t[0], 4.0 - t[0]))
+            ),
+            # high at or next to 4, from the narrowest window to [0, 4]
+            st.floats(0.0, 4.0).map(lambda low: ((4.0 + low) / 2.0, (4.0 - low) / 2.0)),
+        ),
+        extra=st.lists(st.floats(0.0, 1.0), max_size=40),
+        seed=st.integers(0, 2**64 - 1),
+        generation=st.integers(0, 10_000),
+    )
+    def test_step_stays_in_unit_interval(self, law, extra, seed, generation):
+        try:
+            dist = ParameterDistribution(*law)
+        except DomainError:
+            assume(False)
+        x = np.tile(np.array(_EDGE_STATES + extra), 16)
+        out = pf_step(Ensemble(x, generation, seed), dist).particles
+        assert np.all((out >= 0.0) & (out <= 1.0))
+        # the largest variate rounds the rate up the most
+        top = float(np.nextafter(1.0, 0.0))
+        with mock.patch.object(measure, "_rate_variates", lambda s, g, n: np.full(n, top)):
+            out = pf_step(Ensemble(x, generation, seed), dist).particles
+        rate = top * (dist.high - dist.low) + dist.low
+        assert rate <= 4.0
+        assert np.all((out >= 0.0) & (out <= 1.0))
 
 
 class TestMonteCarloConfig:
