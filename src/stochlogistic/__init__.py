@@ -36,10 +36,7 @@ from .experiments import (
     mean_comparison,
     stochastic_bifurcation,
 )
-from .maps import (
-    ParameterDistribution,
-    stream_rng,
-)
+from .maps import ParameterDistribution
 from .measure import (
     DEFAULT_SEED,
     Ensemble,

@@ -14,7 +14,6 @@ report of its period-2^rho window.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -508,24 +507,19 @@ class FlipFlopReport:
 _RHO_CENTERS = {1: 3.208, 2: 3.508}
 
 
-def _cascade_periods() -> tuple[np.ndarray, np.ndarray]:
-    """(rates, cycle lengths) of a 254-rate grid across the cascade range
-    (LAMBDA_C4_END, LAMBDA_C2_OMEGA), -1 where no cycle was found."""
-    grid = np.linspace(analytic.LAMBDA_C4_END, analytic.LAMBDA_C2_OMEGA, 257)[1:-1]
-    periods, _, _ = analytic.find_cycle(grid, np.full(len(grid), 0.5), burn=20_000)
-    return grid, periods
-
-
-def _window_for_rho(rho: int, delta_lambda: float, cascade) -> tuple[float, float]:
+def _window_for_rho(rho: int, delta_lambda: float) -> tuple[float, float]:
     """(lambda_bar, usable half-width) for a window inside the stable
-    period-2^rho regime; rho >= 3 windows are located on the grid scan
-    that ``cascade()`` returns (see _cascade_periods), and the half-width
-    is halved until both endpoints carry the requested cycle length."""
+    period-2^rho regime; rho >= 3 windows are located by scanning the
+    cascade range and shrinking the half-width until both endpoints
+    carry the requested cycle length."""
     target = 2**rho
     if rho in _RHO_CENTERS:
         center = _RHO_CENTERS[rho]
     else:
-        grid, periods = cascade()
+        grid = np.linspace(
+            analytic.LAMBDA_C4_END, analytic.LAMBDA_C2_OMEGA, 257
+        )[1:-1]
+        periods, _, _ = analytic.find_cycle(grid, np.full(len(grid), 0.5), burn=20_000)
         hits = np.flatnonzero(periods == target)
         if len(hits) == 0:
             raise WindowNotFoundError(
@@ -568,12 +562,10 @@ def flipflop_scan(
     if not (math.isfinite(delta_lambda) and delta_lambda > 0):
         raise DomainError(f"delta_lambda must be finite and > 0 for the scan, got {delta_lambda}")
     rows = []
-    # one grid scan per call, made only if some rho >= 3 needs it
-    cascade = functools.cache(_cascade_periods)
     for rho in rho_values:
         if rho < 1:
             raise DomainError(f"rho must be >= 1, got {rho}")
-        center, delta = _window_for_rho(rho, delta_lambda, cascade)
+        center, delta = _window_for_rho(rho, delta_lambda)
         rep = mean_comparison(center, delta, replace(cfg, seed=cfg.seed + rho))
         if rep.period != 2**rho:
             raise DomainError(

@@ -20,12 +20,11 @@ from stochlogistic import (
     lemma_suite,
     pf_iterate,
     pf_step,
-    stream_rng,
     uniform_ensemble,
 )
 from stochlogistic import measure
 from stochlogistic.errors import DomainError
-from stochlogistic.maps import BOOTSTRAP_STREAM, INIT_STREAM
+from stochlogistic.maps import BOOTSTRAP_STREAM, INIT_STREAM, stream_rng
 
 from oracles import quartic_two_cycle
 
@@ -265,6 +264,15 @@ class TestStreamGenerator:
         fresh = np.random.Generator(np.random.Philox(key=seed | stream << 64))
         assert rng.random(n).tobytes() == fresh.random(n).tobytes()
         assert rng.integers(0, m, size=k).tobytes() == fresh.integers(0, m, size=k).tobytes()
+
+    def test_each_call_rekeys_the_same_generator(self):
+        # a generator that stream_rng returned is valid until its next call:
+        # the next call re-keys it, so an earlier handle draws the new stream
+        first = stream_rng(5, 1)
+        second = stream_rng(5, 2)
+        assert first is second
+        fresh = np.random.Generator(np.random.Philox(key=5 | 2 << 64))
+        assert first.random(8).tobytes() == fresh.random(8).tobytes()
 
     def test_import_does_not_load_numpy_random(self):
         src = str(Path(__file__).resolve().parents[1] / "src")
