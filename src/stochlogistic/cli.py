@@ -16,8 +16,8 @@ Settings come from defaults, then an optional flat key=value config file
 (--config), then explicit flags, in increasing precedence.  The config
 keys are the keys of OPTIONS, which also defines every flag.  A default
 fills a setting only when it is missing, so an explicit zero is
-validated, never replaced.  The seed always defaults to the fixed
-constant 12345, never the clock.
+validated, never replaced.  The seed, an integer in [0, 2**64), defaults
+to the fixed constant 12345, never the clock.
 
 Exit codes: 0 success, 2 validation error (bad flag, malformed config,
 window in the wrong regime), 1 runtime failure during computation.
@@ -48,6 +48,12 @@ def _finite(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _seed(text: str) -> int:
+    if not 0 <= (value := int(text)) < 2**64:
+        raise argparse.ArgumentTypeError(f"seed must be an integer in [0, 2**64), got {text!r}")
     return value
 
 
@@ -84,7 +90,7 @@ OPTIONS = {
         {"help": "comma-separated generations to snapshot"},
     ),
     "rho": ("--rho", _int_list, (1, 2, 3), {"help": "comma-separated doubling levels"}),
-    "seed": ("--seed", int, DEFAULT_SEED, {"help": f"RNG seed (default {DEFAULT_SEED})"}),
+    "seed": ("--seed", _seed, DEFAULT_SEED, {"help": f"RNG seed in [0, 2**64) (default {DEFAULT_SEED})"}),
     "outdir": ("--outdir", str, None, {"help": "output directory"}),
     "format": ("--format", _format_list, None, {"help": "comma-separated subset of csv,json,svg"}),
     "scale": (
@@ -225,15 +231,15 @@ def _run_bifurcation(ns) -> int:
     )
 
     def sweep_csv():
-        # long format, one (rate, terminal state) row per initial condition,
-        # formatted a block of rows at a time: the bytes csv.writer gives
-        # these strings, with the memory of one block
-        states = data.terminal_states.ravel()
-        lams = data.parameters.repeat(data.terminal_states.shape[1])
+        # long format in csv.writer's bytes, a block of rows at a time; each
+        # rate is formatted once and joined between the states of its grid row
+        states, n = data.terminal_states.ravel(), data.terminal_states.shape[1]
+        rates = ["%.17g," % lam for lam in data.parameters.tolist()]
         yield "parameter,terminal_state\r\n"
         for i in range(0, len(states), _CSV_BLOCK):
-            block = slice(i, i + _CSV_BLOCK)
-            yield "".join(map("{:.17g},{:.17g}\r\n".format, lams[block].tolist(), states[block].tolist()))
+            cells = ["%.17g\r\n" % x for x in states[i : i + _CSV_BLOCK].tolist()]
+            rows = range(i // n, (i + len(cells) - 1) // n + 1)
+            yield "".join(rates[r] + rates[r].join(cells[max(r * n - i, 0) : (r + 1) * n - i]) for r in rows)
 
     return _write(
         ns,

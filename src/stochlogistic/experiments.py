@@ -98,9 +98,12 @@ def deterministic_bifurcation(
     if n_init < 1 or n_iter < 0:
         raise DomainError("need n_init >= 1 and n_iter >= 0")
     x = stream_rng(seed, INIT_STREAM).random((len(grid), n_init))
-    lam = grid[:, None]
+    # (lam*x)*(1-x) in place: the rounding of lam*x*(1-x), no new arrays
+    lam, t = np.repeat(grid[:, None], n_init, axis=1), np.empty_like(x)
     for _ in range(n_iter):
-        x = lam * x * (1.0 - x)
+        np.multiply(lam, x, out=t)
+        np.subtract(1.0, x, out=x)
+        np.multiply(t, x, out=x)
     return BifurcationDataset(
         kind="deterministic",
         parameters=grid,
@@ -503,34 +506,25 @@ class FlipFlopReport:
         }
 
 
-#: Default window centers for the first two doubling levels.
-_RHO_CENTERS = {1: 3.208, 2: 3.508}
+#: Window center per doubling level (see _window_for_rho).
+_RHO_CENTERS = {1: 3.208, 2: 3.508, 3: 3.5542420703124997, 4: 3.5665659765625,
+                5: 3.5691923828125, 6: 3.5697984765625}
 
 
 def _window_for_rho(rho: int, delta_lambda: float) -> tuple[float, float]:
-    """(lambda_bar, usable half-width) for a window inside the stable
-    period-2^rho regime; rho >= 3 windows are located by scanning the
-    cascade range and shrinking the half-width until both endpoints
-    carry the requested cycle length."""
+    """(lambda_bar, usable half-width) inside the stable period-2^rho
+    regime: the tabulated center, with the half-width halved until both
+    endpoints carry the cycle length.  The rho >= 3 centers are the mean of
+    the longest run of period-2^rho rates that ``find_cycle`` (start 0.5,
+    burn 20,000) finds on linspace(LAMBDA_C4_END, LAMBDA_C2_OMEGA, 257)[1:-1],
+    the results of a scan that a test regenerates; it finds no period 128."""
     target = 2**rho
-    if rho in _RHO_CENTERS:
-        center = _RHO_CENTERS[rho]
-    else:
-        grid = np.linspace(
-            analytic.LAMBDA_C4_END, analytic.LAMBDA_C2_OMEGA, 257
-        )[1:-1]
-        periods, _, _ = analytic.find_cycle(grid, np.full(len(grid), 0.5), burn=20_000)
-        hits = np.flatnonzero(periods == target)
-        if len(hits) == 0:
-            raise WindowNotFoundError(
-                f"no rate with a stable cycle of length {target} found in "
-                f"({analytic.LAMBDA_C4_END}, {analytic.LAMBDA_C2_OMEGA})"
-            )
-        # longest contiguous run of hits
-        breaks = np.flatnonzero(np.diff(hits) > 1)
-        segments = np.split(hits, breaks + 1)
-        run = max(segments, key=len)
-        center = float(grid[run].mean())
+    if rho not in _RHO_CENTERS:
+        raise WindowNotFoundError(
+            f"no rate with a stable cycle of length {target} found in "
+            f"({analytic.LAMBDA_C4_END}, {analytic.LAMBDA_C2_OMEGA})"
+        )
+    center = _RHO_CENTERS[rho]
     delta = delta_lambda
     while delta >= 1e-6:
         # the upper endpoint is tested only when the lower one holds: it

@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from stochlogistic import Histogram, uniform_ensemble
+from stochlogistic import Histogram, deterministic_bifurcation, uniform_ensemble
 from stochlogistic.cli import ENV_OUTDIR, OPTIONS, load_config, parse_and_dispatch
 from stochlogistic.errors import ConfigError, DomainError
 from stochlogistic.svgplot import Marker, render_histograms, render_scatter
@@ -75,6 +78,39 @@ class TestBifurcation:
         assert len(rows) == 1 + 3 * 5
         for _, x in rows[1:]:
             assert 0.0 <= float(x) <= 1.0
+
+    @pytest.mark.parametrize(
+        "to, step, n_init",
+        [("3.4", "0.01", 101), ("3.5", "0.5", 4500)],
+        ids=["41x101-boundary-inside-a-rate", "2x4500-rate-spans-blocks"],
+    )
+    def test_csv_bytes_across_row_blocks(self, to, step, n_init, tmp_path, capsys):
+        # more rows than one 4,096-row block; the file must be the per-row
+        # "{:.17g},{:.17g}" text of the sweep
+        argv = ["bifurcation", "--from", "3.0", "--to", to, "--step", step,
+                "--n-init", str(n_init), "--n-iter", "20", "--seed", "5"]
+        assert run(argv, tmp_path) == 0
+        data = deterministic_bifurcation(3.0, float(to), float(step), n_init=n_init, n_iter=20, seed=5)
+        assert data.terminal_states.size > 4096
+        expected = "parameter,terminal_state\r\n" + "".join(
+            "{:.17g},{:.17g}\r\n".format(lam, x)
+            for lam, row in zip(data.parameters, data.terminal_states)
+            for x in row
+        )
+        path = tmp_path / f"bifurcation-deterministic-3to{to}-0-5.csv"
+        assert path.read_bytes() == expected.encode()
+
+    @given(st.floats())
+    @example(math.nan)
+    @example(math.inf)
+    @example(-math.inf)
+    @example(-0.0)
+    @example(5e-324)
+    @example(2.225073858507201e-308)
+    def test_percent_format_equals_str_format(self, v):
+        # the sweep CSV formats with "%.17g"; its bytes were pinned with
+        # str.format's "{:.17g}"
+        assert "%.17g" % v == "{:.17g}".format(v)
 
     def test_unknown_flag_exit_2(self, tmp_path):
         assert run(["bifurcation", "--not-a-flag", "1"], tmp_path) == 2
@@ -201,6 +237,32 @@ class TestFiniteFloats:
         assert parse_and_dispatch([*base, "--config", str(cfg), "--outdir", str(out)]) == 2
         assert "finite" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestSeedRange:
+    """The seed keys the streams as a 64-bit word, so only integers in
+    [0, 2**64) are seeds; anything else would silently alias another
+    seed's draws under its own file name."""
+
+    @pytest.mark.parametrize(
+        "value", ["-1", str(2**64), str(2**70), "1.5"], ids=["minus-1", "2-64", "2-70", "float"]
+    )
+    def test_rejected_with_exit_2(self, value, tmp_path, capsys):
+        base = ["compare", "--lambda-bar", "3.2", "--delta", "0.05", *FAST_COMPARE]
+        out = tmp_path / "out"
+        assert parse_and_dispatch([*base, f"--seed={value}", "--outdir", str(out)]) == 2
+        assert "error:" in capsys.readouterr().err
+        cfg = tmp_path / "settings.cfg"
+        cfg.write_text(f"seed = {value}\n")
+        assert parse_and_dispatch([*base, "--config", str(cfg), "--outdir", str(out)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_endpoints_accepted(self, seed, tmp_path, capsys):
+        argv = ["bifurcation", "--from", "3", "--to", "3", "--n-init", "2", "--n-iter", "3"]
+        assert run([*argv, "--seed", str(seed)], tmp_path) == 0
+        assert [p.name for p in tmp_path.iterdir()] == [f"bifurcation-deterministic-3to3-0-{seed}.csv"]
 
 
 class TestSvgOnlyWhereDrawn:

@@ -9,6 +9,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stochlogistic import (
     MonteCarloConfig,
@@ -31,6 +33,7 @@ from stochlogistic.errors import (
 )
 
 from stochlogistic import analytic, experiments
+from stochlogistic.maps import INIT_STREAM, stream_rng
 from stochlogistic.measure import pf_iterate, right_derivative_profile, uniform_ensemble
 
 from oracles import band_geometry, quartic_two_cycle, two_cycle_mean
@@ -70,6 +73,24 @@ class TestDeterministicBifurcation:
             deterministic_bifurcation(2.0, 1.0, step=0.1)
         with pytest.raises(DomainError):
             deterministic_bifurcation(1.0, 2.0, step=-0.1)
+
+    @settings(max_examples=40, deadline=None)
+    @example(lo=3.5, width=0.5, n_init=3, n_iter=0, seed=7)
+    @given(
+        lo=st.floats(0.0, 4.0),
+        width=st.floats(0.0, 1.0),
+        n_init=st.integers(1, 7),
+        n_iter=st.integers(0, 40),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_in_place_step_equals_allocating_loop(self, lo, width, n_init, n_iter, seed):
+        hi = min(lo + width, 4.0)
+        data = deterministic_bifurcation(lo, hi, step=0.25, n_init=n_init, n_iter=n_iter, seed=seed)
+        x = stream_rng(seed, INIT_STREAM).random(data.terminal_states.shape)
+        lam = data.parameters[:, None]
+        for _ in range(n_iter):
+            x = lam * x * (1.0 - x)
+        assert data.terminal_states.tobytes() == x.tobytes()
 
 
 def _band_hull(lam: float, delta: float) -> tuple[float, float]:
@@ -359,6 +380,18 @@ class TestFlipFlopScan:
     def test_unattainable_period(self):
         with pytest.raises(WindowNotFoundError):
             flipflop_scan((9,), 0.01, FAST)
+
+    def test_tabulated_centers_are_the_cascade_scan(self):
+        # the scan the rho >= 3 centers were taken from: the longest run of
+        # period-2^rho rates on the interior of the cascade grid
+        grid = np.linspace(analytic.LAMBDA_C4_END, analytic.LAMBDA_C2_OMEGA, 257)[1:-1]
+        periods, _, _ = analytic.find_cycle(grid, np.full(len(grid), 0.5), burn=20_000)
+        for rho in range(3, 7):
+            hits = np.flatnonzero(periods == 2**rho)
+            run = max(np.split(hits, np.flatnonzero(np.diff(hits) > 1) + 1), key=len)
+            assert experiments._RHO_CENTERS[rho] == float(grid[run].mean())
+        assert not np.any(periods == 128)
+        assert 7 not in experiments._RHO_CENTERS
 
     def test_validation(self):
         with pytest.raises(DomainError):

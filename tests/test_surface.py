@@ -5,15 +5,19 @@ Every public module-level function, class and constant of
 name read in an expression or annotation, or as an attribute.  An
 ``import`` or an ``__init__`` re-export is not a use, so a name that only
 tests reach fails here; such API is either wired into a subcommand or
-deleted.
+deleted.  The benchmark's span tracer (``stochbench/spans.py``) names
+the functions it times; every one of them must still exist, or a traced
+run drops that metric.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib.util
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "stochlogistic"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "stochlogistic"
 
 
 def _public_definitions(tree: ast.Module) -> list[str]:
@@ -50,3 +54,23 @@ def test_every_public_name_is_loaded_in_src():
         if name not in loaded
     ]
     assert not unused, f"public names that nothing in src/ loads: {unused}"
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("stochbench_spans", ROOT / "stochbench" / "spans.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_metric_is_present():
+    # before any call, a span that exists reports zero calls; a renamed or
+    # deleted function is missing from the aggregate and its metric absent
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        metrics = spans.layer_metrics(tracer.aggregate())
+    finally:
+        tracer.uninstall()
+    assert sorted(set(spans.METRICS) - set(metrics)) == []
