@@ -12,7 +12,6 @@ from .analytic import (
     Period2Pair,
     Regime,
     SupportIntervals,
-    WindowCase,
     check_ordering,
     classify_regime,
     convexity_on_interval,
@@ -44,7 +43,6 @@ from .measure import (
     MonteCarloConfig,
     pf_iterate,
     pf_step,
-    right_derivative_profile,
     stationary_stats,
     uniform_ensemble,
     variance_of_right_peak,

@@ -27,9 +27,13 @@ LAMBDA_C4_END = 3.54409
 LAMBDA_C2_OMEGA = 3.56995
 LAMBDA_C3 = 3.8284
 
-#: Default burn-in before cycle detection; the critical point x = 0.5
-#: is in the attracting basin throughout the stable-periodic range.
+#: Burn-in before cycle detection; the critical point x = 0.5 is in the
+#: attracting basin throughout the stable-periodic range.
 PERIOD_BURN_IN = 10_000
+#: Largest |x_{n+k} - x_n| that counts as a repeat of the cycle.
+PERIOD_TOL = 1e-9
+#: Iterations cycle detection spends before it gives up.
+PERIOD_MAX_ITER = 200_000
 _MAX_PERIOD = 64
 _CHECK_SPAN = 64
 
@@ -44,24 +48,12 @@ class Regime(enum.Enum):
     CASCADE = "cascade_or_beyond"
 
 
-class WindowCase(enum.Enum):
-    """Position of a growth-rate window relative to 1 + sqrt(5), the
-    rate at which the lower two-cycle point sits on the map's vertex
-    x = 1/2; decided by comparing the two-cycle points to 1/2 so that
-    windows straddling that rate are handled."""
-
-    ABOVE = "lambda_above"
-    BELOW = "lambda_below"
-    SPANS = "lambda_equal"
-
-
 @dataclass(frozen=True)
 class Period2Pair:
     """The attracting two-cycle {p, q} of the fixed-rate map, p <= q."""
 
     p: float
     q: float
-    lam: float
 
 
 @dataclass(frozen=True)
@@ -75,7 +67,6 @@ class SupportIntervals:
     p_hi: float
     q_lo: float
     q_hi: float
-    case: WindowCase
 
     @property
     def I_p(self) -> tuple[float, float]:
@@ -111,7 +102,7 @@ def period2_points(lam: float) -> Period2Pair:
     root = math.sqrt((lam - 3.0) * (lam + 1.0))
     p = (lam + 1.0 - root) / (2.0 * lam)
     q = (lam + 1.0 + root) / (2.0 * lam)
-    return Period2Pair(p=p, q=q, lam=lam)
+    return Period2Pair(p=p, q=q)
 
 
 _BOUNDARIES = (
@@ -155,21 +146,21 @@ def classify_regime(lambda_lo: float, lambda_hi: float) -> Regime:
     )
 
 
-def detect_period(lam: float, tol: float = 1e-9, max_iter: int = 200_000) -> int:
-    """Smallest k <= 64 with |x_{n+k} - x_n| < tol along the orbit of
-    x0 = 0.5 after burn-in.
+def detect_period(lam: float) -> int:
+    """Smallest k <= 64 with |x_{n+k} - x_n| < PERIOD_TOL along the orbit
+    of x0 = 0.5 after burn-in.
 
-    Burn-in starts at PERIOD_BURN_IN and is extended until max_iter
+    Burn-in starts at PERIOD_BURN_IN and is extended until PERIOD_MAX_ITER
     total iterations are spent; ConvergenceError if no cycle length is
     found by then (chaotic rate, or a neutral boundary value).
     """
-    return _converged_cycle(lam, tol, max_iter)[0]
+    return _converged_cycle(lam)[0]
 
 
-def find_cycle(lam, x, burn: int, tol: float = 1e-9):
+def find_cycle(lam, x, burn: int):
     """Burn x in for ``burn`` steps at rate lam, record the next 128
-    states, and return (smallest k <= 64 with |x_{n+k} - x_n| < tol on
-    the first 64 of them, -1 where none; the state where recording
+    states, and return (smallest k <= 64 with |x_{n+k} - x_n| < PERIOD_TOL
+    on the first 64 of them, -1 where none; the state where recording
     began; the last state).  Floats for one rate keep a fast scalar loop;
     arrays for a grid of rates give elementwise the same numbers."""
     for _ in range(burn):
@@ -182,29 +173,27 @@ def find_cycle(lam, x, burn: int, tol: float = 1e-9):
     orbit = np.array(states)
     period = np.full(np.shape(x), -1)
     for k in range(1, _MAX_PERIOD + 1):
-        hit = np.all(np.abs(orbit[k : k + _CHECK_SPAN] - orbit[:_CHECK_SPAN]) < tol, axis=0)
+        hit = np.all(np.abs(orbit[k : k + _CHECK_SPAN] - orbit[:_CHECK_SPAN]) < PERIOD_TOL, axis=0)
         period = np.where((period < 0) & hit, k, period)
         if np.all(period > 0):
             break
     return period, start, x
 
 
-def _converged_cycle(lam: float, tol: float = 1e-9, max_iter: int = 200_000) -> tuple[int, float]:
+def _converged_cycle(lam: float) -> tuple[int, float]:
     """detect_period's cycle length together with the orbit state at
     which the successful check began."""
-    if tol <= 0:
-        raise DomainError(f"tol must be > 0, got {tol}")
     if not 0.0 <= lam <= 4.0:
         raise DomainError(f"growth rate must lie in [0, 4], got {lam}")
     x, spent = 0.5, 0
-    while spent < max_iter:
-        burn = min(PERIOD_BURN_IN, max_iter - spent)
-        period, start, x = find_cycle(lam, x, burn, tol)
+    while spent < PERIOD_MAX_ITER:
+        burn = min(PERIOD_BURN_IN, PERIOD_MAX_ITER - spent)
+        period, start, x = find_cycle(lam, x, burn)
         if period > 0:
             return int(period), start
         spent += burn + _CHECK_SPAN + _MAX_PERIOD
     raise ConvergenceError(
-        f"no cycle of length <= {_MAX_PERIOD} within {max_iter} iterations at lam={lam}"
+        f"no cycle of length <= {_MAX_PERIOD} within {PERIOD_MAX_ITER} iterations at lam={lam}"
     )
 
 
@@ -264,14 +253,9 @@ def support_intervals(lambda_bar: float, delta_lambda: float) -> SupportInterval
     q_lo = min(q_minus, a * p_plus * (1.0 - p_plus))
     candidates = [b * p_plus * (1.0 - p_plus), b * p_minus * (1.0 - p_minus)]
     if p_plus <= 0.5 <= p_minus:
-        case = WindowCase.SPANS
         candidates.append(b / 4.0)
-    elif p_minus < 0.5:
-        case = WindowCase.ABOVE
-    else:
-        case = WindowCase.BELOW
     q_hi = max(candidates)
-    return SupportIntervals(p_lo=p_lo, p_hi=p_hi, q_lo=q_lo, q_hi=q_hi, case=case)
+    return SupportIntervals(p_lo=p_lo, p_hi=p_hi, q_lo=q_lo, q_hi=q_hi)
 
 
 def check_ordering(

@@ -171,7 +171,7 @@ def _resolve(ns: argparse.Namespace, config: dict) -> None:
 
 
 def _mc_config(ns) -> MonteCarloConfig:
-    base = MonteCarloConfig.paper() if ns.scale == "paper" else MonteCarloConfig.desk()
+    base = MonteCarloConfig.paper() if ns.scale == "paper" else MonteCarloConfig()
     generations = base.generations if ns.generations is None else ns.generations
     return MonteCarloConfig(
         n_particles=base.n_particles if ns.particles is None else ns.particles,

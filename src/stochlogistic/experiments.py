@@ -4,6 +4,9 @@ deterministic mean comparisons with z-scored verdicts, the lemma
 verification suite for the two-cycle regime, and the sign scanner for
 the alternation of the mean inequality across period-2^rho regimes.
 
+Both bifurcation sweeps share one in-place map step; at zero half-width
+the stochastic sweep draws nothing after the initial states.
+
 Every experiment is a pure function of its configuration and seed;
 reruns produce identical artifacts byte for byte.  The ensemble
 experiments take their seed and averaging window from the
@@ -31,10 +34,10 @@ from .measure import (
     ensemble_time_mean,
     pf_iterate,
     pf_step,
-    right_derivative_profile,
     standard_error,
     stationary_stats,
     uniform_ensemble,
+    variance_of_right_peak,
 )
 
 #: z threshold separating a conclusive verdict from Monte-Carlo noise.
@@ -82,76 +85,50 @@ def _rate_grid(lam_lo: float, lam_hi: float, step: float) -> np.ndarray:
     return grid
 
 
-def deterministic_bifurcation(
-    lam_lo: float,
-    lam_hi: float,
-    step: float = 0.001,
-    n_init: int = 100,
-    n_iter: int = 1000,
-    seed: int = 12345,
+def _sweep(
+    kind: str, lam_lo: float, lam_hi: float, step: float, delta_lambda: float,
+    n_init: int, n_iter: int, seed: int,
 ) -> BifurcationDataset:
     """Iterate n_init uniform initial conditions n_iter times at every
-    rate on the grid and record the final state of each."""
-    grid = _rate_grid(lam_lo, lam_hi, step)
-    if grid[0] < 0.0 or grid[-1] > 4.0:
-        raise DomainError(f"rate grid must stay inside [0, 4], got [{lam_lo}, {lam_hi}]")
-    if n_init < 1 or n_iter < 0:
-        raise DomainError("need n_init >= 1 and n_iter >= 0")
-    x = stream_rng(seed, INIT_STREAM).random((len(grid), n_init))
-    # (lam*x)*(1-x) in place: the rounding of lam*x*(1-x), no new arrays
-    lam, t = np.repeat(grid[:, None], n_init, axis=1), np.empty_like(x)
-    for _ in range(n_iter):
-        np.multiply(lam, x, out=t)
-        np.subtract(1.0, x, out=x)
-        np.multiply(t, x, out=x)
-    return BifurcationDataset(
-        kind="deterministic",
-        parameters=grid,
-        terminal_states=x,
-        delta_lambda=0.0,
-        n_iter=n_iter,
-        seed=seed,
-    )
-
-
-def stochastic_bifurcation(
-    lam_lo: float,
-    lam_hi: float,
-    step: float = 0.01,
-    delta_lambda: float = 0.1,
-    n_init: int = 100,
-    n_iter: int = 1000,
-    seed: int = 12345,
-) -> BifurcationDataset:
-    """Same sweep with a fresh rate draw per path and per iteration,
-    uniform in [lambda_bar - delta, lambda_bar + delta] for each grid
-    value of lambda_bar.  With delta_lambda = 0 the output coincides
-    with the deterministic sweep at the same seed."""
+    rate on the grid and record the final state of each; with
+    delta_lambda > 0 every path redraws its rate each step, uniform in
+    [rate - delta_lambda, rate + delta_lambda], from stream g+1."""
     if not delta_lambda >= 0:  # also rejects NaN
         raise DomainError(f"delta_lambda must be >= 0, got {delta_lambda}")
     grid = _rate_grid(lam_lo, lam_hi, step)
     if grid[0] - delta_lambda < 0.0 or grid[-1] + delta_lambda > 4.0:
-        raise DomainError(
-            f"rate window must stay inside [0, 4]; grid [{lam_lo}, {lam_hi}] "
-            f"with half-width {delta_lambda} does not"
-        )
+        raise DomainError(f"rates [{lam_lo}, {lam_hi}] +/- {delta_lambda} must stay inside [0, 4]")
     if n_init < 1 or n_iter < 0:
         raise DomainError("need n_init >= 1 and n_iter >= 0")
-    shape = (len(grid), n_init)
-    x = stream_rng(seed, INIT_STREAM).random(shape)
-    center = grid[:, None]
-    for t in range(n_iter):
-        offsets = stream_rng(seed, t + 1).uniform(-1.0, 1.0, size=shape)
-        lam = center + delta_lambda * offsets
-        x = lam * x * (1.0 - x)
-    return BifurcationDataset(
-        kind="stochastic",
-        parameters=grid,
-        terminal_states=x,
-        delta_lambda=delta_lambda,
-        n_iter=n_iter,
-        seed=seed,
-    )
+    x = stream_rng(seed, INIT_STREAM).random((len(grid), n_init))
+    lam, t = np.repeat(grid[:, None], n_init, axis=1), np.empty_like(x)
+    for g in range(n_iter):
+        if delta_lambda > 0:
+            # delta*u + rate: the bits of rate + delta*u, as + and * commute
+            lam = stream_rng(seed, g + 1).uniform(-1.0, 1.0, size=x.shape)
+            lam *= delta_lambda
+            lam += grid[:, None]
+        # (lam*x)*(1-x) in place: the rounding of lam*x*(1-x), no new arrays
+        np.multiply(lam, x, out=t)
+        np.subtract(1.0, x, out=x)
+        np.multiply(t, x, out=x)
+    return BifurcationDataset(kind, grid, x, delta_lambda, n_iter, seed)
+
+
+def deterministic_bifurcation(
+    lam_lo: float, lam_hi: float, step: float, n_init: int, n_iter: int, seed: int
+) -> BifurcationDataset:
+    """The sweep at a fixed rate per grid point."""
+    return _sweep("deterministic", lam_lo, lam_hi, step, 0.0, n_init, n_iter, seed)
+
+
+def stochastic_bifurcation(
+    lam_lo: float, lam_hi: float, step: float, delta_lambda: float,
+    n_init: int, n_iter: int, seed: int,
+) -> BifurcationDataset:
+    """The sweep with each path's rate redrawn every step around its grid
+    value; delta_lambda = 0 gives the deterministic sweep at the same seed."""
+    return _sweep("stochastic", lam_lo, lam_hi, step, delta_lambda, n_init, n_iter, seed)
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,11 +138,8 @@ class EvolutionSnapshot:
 
 
 def distribution_evolution(
-    dist: ParameterDistribution,
-    n_particles: int = 1000,
-    checkpoints: tuple[int, ...] = (0, 1, 10, 50, 100, 10_000),
-    seed: int = 12345,
-    n_bins: int = 200,
+    dist: ParameterDistribution, n_particles: int, checkpoints: tuple[int, ...],
+    seed: int, n_bins: int,
 ) -> list[EvolutionSnapshot]:
     """Histogram snapshots of a uniform initial ensemble pushed through
     the transfer operator, taken at the checkpoint generations."""
@@ -422,10 +396,12 @@ def lemma_suite(
         )
     )
 
-    # (iv) right-peak variance ratio decay with analytic bound
-    profile = right_derivative_profile(lambda_bar, ladder, cfg, stats.companion_finals)
-    ratios = [r for (_, r, _) in profile]
-    ses = [s for (_, _, s) in profile]
+    # (iv) right-peak variance ratio V(h)/h decay with analytic bound
+    ratios, ses = [], []
+    for h, final in zip(ladder, stats.companion_finals):
+        v, se = variance_of_right_peak(lambda_bar, h, cfg, final)
+        ratios.append(v / h)
+        ses.append(se / h)
     monotone = all(
         ratios[i + 1] <= ratios[i] + Z_THRESHOLD * math.hypot(ses[i], ses[i + 1])
         for i in range(len(ratios) - 1)
@@ -548,10 +524,10 @@ def flipflop_scan(
     period-2^rho regimes.
 
     Each row is the ``mean_comparison`` report of the rho window, run
-    at seed cfg.seed + rho.  rho = 1 and 2 keep its verdict at the usual
-    z threshold; rows with rho >= 3 are exploratory (conjectured
-    alternation) and carry a 3-sigma confidence interval instead of a
-    pass/fail claim.
+    at seed cfg.seed + rho (DomainError past 2**64 - 1).  rho = 1 and 2
+    keep its verdict at the usual z threshold; rows with rho >= 3 are
+    exploratory (conjectured alternation) and carry a 3-sigma confidence
+    interval instead of a pass/fail claim.
     """
     if not (math.isfinite(delta_lambda) and delta_lambda > 0):
         raise DomainError(f"delta_lambda must be finite and > 0 for the scan, got {delta_lambda}")

@@ -93,7 +93,7 @@ class Ensemble:
 
 @dataclass(frozen=True, eq=False)
 class Histogram:
-    """Fixed-width binning of an ensemble snapshot."""
+    """Fixed-width binning of an ensemble snapshot over the unit interval."""
 
     edges: np.ndarray
     counts: np.ndarray
@@ -107,12 +107,10 @@ class Histogram:
         return int(self.counts.sum())
 
     @classmethod
-    def from_samples(
-        cls, values: np.ndarray, n_bins: int = 200, lo: float = 0.0, hi: float = 1.0
-    ) -> "Histogram":
+    def from_samples(cls, values: np.ndarray, n_bins: int = 200) -> "Histogram":
         if n_bins < 1:
             raise DomainError(f"n_bins must be >= 1, got {n_bins}")
-        edges = np.linspace(lo, hi, n_bins + 1)
+        edges = np.linspace(0.0, 1.0, n_bins + 1)
         counts, _ = np.histogram(values, bins=edges)
         return cls(edges=edges, counts=counts)
 
@@ -135,15 +133,15 @@ class MonteCarloConfig:
 
     ``window`` is the number of trailing generations pooled into time
     averages; it is clipped to a multiple of the cycle length where
-    parity matters.  Desk scale keeps every verdict run under a minute;
-    paper scale reproduces the publication protocol.
+    parity matters.  The defaults are desk scale (verdicts in under a
+    minute), ``paper()`` the publication protocol.  Seeds outside
+    [0, 2**64) are rejected: the streams would wrap them onto another.
     """
 
     n_particles: int = 2000
     generations: int = 2000
     window: int = 1000
     seed: int = 12345
-    bootstrap_resamples: int = 200
 
     def __post_init__(self) -> None:
         if self.n_particles < 2:
@@ -152,16 +150,12 @@ class MonteCarloConfig:
             raise DomainError("generations must be >= 1")
         if not 0 < self.window <= self.generations:
             raise DomainError("need 0 < window <= generations")
-        if self.bootstrap_resamples < 2:
-            raise DomainError("bootstrap_resamples must be >= 2")
+        if not 0 <= self.seed < 2**64:
+            raise DomainError(f"seed must be an integer in [0, 2**64), got {self.seed}")
 
     @classmethod
-    def desk(cls, seed: int = 12345) -> "MonteCarloConfig":
-        return cls(seed=seed)
-
-    @classmethod
-    def paper(cls, seed: int = 12345) -> "MonteCarloConfig":
-        return cls(n_particles=20_000, generations=10_000, window=5000, seed=seed)
+    def paper(cls) -> "MonteCarloConfig":
+        return cls(n_particles=20_000, generations=10_000, window=5000)
 
 
 DEFAULT_SEED = MonteCarloConfig().seed
@@ -239,7 +233,6 @@ class StationaryStats:
     left_sq_pp: np.ndarray
     right_mean_pp: np.ndarray
     window: int
-    threshold: float
     final: Ensemble
     companion_finals: tuple[Ensemble, ...]
 
@@ -305,7 +298,6 @@ def stationary_stats(
         left_sq_pp=lsq / lcnt,
         right_mean_pp=rsum / rcnt,
         window=w,
-        threshold=threshold,
         final=ens,
         companion_finals=tuple(others),
     )
@@ -323,6 +315,10 @@ def ensemble_time_mean(dist: ParameterDistribution, cfg: MonteCarloConfig) -> tu
         total += ens.particles
     per_particle = total / w
     return float(per_particle.mean()), standard_error(per_particle)
+
+
+#: Bootstrap resamples behind the standard error of a peak variance.
+BOOTSTRAP_RESAMPLES = 200
 
 
 def variance_of_right_peak(
@@ -355,31 +351,7 @@ def variance_of_right_peak(
     v = float(np.var(right))
     rng = stream_rng(cfg.seed, BOOTSTRAP_STREAM)
     m = len(right)
-    resampled = np.empty(cfg.bootstrap_resamples)
-    for i in range(cfg.bootstrap_resamples):
+    resampled = np.empty(BOOTSTRAP_RESAMPLES)
+    for i in range(BOOTSTRAP_RESAMPLES):
         resampled[i] = np.var(right[rng.integers(0, m, size=m)])
     return float(v), float(resampled.std(ddof=1))
-
-
-def right_derivative_profile(
-    lambda_bar: float,
-    h_values: list[float] | tuple[float, ...],
-    cfg: MonteCarloConfig,
-    finals: tuple[Ensemble, ...],
-) -> list[tuple[float, float, float]]:
-    """Ratios V(h)/h with standard errors for a decreasing ladder of
-    noise half-widths, from each rung's converged snapshot in
-    ``finals``; the decay of the ratio exhibits a vanishing right-hand
-    derivative of the right-peak variance at h = 0."""
-    hs = list(h_values)
-    if not hs or any(h <= 0 for h in hs):
-        raise DomainError("h_values must be positive")
-    if any(b >= a for a, b in zip(hs, hs[1:])):
-        raise DomainError("h_values must be strictly decreasing")
-    if len(finals) != len(hs):
-        raise DomainError(f"need one snapshot per half-width, got {len(finals)} for {len(hs)}")
-    out = []
-    for h, final in zip(hs, finals):
-        v, se = variance_of_right_peak(lambda_bar, h, cfg, final)
-        out.append((h, v / h, se / h))
-    return out

@@ -147,8 +147,6 @@ def render_histograms(
     labels: tuple[str, ...] | None = None,
     markers: tuple[Marker, ...] = (),
     title: str = "state distribution",
-    x_label: str = "x",
-    y_label: str = "density",
 ) -> str:
     """Overlaid step plots of one or more histograms, with optional
     vertical marker lines.  DomainError on empty input."""
@@ -160,7 +158,7 @@ def render_histograms(
     x_lo = min(float(h.edges[0]) for h in hists)
     x_hi = max(float(h.edges[-1]) for h in hists)
     y_hi = max(float(h.density().max()) for h in hists)
-    canvas = _Canvas((x_lo, x_hi), (0.0, 1.05 * y_hi), title, x_label, y_label)
+    canvas = _Canvas((x_lo, x_hi), (0.0, 1.05 * y_hi), title, "x", "density")
     slot = 0
     for idx, h in enumerate(hists):
         color = _PALETTE[idx % len(_PALETTE)]
@@ -188,8 +186,6 @@ def render_scatter(
     dataset,
     vlines: tuple[Marker, ...] = (),
     title: str = "bifurcation diagram",
-    x_label: str = "growth rate",
-    y_label: str = "terminal state",
 ) -> str:
     """Point cloud of (parameter, terminal state) pairs, one dot per
     sample, with optional vertical reference lines."""
@@ -198,7 +194,7 @@ def render_scatter(
     if len(params) == 0 or states.size == 0:
         raise DomainError("cannot render an empty dataset")
     canvas = _Canvas(
-        (float(params[0]), float(params[-1])), (0.0, 1.0), title, x_label, y_label
+        (float(params[0]), float(params[-1])), (0.0, 1.0), title, "growth rate", "terminal state"
     )
     dots = []
     for lam, row in zip(params, states):

@@ -15,7 +15,6 @@ from stochlogistic import (
     LAMBDA_C4,
     Ensemble,
     ParameterDistribution,
-    WindowCase,
     check_ordering,
     classify_regime,
     convexity_on_interval,
@@ -172,15 +171,11 @@ class TestDetectPeriod:
 
     def test_chaotic_rate_fails(self):
         with pytest.raises(ConvergenceError):
-            detect_period(3.9, max_iter=50_000)
+            detect_period(3.9)
 
     def test_preperiodic_critical_point_at_four(self):
         # x0 = 0.5 maps onto the fixed point 0 in two steps at lam = 4
         assert detect_period(4.0) == 1
-
-    def test_bad_tol(self):
-        with pytest.raises(DomainError):
-            detect_period(3.2, tol=0.0)
 
 
 class TestFindCycle:
@@ -239,8 +234,7 @@ class TestPeriodicOrbit:
         # burn-in pass is not enough, detection extends it, and the
         # recorded cycle must come from where detection converged
         lam = 3.0001
-        with pytest.raises(ConvergenceError):
-            detect_period(lam, max_iter=PERIOD_BURN_IN)
+        assert find_cycle(lam, 0.5, PERIOD_BURN_IN)[0] == -1
         p, q = quartic_two_cycle(lam)
         assert periodic_orbit(lam, 2) == pytest.approx([p, q], abs=1e-6)
 
@@ -252,7 +246,11 @@ class TestSupportIntervals:
         assert sup.p_hi == pytest.approx(0.594017, abs=1e-5)
         assert sup.q_lo == pytest.approx(0.764567, abs=1e-5)
         assert sup.q_hi == pytest.approx(0.825, abs=1e-5)
-        assert sup.case is WindowCase.SPANS
+        # 1/2 lies between the window's lower two-cycle points, so the
+        # q-side maximum is the vertex value b/4
+        a, b = 3.2 - 0.1, 3.2 + 0.1
+        assert period2_points(b).p <= 0.5 <= period2_points(a).p
+        assert sup.q_hi == b / 4.0
 
     def test_degenerate_window(self):
         pair = period2_points(3.2)
@@ -264,7 +262,12 @@ class TestSupportIntervals:
 
     def test_window_below_vertex(self):
         sup = support_intervals(3.15, 0.05)
-        assert sup.case is WindowCase.BELOW
+        # both lower two-cycle points sit right of the vertex, where the map
+        # decreases: the q-side maximum is the image of p(b), i.e. q(b)
+        b = 3.15 + 0.05
+        p_plus = period2_points(b).p
+        assert p_plus > 0.5
+        assert sup.q_hi == b * p_plus * (1.0 - p_plus)
         assert sup.q_lo == pytest.approx(period2_points(3.1).q, abs=1e-5)
         assert sup.q_hi == pytest.approx(period2_points(3.2).q, abs=1e-5)
         assert sup.q_lo == pytest.approx(0.764567, abs=1e-5)
@@ -272,8 +275,13 @@ class TestSupportIntervals:
 
     def test_window_above_vertex(self):
         sup = support_intervals(3.3, 0.02)
-        assert sup.case is WindowCase.ABOVE
         assert 3.3 - 0.02 > 1.0 + math.sqrt(5.0)
+        # both lower two-cycle points sit left of the vertex, where the map
+        # increases: the q-side maximum is the image of p(a) at rate b
+        a, b = 3.3 - 0.02, 3.3 + 0.02
+        p_minus = period2_points(a).p
+        assert p_minus < 0.5
+        assert sup.q_hi == b * p_minus * (1.0 - p_minus)
 
     def test_regime_error(self):
         with pytest.raises(RegimeError):

@@ -264,6 +264,18 @@ class TestSeedRange:
         assert run([*argv, "--seed", str(seed)], tmp_path) == 0
         assert [p.name for p in tmp_path.iterdir()] == [f"bifurcation-deterministic-3to3-0-{seed}.csv"]
 
+    @pytest.mark.parametrize(
+        "seed,rho", [(2**64 - 1, "1"), (2**64 - 2, "2"), (2**64 - 2, "1,2")], ids=["1", "2", "1-2"]
+    )
+    def test_flipflop_row_seed_past_the_top_rejected(self, seed, rho, tmp_path, capsys):
+        # row rho runs at seed + rho, which would wrap past 2**64 - 1 onto a
+        # small seed's draws: exit 2 and write nothing, even after a good row
+        argv = ["flipflop", "--rho", rho, "--particles", "50", "--generations", "100",
+                "--window", "50", "--seed", str(seed)]
+        assert run(argv, tmp_path) == 2
+        assert "error:" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestSvgOnlyWhereDrawn:
     """verify and flipflop have no drawing, so asking for one is bad

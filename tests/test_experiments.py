@@ -34,7 +34,8 @@ from stochlogistic.errors import (
 
 from stochlogistic import analytic, experiments
 from stochlogistic.maps import INIT_STREAM, stream_rng
-from stochlogistic.measure import pf_iterate, right_derivative_profile, uniform_ensemble
+from stochlogistic.cli import _SUBCOMMANDS, OPTIONS
+from stochlogistic.measure import pf_iterate, uniform_ensemble, variance_of_right_peak
 
 from oracles import band_geometry, quartic_two_cycle, two_cycle_mean
 
@@ -56,10 +57,18 @@ class TestDeterministicBifurcation:
         assert near_p.any() and near_q.any()
 
     def test_protocol_defaults(self):
-        sig = inspect.signature(deterministic_bifurcation)
-        assert sig.parameters["step"].default == 0.001
-        assert sig.parameters["n_init"].default == 100
-        assert sig.parameters["n_iter"].default == 1000
+        # the sweep protocol's defaults live in the CLI's option table alone
+        assert OPTIONS["step"][2] == 0.001
+        assert OPTIONS["n_init"][2] == 100
+        assert OPTIONS["n_iter"][2] == 1000
+        assert OPTIONS["delta"][2] == 0.0
+        assert OPTIONS["seed"][2] == 12345
+        assert OPTIONS["checkpoints"][2] == (0, 1, 10, 50, 100, 10_000)
+        assert OPTIONS["bins"][2] == 200
+        assert _SUBCOMMANDS["evolve"][3]["particles"] == 1000
+        for fn in (deterministic_bifurcation, stochastic_bifurcation, distribution_evolution):
+            params = inspect.signature(fn).parameters.values()
+            assert all(p.default is inspect.Parameter.empty for p in params), fn.__name__
 
     def test_grid_shape(self):
         data = deterministic_bifurcation(1.0, 2.0, step=0.25, n_init=3, n_iter=10, seed=3)
@@ -67,12 +76,13 @@ class TestDeterministicBifurcation:
         assert data.terminal_states.shape == (5, 3)
 
     def test_domain_errors(self):
+        sizes = {"n_init": 2, "n_iter": 3, "seed": 1}
         with pytest.raises(DomainError):
-            deterministic_bifurcation(3.0, 4.5, step=0.5)
+            deterministic_bifurcation(3.0, 4.5, step=0.5, **sizes)
         with pytest.raises(DomainError):
-            deterministic_bifurcation(2.0, 1.0, step=0.1)
+            deterministic_bifurcation(2.0, 1.0, step=0.1, **sizes)
         with pytest.raises(DomainError):
-            deterministic_bifurcation(1.0, 2.0, step=-0.1)
+            deterministic_bifurcation(1.0, 2.0, step=-0.1, **sizes)
 
     @settings(max_examples=40, deadline=None)
     @example(lo=3.5, width=0.5, n_init=3, n_iter=0, seed=7)
@@ -160,9 +170,50 @@ class TestStochasticBifurcation:
                 assert np.all(row >= center - width / 2 - 1e-12)
                 assert np.all(row <= center + width / 2 + 1e-12)
 
+    @settings(max_examples=60, deadline=None)
+    @example(lo=3.5, width=0.5, step=0.25, delta=0.0, n_init=3, n_iter=7, seed=7)
+    @example(lo=2.0, width=1.0, step=0.5, delta=0.1, n_init=2, n_iter=0, seed=2**64 - 1)
+    @given(
+        lo=st.floats(0.0, 4.0),
+        width=st.floats(0.0, 1.0),
+        step=st.floats(0.05, 1.0),
+        delta=st.one_of(st.just(0.0), st.floats(0.0, 0.5)),
+        n_init=st.integers(1, 7),
+        n_iter=st.integers(0, 40),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_sweep_equals_allocating_reference(self, lo, width, step, delta, n_init, n_iter, seed):
+        hi = min(lo + width, 4.0)
+        # keep the rate window inside [0, 4]: shrink delta to what the grid allows
+        delta = min(delta, lo, 4.0 - hi)
+        data = stochastic_bifurcation(
+            lo, hi, step=step, delta_lambda=delta, n_init=n_init, n_iter=n_iter, seed=seed
+        )
+        grid = data.parameters
+        shape = data.terminal_states.shape
+        x = stream_rng(seed, INIT_STREAM).random(shape)
+        for g in range(n_iter):
+            lam = grid[:, None] + delta * stream_rng(seed, g + 1).uniform(-1.0, 1.0, shape)
+            x = lam * x * (1.0 - x)
+        assert data.terminal_states.tobytes() == x.tobytes()
+
+    def test_zero_noise_draws_only_initial_states(self, monkeypatch):
+        keys = []
+
+        def recording(seed, stream):
+            keys.append((seed, stream))
+            return stream_rng(seed, stream)
+
+        monkeypatch.setattr(experiments, "stream_rng", recording)
+        stochastic_bifurcation(2.8, 3.6, step=0.1, delta_lambda=0.0, n_init=5, n_iter=30, seed=9)
+        assert keys == [(9, INIT_STREAM)]
+        keys.clear()
+        stochastic_bifurcation(2.8, 3.6, step=0.1, delta_lambda=0.01, n_init=5, n_iter=30, seed=9)
+        assert keys == [(9, INIT_STREAM), *((9, g) for g in range(1, 31))]
+
     def test_window_domain_error(self):
         with pytest.raises(DomainError):
-            stochastic_bifurcation(0.05, 3.0, step=0.5, delta_lambda=0.1)
+            stochastic_bifurcation(0.05, 3.0, step=0.5, delta_lambda=0.1, n_init=2, n_iter=3, seed=1)
 
 
 class TestDistributionEvolution:
@@ -205,12 +256,13 @@ class TestDistributionEvolution:
 
     def test_checkpoint_validation(self):
         dist = ParameterDistribution(2.0, 0.0)
+        sizes = {"n_particles": 10, "seed": 1, "n_bins": 5}
         with pytest.raises(DomainError):
-            distribution_evolution(dist, checkpoints=(5, 5))
+            distribution_evolution(dist, checkpoints=(5, 5), **sizes)
         with pytest.raises(DomainError):
-            distribution_evolution(dist, checkpoints=(10, 2))
+            distribution_evolution(dist, checkpoints=(10, 2), **sizes)
         with pytest.raises(DomainError):
-            distribution_evolution(dist, checkpoints=())
+            distribution_evolution(dist, checkpoints=(), **sizes)
 
 
 class TestMeanComparison:
@@ -336,12 +388,10 @@ class TestLemmaSuite:
             return next(c for c in checks if c.name == "right_variance_decay").details["ratio"]
 
         cfg = replace(base, seed=2)
-        ladder = experiments._variance_ladder(3.2)
-        finals = tuple(
-            pf_iterate(uniform_ensemble(300, cfg.seed), ParameterDistribution(3.2, h), 400)
-            for h in ladder
-        )
-        alone = [r for _, r, _ in right_derivative_profile(3.2, ladder, cfg, finals)]
+        alone = []
+        for h in experiments._variance_ladder(3.2):
+            final = pf_iterate(uniform_ensemble(300, cfg.seed), ParameterDistribution(3.2, h), 400)
+            alone.append(variance_of_right_peak(3.2, h, cfg, final)[0] / h)
         assert ratios(cfg) == alone
         assert ratios(cfg) != ratios(base)
 

@@ -16,6 +16,7 @@ from stochlogistic import (
     MonteCarloConfig,
     ParameterDistribution,
     fixed_point,
+    lemma_suite,
     period2_points,
     pf_iterate,
     pf_step,
@@ -27,7 +28,7 @@ from stochlogistic import (
 from stochlogistic import measure
 from stochlogistic.errors import DomainError, EmptyPeakError, RegimeError
 from stochlogistic.maps import stream_rng
-from stochlogistic.measure import ensemble_time_mean, right_derivative_profile, standard_error
+from stochlogistic.measure import ensemble_time_mean, standard_error
 
 from oracles import quartic_two_cycle
 
@@ -123,12 +124,6 @@ def _split(x: np.ndarray, lambda_bar: float) -> tuple[np.ndarray, np.ndarray, fl
 
 
 class TestSplitPeaks:
-    def test_threshold_value(self):
-        cfg = MonteCarloConfig(n_particles=100, generations=200, window=100, seed=1)
-        stats = stationary_stats(ParameterDistribution(3.208, 0.024), cfg)
-        assert stats.threshold == pytest.approx(0.6882793, abs=1e-7)
-        assert stats.threshold == fixed_point(3.208)
-
     def test_balanced_split_after_convergence(self):
         dist = ParameterDistribution(3.208, 0.024)
         e = pf_iterate(uniform_ensemble(2000, seed=9), dist, 2000)
@@ -303,25 +298,20 @@ class TestVarianceOfRightPeak:
 
 
 class TestRightDerivativeProfile:
-    def test_validation(self):
-        cfg = MonteCarloConfig()
-        e = uniform_ensemble(10, cfg.seed)
-        with pytest.raises(DomainError):
-            right_derivative_profile(3.2, [0.05, 0.05], cfg, (e, e))
-        with pytest.raises(DomainError):
-            right_derivative_profile(3.2, [-0.1], cfg, (e,))
-        with pytest.raises(DomainError):
-            right_derivative_profile(3.2, [], cfg, ())
-        # one snapshot per half-width
-        with pytest.raises(DomainError):
-            right_derivative_profile(3.2, [0.05, 0.025], cfg, (e,))
+    """Lemma check (iv): the ratio V(h)/h per rung of the variance ladder."""
 
     def test_shape(self):
         cfg = MonteCarloConfig(n_particles=500, generations=600, window=300, seed=16)
-        hs = [0.05, 0.025]
-        prof = right_derivative_profile(3.2, hs, cfg, tuple(_converged(3.2, h, cfg) for h in hs))
-        assert [h for h, _, _ in prof] == [0.05, 0.025]
-        assert all(r >= 0 and s >= 0 for _, r, s in prof)
+        checks = lemma_suite(3.2, 0.05, cfg).checks
+        details = next(c for c in checks if c.name == "right_variance_decay").details
+        hs = details["h"]
+        assert hs == [0.05, 0.025, 0.0125, 0.00625]
+        assert len(details["ratio"]) == len(details["ratio_se"]) == len(hs)
+        assert all(r >= 0 and s >= 0 for r, s in zip(details["ratio"], details["ratio_se"]))
+        # each rung is V(h)/h and se/h of that rung's converged snapshot
+        for h, ratio, ratio_se in zip(hs, details["ratio"], details["ratio_se"]):
+            v, se = variance_of_right_peak(3.2, h, cfg, _converged(3.2, h, cfg))
+            assert (ratio, ratio_se) == (v / h, se / h)
 
 
 class TestTimeAverages:
@@ -474,10 +464,24 @@ class TestStepRange:
 
 class TestMonteCarloConfig:
     def test_desk_and_paper_scales(self):
-        desk = MonteCarloConfig.desk()
+        desk = MonteCarloConfig()
         paper = MonteCarloConfig.paper()
-        assert (desk.n_particles, desk.generations) == (2000, 2000)
-        assert (paper.n_particles, paper.generations) == (20_000, 10_000)
+        assert (desk.n_particles, desk.generations, desk.window) == (2000, 2000, 1000)
+        assert (paper.n_particles, paper.generations, paper.window) == (20_000, 10_000, 5000)
+        assert desk.seed == paper.seed == 12345
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        # the streams key the seed modulo 2**64, so a wider one would alias
+        # another seed's draws
+        with pytest.raises(DomainError):
+            MonteCarloConfig(seed=seed)
+
+    def test_derived_seed_past_the_top_rejected(self):
+        assert MonteCarloConfig(seed=0).seed == 0
+        top = MonteCarloConfig(seed=2**64 - 1)
+        with pytest.raises(DomainError):
+            replace(top, seed=top.seed + 1)
 
     def test_validation(self):
         with pytest.raises(DomainError):

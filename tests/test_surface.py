@@ -5,7 +5,9 @@ Every public module-level function, class and constant of
 name read in an expression or annotation, or as an attribute.  An
 ``import`` or an ``__init__`` re-export is not a use, so a name that only
 tests reach fails here; such API is either wired into a subcommand or
-deleted.  The benchmark's span tracer (``stochbench/spans.py``) names
+deleted.  Likewise every field of a dataclass must be read as an
+attribute somewhere in the package, unless the class serializes all its
+fields through ``__dataclass_fields__``.  The benchmark's span tracer (``stochbench/spans.py``) names
 the functions it times; every one of them must still exist, or a traced
 run drops that metric.
 """
@@ -54,6 +56,41 @@ def test_every_public_name_is_loaded_in_src():
         if name not in loaded
     ]
     assert not unused, f"public names that nothing in src/ loads: {unused}"
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if isinstance(target, ast.Name) and target.id == "dataclass":
+            return True
+    return False
+
+
+def _read_attributes(tree: ast.Module) -> set[str]:
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def test_every_dataclass_field_is_read_in_src():
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    read = set().union(*(_read_attributes(tree) for tree in trees.values()))
+    unread = []
+    for module, tree in trees.items():
+        for cls in tree.body:
+            if not (isinstance(cls, ast.ClassDef) and _is_dataclass(cls)):
+                continue
+            if "__dataclass_fields__" in _read_attributes(cls):
+                continue  # every field is serialized
+            fields = [
+                node.target.id
+                for node in cls.body
+                if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+            ]
+            unread.extend(f"{module[:-3]}.{cls.name}.{f}" for f in fields if f not in read)
+    assert not unread, f"dataclass fields that nothing in src/ reads: {unread}"
 
 
 def _load_spans():
