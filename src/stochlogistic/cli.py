@@ -37,7 +37,8 @@ from pathlib import Path
 from . import analytic, experiments, svgplot
 from .errors import ConfigError, DomainError, RegimeError
 from .maps import ParameterDistribution
-from .measure import DEFAULT_SEED, MonteCarloConfig, pf_iterate, uniform_ensemble, Histogram
+# pf_iterate and uniform_ensemble go unused here: stochbench/test_bench.py asserts cli holds them
+from .measure import DEFAULT_SEED, MonteCarloConfig, pf_iterate, uniform_ensemble, Histogram  # noqa: F401
 
 ENV_OUTDIR = "STOCHLOGISTIC_OUTDIR"
 
@@ -295,8 +296,7 @@ def _run_evolve(ns) -> int:
 
 
 def _run_compare(ns) -> int:
-    cfg = _mc_config(ns)
-    report = experiments.mean_comparison(ns.lambda_bar, ns.delta, cfg)
+    report, final = experiments.mean_comparison(ns.lambda_bar, ns.delta, _mc_config(ns))
     print(
         f"stochastic mean {report.stochastic_mean:.7f} (se {report.stochastic_se:.2e}) vs "
         f"deterministic {report.deterministic_mean:.7f}: z={report.z_score:+.2f} -> {report.verdict}"
@@ -304,14 +304,12 @@ def _run_compare(ns) -> int:
     fields = report.to_dict()
 
     def svg() -> str:
-        dist = ParameterDistribution(ns.lambda_bar, ns.delta)
-        ens = pf_iterate(uniform_ensemble(cfg.n_particles, cfg.seed), dist, cfg.generations)
         markers = (
             svgplot.Marker(report.stochastic_mean, "#008837", "stochastic mean"),
             svgplot.Marker(report.deterministic_mean, "#e66101", "deterministic mean"),
         )
         return svgplot.render_histograms(
-            [Histogram.from_samples(ens.particles)],
+            [Histogram.from_samples(final.particles, OPTIONS["bins"][2])],
             markers=markers,
             title=f"invariant distribution at {ns.lambda_bar:g} +/- {ns.delta:g}",
         )

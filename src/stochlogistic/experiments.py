@@ -29,6 +29,7 @@ from .errors import (
 )
 from .maps import INIT_STREAM, ParameterDistribution, stream_rng
 from .measure import (
+    Ensemble,
     Histogram,
     MonteCarloConfig,
     ensemble_time_mean,
@@ -100,19 +101,23 @@ def _sweep(
         raise DomainError(f"rates [{lam_lo}, {lam_hi}] +/- {delta_lambda} must stay inside [0, 4]")
     if n_init < 1 or n_iter < 0:
         raise DomainError("need n_init >= 1 and n_iter >= 0")
-    x = stream_rng(seed, INIT_STREAM).random((len(grid), n_init))
-    lam, t = np.repeat(grid[:, None], n_init, axis=1), np.empty_like(x)
+    # one block, so the arrays' placement (and speed) is the same every call; x is copied out
+    x, lam, t = np.empty((3, len(grid), n_init))
+    stream_rng(seed, INIT_STREAM).random(out=x)
+    lam[...] = grid[:, None]
     for g in range(n_iter):
         if delta_lambda > 0:
-            # delta*u + rate: the bits of rate + delta*u, as + and * commute
-            lam = stream_rng(seed, g + 1).uniform(-1.0, 1.0, size=x.shape)
+            # 2u - 1 has the bits of uniform(-1, 1), delta*v + rate those of rate + delta*v
+            stream_rng(seed, g + 1).random(out=lam)
+            lam *= 2.0
+            lam -= 1.0
             lam *= delta_lambda
             lam += grid[:, None]
         # (lam*x)*(1-x) in place: the rounding of lam*x*(1-x), no new arrays
         np.multiply(lam, x, out=t)
         np.subtract(1.0, x, out=x)
         np.multiply(t, x, out=x)
-    return BifurcationDataset(kind, grid, x, delta_lambda, n_iter, seed)
+    return BifurcationDataset(kind, grid, x.copy(), delta_lambda, n_iter, seed)
 
 
 def deterministic_bifurcation(
@@ -210,9 +215,10 @@ def _parity_window(window: int, period: int) -> int:
 
 def mean_comparison(
     lambda_bar: float, delta_lambda: float, cfg: MonteCarloConfig
-) -> ComparisonReport:
+) -> tuple[ComparisonReport, Ensemble]:
     """Compare the converged stochastic mean against the mean of the
-    attracting cycle of the fixed-rate map at lambda_bar.
+    attracting cycle of the fixed-rate map at lambda_bar; returns the
+    report and the ensemble's final snapshot, at cfg.generations.
 
     The window of the rates must sit strictly inside one regime.  The
     stochastic mean pools the trailing window of generations (clipped to
@@ -221,14 +227,10 @@ def mean_comparison(
     time averages, which are independent across particles.
     """
     regime = classify_regime(lambda_bar - delta_lambda, lambda_bar + delta_lambda)
-    if regime is Regime.EXTINCTION:
-        period = 1
-        det_mean = 0.0
-    else:
-        period = _REGIME_PERIOD.get(regime) or detect_period(lambda_bar)
-        det_mean = float(np.mean(periodic_orbit(lambda_bar, period)))
+    period = _REGIME_PERIOD.get(regime) or detect_period(lambda_bar)
+    det_mean = 0.0 if regime is Regime.EXTINCTION else float(np.mean(periodic_orbit(lambda_bar, period)))
     cfg = replace(cfg, window=_parity_window(cfg.window, period))
-    stoch_mean, se = ensemble_time_mean(ParameterDistribution(lambda_bar, delta_lambda), cfg)
+    stoch_mean, se, final = ensemble_time_mean(ParameterDistribution(lambda_bar, delta_lambda), cfg)
     diff = stoch_mean - det_mean
     z = _z_score(diff, se)
     return ComparisonReport(
@@ -246,7 +248,7 @@ def mean_comparison(
         generations=cfg.generations,
         window=cfg.window,
         seed=cfg.seed,
-    )
+    ), final
 
 
 @dataclass(frozen=True)
@@ -531,12 +533,15 @@ def flipflop_scan(
     """
     if not (math.isfinite(delta_lambda) and delta_lambda > 0):
         raise DomainError(f"delta_lambda must be finite and > 0 for the scan, got {delta_lambda}")
+    if cfg.seed + (top := max(rho_values, default=0)) >= 2**64:
+        raise DomainError(f"row rho={top} runs at seed {cfg.seed} + {top}, past 2**64 - 1; "
+                          f"the largest usable --seed is {2**64 - 1 - top}")
     rows = []
     for rho in rho_values:
         if rho < 1:
             raise DomainError(f"rho must be >= 1, got {rho}")
         center, delta = _window_for_rho(rho, delta_lambda)
-        rep = mean_comparison(center, delta, replace(cfg, seed=cfg.seed + rho))
+        rep, _ = mean_comparison(center, delta, replace(cfg, seed=cfg.seed + rho))
         if rep.period != 2**rho:
             raise DomainError(
                 f"requested period {2**rho} but the orbit at lam={center} has period {rep.period}"

@@ -11,11 +11,17 @@ Per-particle rate draws for the step leaving generation g come from a
 counter-based stream keyed by (base_seed, g+1), with the i-th variate
 assigned to particle i, so results are bit-identical however the work
 is scheduled.  Ensembles of one size that share a seed therefore consume
-the same variates each generation, whatever their rate law.  A one-slot
-memo holds the last generation's variates, and the lemma suite steps its
-stationary ensemble and its variance ladder in lockstep
-(``stationary_stats(..., companions=...)``), so each generation is drawn
-once for all of them.
+the same variates each generation, whatever their rate law, and a
+one-slot memo holds the last generation's variates.
+
+One private driver runs the loops of ``pf_iterate``, ``ensemble_time_mean``
+and ``stationary_stats``: it steps same-seed ensembles, one per rate law,
+in lockstep through ``pf_step`` (each generation is drawn once for all),
+hands the first one's particles at each trailing window generation to an
+accumulator, and returns the final snapshots.  Each accumulator keeps its
+own summation order (split sums do not add up bitwise to the total).  The
+lemma suite reads its variance ladder from the finals, and ``compare``
+draws its histogram from the one ``ensemble_time_mean`` returns.
 
 Snapshots are validated where they enter: ``Ensemble(...)`` and
 ``uniform_ensemble`` check that every particle lies in [0, 1].  The
@@ -107,7 +113,7 @@ class Histogram:
         return int(self.counts.sum())
 
     @classmethod
-    def from_samples(cls, values: np.ndarray, n_bins: int = 200) -> "Histogram":
+    def from_samples(cls, values: np.ndarray, n_bins: int) -> "Histogram":
         if n_bins < 1:
             raise DomainError(f"n_bins must be >= 1, got {n_bins}")
         edges = np.linspace(0.0, 1.0, n_bins + 1)
@@ -208,13 +214,22 @@ def pf_step(ensemble: Ensemble, dist: ParameterDistribution) -> Ensemble:
     return Ensemble._unchecked(y, ensemble.generation + 1, ensemble.base_seed)
 
 
+def _drive(ensembles, dists, steps: int, window: int = 0, accumulate=None) -> list[Ensemble]:
+    """Step each ensemble by its rate law ``steps`` times in lockstep,
+    pass the first ensemble's particles to ``accumulate`` after each of
+    the last ``window`` steps, and return the final snapshots."""
+    for t in range(window - steps, window):  # t >= 0 inside the window
+        ensembles = [pf_step(e, d) for e, d in zip(ensembles, dists)]
+        if t >= 0:
+            accumulate(ensembles[0].particles)
+    return ensembles
+
+
 def pf_iterate(ensemble: Ensemble, dist: ParameterDistribution, n: int) -> Ensemble:
     """n successive transfer-operator steps (n = 0 is the identity)."""
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
-    for _ in range(n):
-        ensemble = pf_step(ensemble, dist)
-    return ensemble
+    return _drive([ensemble], [dist], n)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,7 +247,6 @@ class StationaryStats:
     left_mean_pp: np.ndarray
     left_sq_pp: np.ndarray
     right_mean_pp: np.ndarray
-    window: int
     final: Ensemble
     companion_finals: tuple[Ensemble, ...]
 
@@ -254,10 +268,8 @@ def stationary_stats(
     last cfg.window generations into per-particle time averages split at
     the peak threshold (lambda_bar - 1)/lambda_bar.
 
-    Each companion rate law gets its own ensemble from the same seed,
-    stepped in lockstep with the main one, so every generation's
-    variates are drawn once for all of them; their final snapshots are
-    bit-identical to separate ``pf_iterate`` runs of cfg.generations.
+    Each companion rate law runs its own ensemble from the same seed in
+    lockstep with the main one, and only its final snapshot is kept.
 
     EmptyPeakError if some particle never visits one of the sides during
     the window (expected in the two-cycle regime, where every particle
@@ -267,26 +279,22 @@ def stationary_stats(
         raise DomainError("peak threshold needs lambda_bar > 1")
     threshold = (dist.lambda_bar - 1.0) / dist.lambda_bar
     n, w = cfg.n_particles, cfg.window
-    ens = uniform_ensemble(n, cfg.seed)
-    others = [uniform_ensemble(n, cfg.seed) for _ in companions]
     lsum, lsq, rsum, lx, rx, sq = np.zeros((6, n))
     lcnt = np.zeros(n, dtype=np.int64)
     left = np.empty(n, dtype=bool)
-    burn = cfg.generations - w
-    for t in range(cfg.generations):
-        ens = pf_step(ens, dist)
-        others = [pf_step(e, d) for e, d in zip(others, companions)]
-        if t < burn:
-            continue
+
+    def split(x: np.ndarray) -> None:
         # masks as 0/1 factors: exact for x in [0, 1], and no where-temporaries
-        x = ens.particles
         np.less_equal(x, threshold, out=left)
         np.multiply(x, left, out=lx)
         np.subtract(x, lx, out=rx)
-        lsum += lx
-        rsum += rx
-        lsq += np.multiply(lx, x, out=sq)
-        lcnt += left
+        np.add(lsum, lx, out=lsum)
+        np.add(rsum, rx, out=rsum)
+        np.add(lsq, np.multiply(lx, x, out=sq), out=lsq)
+        np.add(lcnt, left, out=lcnt)
+
+    dists = (dist, *companions)
+    ens, *others = _drive([uniform_ensemble(n, cfg.seed) for _ in dists], dists, cfg.generations, w, split)
     rcnt = w - lcnt
     if np.any(lcnt == 0) or np.any(rcnt == 0):
         raise EmptyPeakError(
@@ -297,24 +305,21 @@ def stationary_stats(
         left_mean_pp=lsum / lcnt,
         left_sq_pp=lsq / lcnt,
         right_mean_pp=rsum / rcnt,
-        window=w,
         final=ens,
         companion_finals=tuple(others),
     )
 
 
-def ensemble_time_mean(dist: ParameterDistribution, cfg: MonteCarloConfig) -> tuple[float, float]:
-    """(mean, standard error) of the state pooled over particles and the
-    trailing cfg.window generations of a run from cfg.seed."""
-    w = cfg.window
-    ens = uniform_ensemble(cfg.n_particles, cfg.seed)
-    ens = pf_iterate(ens, dist, cfg.generations - w)
-    total = np.zeros(ens.n)
-    for _ in range(w):
-        ens = pf_step(ens, dist)
-        total += ens.particles
-    per_particle = total / w
-    return float(per_particle.mean()), standard_error(per_particle)
+def ensemble_time_mean(
+    dist: ParameterDistribution, cfg: MonteCarloConfig
+) -> tuple[float, float, Ensemble]:
+    """(mean, standard error, final snapshot) of a run from cfg.seed: the
+    state pooled over particles and the trailing cfg.window generations,
+    and the ensemble at cfg.generations."""
+    total, start = np.zeros(cfg.n_particles), uniform_ensemble(cfg.n_particles, cfg.seed)
+    (final,) = _drive([start], [dist], cfg.generations, cfg.window, lambda x: np.add(total, x, out=total))
+    per_particle = total / cfg.window
+    return float(per_particle.mean()), standard_error(per_particle), final
 
 
 #: Bootstrap resamples behind the standard error of a peak variance.

@@ -144,9 +144,9 @@ class _Canvas:
 
 def render_histograms(
     histograms,
+    title: str,
     labels: tuple[str, ...] | None = None,
     markers: tuple[Marker, ...] = (),
-    title: str = "state distribution",
 ) -> str:
     """Overlaid step plots of one or more histograms, with optional
     vertical marker lines.  DomainError on empty input."""
@@ -182,13 +182,9 @@ def render_histograms(
     return canvas.finish()
 
 
-def render_scatter(
-    dataset,
-    vlines: tuple[Marker, ...] = (),
-    title: str = "bifurcation diagram",
-) -> str:
+def render_scatter(dataset, vlines: tuple[Marker, ...], title: str) -> str:
     """Point cloud of (parameter, terminal state) pairs, one dot per
-    sample, with optional vertical reference lines."""
+    sample, with vertical reference lines."""
     params = dataset.parameters
     states = dataset.terminal_states
     if len(params) == 0 or states.size == 0:

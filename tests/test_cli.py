@@ -5,13 +5,14 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from stochlogistic import Histogram, deterministic_bifurcation, uniform_ensemble
+from stochlogistic import Histogram, deterministic_bifurcation, measure, uniform_ensemble
 from stochlogistic.cli import ENV_OUTDIR, OPTIONS, load_config, parse_and_dispatch
 from stochlogistic.errors import ConfigError, DomainError
 from stochlogistic.svgplot import Marker, render_histograms, render_scatter
@@ -62,6 +63,25 @@ class TestCompare:
         assert code == 0
         svg = (tmp_path / "compare-3.208-0.024-12345.svg").read_text()
         assert svg.startswith("<svg") and "stochastic mean" in svg
+
+    def test_svg_draws_the_mean_run_final_snapshot(self, tmp_path, monkeypatch):
+        # the histogram comes from the ensemble the mean was taken over:
+        # one initial ensemble, one step per generation, no second run
+        calls = {"pf_step": 0, "uniform_ensemble": 0}
+        for name in calls:
+            original = getattr(measure, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            for module in list(sys.modules.values()):
+                if module.__name__.startswith("stochlogistic") and vars(module).get(name) is original:
+                    monkeypatch.setattr(module, name, counted)
+        code = run(["compare", "--lambda-bar", "3.208", "--delta", "0.024",
+                    "--format", "csv,json,svg", *FAST_COMPARE], tmp_path)
+        assert code == 0
+        assert calls == {"pf_step": 600, "uniform_ensemble": 1}
 
 
 class TestBifurcation:
@@ -273,7 +293,11 @@ class TestSeedRange:
         argv = ["flipflop", "--rho", rho, "--particles", "50", "--generations", "100",
                 "--window", "50", "--seed", str(seed)]
         assert run(argv, tmp_path) == 2
-        assert "error:" in capsys.readouterr().err
+        top = max(int(r) for r in rho.split(","))
+        assert capsys.readouterr().err == (
+            f"error: row rho={top} runs at seed {seed} + {top}, past 2**64 - 1; "
+            f"the largest usable --seed is {2**64 - 1 - top}\n"
+        )
         assert list(tmp_path.iterdir()) == []
 
 
@@ -415,29 +439,29 @@ class TestEnvOutdir:
 class TestSvgRendering:
     def test_histogram_markers(self):
         h = Histogram.from_samples(uniform_ensemble(500, seed=1).particles, n_bins=20)
-        svg = render_histograms([h], markers=(Marker(0.5, "#008837", "mid"),))
+        svg = render_histograms([h], "state distribution", markers=(Marker(0.5, "#008837", "mid"),))
         assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
         assert "mid" in svg
 
     def test_empty_histogram_rejected(self):
         h = Histogram(edges=np.linspace(0, 1, 5), counts=np.zeros(4, dtype=int))
         with pytest.raises(DomainError):
-            render_histograms([h])
+            render_histograms([h], "state distribution")
         with pytest.raises(DomainError):
-            render_histograms([])
+            render_histograms([], "state distribution")
 
     def test_scatter(self):
         from stochlogistic import deterministic_bifurcation
 
         data = deterministic_bifurcation(2.0, 2.5, step=0.25, n_init=4, n_iter=50, seed=2)
-        svg = render_scatter(data, vlines=(Marker(2.2, "#555555", "ref"),))
+        svg = render_scatter(data, (Marker(2.2, "#555555", "ref"),), "bifurcation diagram")
         assert svg.count("<circle") == 3 * 4
         assert "ref" in svg
 
     def test_label_count_mismatch(self):
-        h = Histogram.from_samples(uniform_ensemble(100, seed=3).particles)
+        h = Histogram.from_samples(uniform_ensemble(100, seed=3).particles, n_bins=200)
         with pytest.raises(DomainError):
-            render_histograms([h], labels=("a", "b"))
+            render_histograms([h], "state distribution", labels=("a", "b"))
 
 
 class TestHelp:

@@ -267,32 +267,32 @@ class TestDistributionEvolution:
 
 class TestMeanComparison:
     def test_period1_verdict(self):
-        rep = mean_comparison(1.508, 0.024, FAST)
+        rep, _ = mean_comparison(1.508, 0.024, FAST)
         assert rep.verdict == "stochastic_less"
         assert rep.regime == "period1"
         assert rep.deterministic_mean == pytest.approx(fixed_point(1.508), abs=1e-12)
 
     def test_period2_verdict(self):
-        rep = mean_comparison(3.208, 0.024, FAST)
+        rep, _ = mean_comparison(3.208, 0.024, FAST)
         assert rep.verdict == "stochastic_greater"
         assert rep.period == 2
 
     def test_deterministic_mean_consistency(self):
-        rep = mean_comparison(3.2, 0.02, FAST)
+        rep, _ = mean_comparison(3.2, 0.02, FAST)
         expected = two_cycle_mean(3.2)
         assert abs(rep.deterministic_mean - expected) <= 2 * np.spacing(expected)
 
     def test_verdict_iff_three_sigma(self):
         reports = [
-            mean_comparison(1.508, 0.024, FAST),
-            mean_comparison(3.208, 0.024, FAST),
-            mean_comparison(3.2, 0.0, FAST),
+            mean_comparison(1.508, 0.024, FAST)[0],
+            mean_comparison(3.208, 0.024, FAST)[0],
+            mean_comparison(3.2, 0.0, FAST)[0],
         ]
         for rep in reports:
             assert (rep.verdict == "inconclusive") == (abs(rep.z_score) < 3.0)
 
     def test_zero_noise_inconclusive(self):
-        rep = mean_comparison(3.2, 0.0, FAST)
+        rep, _ = mean_comparison(3.2, 0.0, FAST)
         assert rep.verdict == "inconclusive"
         assert rep.z_score == 0.0
 
@@ -305,20 +305,20 @@ class TestMeanComparison:
             mean_comparison(3.9, 0.005, FAST)
 
     def test_reproducible(self):
-        a = mean_comparison(3.208, 0.024, FAST)
-        b = mean_comparison(3.208, 0.024, FAST)
+        a, _ = mean_comparison(3.208, 0.024, FAST)
+        b, _ = mean_comparison(3.208, 0.024, FAST)
         assert a == b
-        c = mean_comparison(3.208, 0.024, replace(FAST, seed=99))
+        c, _ = mean_comparison(3.208, 0.024, replace(FAST, seed=99))
         assert c.stochastic_mean != a.stochastic_mean
 
     def test_extinction_window(self):
-        rep = mean_comparison(0.5, 0.1, FAST)
+        rep, _ = mean_comparison(0.5, 0.1, FAST)
         assert rep.deterministic_mean == 0.0
         assert rep.stochastic_mean == pytest.approx(0.0, abs=1e-30)
         assert rep.verdict == "inconclusive"
 
     def test_json_round_trip(self):
-        rep = mean_comparison(3.208, 0.024, FAST)
+        rep, _ = mean_comparison(3.208, 0.024, FAST)
         payload = json.loads(json.dumps(rep.to_dict()))
         assert payload["verdict"] == "stochastic_greater"
         assert payload["lambda_bar"] == 3.208
@@ -328,16 +328,16 @@ class TestZScoreRule:
     """compare and flipflop score a difference by one rule."""
 
     def test_zero_se_is_conclusive_in_both(self, monkeypatch):
-        monkeypatch.setattr(experiments, "ensemble_time_mean", lambda *a, **k: (0.9, 0.0))
-        rep = mean_comparison(3.208, 0.024, FAST)
+        monkeypatch.setattr(experiments, "ensemble_time_mean", lambda *a, **k: (0.9, 0.0, None))
+        rep, _ = mean_comparison(3.208, 0.024, FAST)
         row = flipflop_scan((1,), 0.024, FAST).rows[0]
         assert rep.z_score == row.z_score == math.inf
         assert rep.verdict == row.verdict == "stochastic_greater"
 
     def test_float_noise_difference_scores_zero_in_both(self, monkeypatch):
         det = float(np.mean(periodic_orbit(3.208, 2)))
-        monkeypatch.setattr(experiments, "ensemble_time_mean", lambda *a, **k: (det + 1e-13, 1e-14))
-        rep = mean_comparison(3.208, 0.024, FAST)
+        monkeypatch.setattr(experiments, "ensemble_time_mean", lambda *a, **k: (det + 1e-13, 1e-14, None))
+        rep, _ = mean_comparison(3.208, 0.024, FAST)
         row = flipflop_scan((1,), 0.024, FAST).rows[0]
         assert rep.z_score == row.z_score == 0.0
         assert rep.verdict == row.verdict == "inconclusive"
@@ -458,7 +458,7 @@ class TestFlipFlopScan:
 
     def test_rows_are_mean_comparison_reports(self):
         row = flipflop_scan((2,), 0.024, FAST).rows[0]
-        rep = mean_comparison(row.lambda_bar, row.delta_lambda, replace(FAST, seed=FAST.seed + 2))
+        rep, _ = mean_comparison(row.lambda_bar, row.delta_lambda, replace(FAST, seed=FAST.seed + 2))
         for key in ("period", "stochastic_mean", "stochastic_se", "deterministic_mean",
                     "difference", "z_score", "verdict"):
             assert getattr(row, key) == getattr(rep, key)
@@ -470,8 +470,8 @@ def _ergodic_consistency(lambda_bar, delta_lambda, cfg):
     converged snapshot of an independently seeded one.  Both estimate
     the same mean, so they should agree within combined standard errors."""
     dist = ParameterDistribution(lambda_bar, delta_lambda)
-    time_mean, time_se = experiments.ensemble_time_mean(dist, cfg)
-    space_mean, space_se = experiments.ensemble_time_mean(
+    time_mean, time_se, _ = experiments.ensemble_time_mean(dist, cfg)
+    space_mean, space_se, _ = experiments.ensemble_time_mean(
         dist, replace(cfg, window=1, seed=cfg.seed + 1)
     )
     return abs(time_mean - space_mean) <= 3.0 * math.hypot(time_se, space_se)

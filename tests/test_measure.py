@@ -248,6 +248,78 @@ class TestLockstep:
         assert stationary_stats(self.DIST, self.CFG).companion_finals == ()
 
 
+def _rate_law(center, frac):
+    """The law at center with a fraction of the room to 0 and 4 as its
+    half-width, or None where rounding puts the support outside."""
+    try:
+        return ParameterDistribution(center, frac * min(center, 4.0 - center))
+    except DomainError:
+        return None
+
+
+_RATE_LAWS = st.builds(_rate_law, st.floats(0.0, 4.0), st.floats(0.0, 1.0)).filter(
+    lambda law: law is not None
+)
+
+
+def _stepped_alone(n, seed, dist, generations):
+    """One ensemble from uniform_ensemble(n, seed), stepped by pf_step alone."""
+    ens = uniform_ensemble(n, seed)
+    for _ in range(generations):
+        ens = pf_step(ens, dist)
+    return ens
+
+
+class TestDriverFinals:
+    """The driver behind ensemble_time_mean and stationary_stats returns
+    the final snapshots that separate runs of each rate law reach, bit
+    for bit, whatever the window it accumulates."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(2, 60),
+        generations=st.integers(1, 120),
+        seed=st.integers(0, 2**64 - 1),
+        dist=_RATE_LAWS,
+    )
+    def test_time_mean_final(self, data, n, generations, seed, dist):
+        window = data.draw(st.integers(1, generations))
+        cfg = MonteCarloConfig(n_particles=n, generations=generations, window=window, seed=seed)
+        _, _, final = ensemble_time_mean(dist, cfg)
+        alone = pf_iterate(uniform_ensemble(n, seed), dist, generations)
+        assert final.generation == generations
+        assert final.particles.tobytes() == alone.particles.tobytes()
+        assert final.particles.tobytes() == _stepped_alone(n, seed, dist, generations).particles.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(2, 60),
+        generations=st.integers(60, 160),
+        seed=st.integers(0, 2**64 - 1),
+        # a two-cycle window, where every particle visits both sides
+        dist=st.tuples(st.floats(3.1, 3.4), st.floats(0.0, 0.04)).map(
+            lambda t: ParameterDistribution(*t)
+        ),
+        companions=st.lists(_RATE_LAWS, max_size=4),
+    )
+    def test_stationary_finals(self, data, n, generations, seed, dist, companions):
+        window = data.draw(st.integers(2, generations // 2))
+        cfg = MonteCarloConfig(n_particles=n, generations=generations, window=window, seed=seed)
+        try:
+            stats = stationary_stats(dist, cfg, companions=tuple(companions))
+        except EmptyPeakError:
+            assume(False)
+        finals = (stats.final, *stats.companion_finals)
+        assert len(finals) == 1 + len(companions)
+        for law, final in zip((dist, *companions), finals):
+            alone = pf_iterate(uniform_ensemble(n, seed), law, generations)
+            assert final.generation == generations
+            assert final.particles.tobytes() == alone.particles.tobytes()
+            assert final.particles.tobytes() == _stepped_alone(n, seed, law, generations).particles.tobytes()
+
+
 class TestStationaryStats:
     def test_pushforward_identity_small(self):
         dist = ParameterDistribution(3.208, 0.024)
@@ -321,16 +393,16 @@ class TestTimeAverages:
     CFG = MonteCarloConfig(n_particles=200, generations=2000, window=1000, seed=1)
 
     def test_constant_path(self):
-        mean, se = ensemble_time_mean(ParameterDistribution(2.0, 0.0), self.CFG)
+        mean, se, _ = ensemble_time_mean(ParameterDistribution(2.0, 0.0), self.CFG)
         assert mean == pytest.approx(0.5, abs=1e-15)
         assert se == pytest.approx(0.0, abs=1e-15)
 
     def test_two_cycle_average(self):
-        mean, _ = ensemble_time_mean(ParameterDistribution(3.2, 0.0), self.CFG)
+        mean, _, _ = ensemble_time_mean(ParameterDistribution(3.2, 0.0), self.CFG)
         assert mean == pytest.approx(0.65625, abs=1e-6)
 
     def test_fixed_point_average(self):
-        mean, _ = ensemble_time_mean(ParameterDistribution(2.5, 0.0), self.CFG)
+        mean, _, _ = ensemble_time_mean(ParameterDistribution(2.5, 0.0), self.CFG)
         assert mean == pytest.approx(0.6, abs=1e-9)
 
     def test_length_error(self):
@@ -340,7 +412,7 @@ class TestTimeAverages:
             ensemble_time_mean(ParameterDistribution(2.0, 0.0), replace(self.CFG, window=0))
 
     def test_batch_se_positive(self):
-        _, se = ensemble_time_mean(ParameterDistribution(3.2, 0.1), self.CFG)
+        _, se, _ = ensemble_time_mean(ParameterDistribution(3.2, 0.1), self.CFG)
         assert se > 0.0
 
 
@@ -383,7 +455,7 @@ class TestHistogram:
 
     def test_density_integrates_to_one(self):
         e = uniform_ensemble(5000, seed=18)
-        h = Histogram.from_samples(e.particles)
+        h = Histogram.from_samples(e.particles, n_bins=200)
         widths = np.diff(h.edges)
         assert float((h.density() * widths).sum()) == pytest.approx(1.0, abs=1e-12)
 
