@@ -126,24 +126,19 @@ def classify_regime(lambda_lo: float, lambda_hi: float) -> Regime:
             f"need 0 <= lo <= hi <= 4, got [{lambda_lo}, {lambda_hi}]"
         )
     prev = 0.0
-    for bound, regime in _BOUNDARIES:
+    for bound, regime in _BOUNDARIES:  # lambda_hi <= 4.0, the last bound
         if lambda_hi <= bound:
-            # extinction includes its upper endpoint (0 attracts for
-            # lam <= 1); the open regimes must not touch either boundary
-            if regime is Regime.EXTINCTION:
-                return regime
-            if lambda_lo > prev and lambda_hi < bound:
-                return regime
-            if regime is Regime.CASCADE and lambda_lo > prev:
+            # extinction includes its upper endpoint (0 attracts for lam <= 1);
+            # the other regimes must not touch a boundary inside [0, 4]
+            if regime is Regime.EXTINCTION or lambda_lo > prev and (
+                lambda_hi < bound or regime is Regime.CASCADE
+            ):
                 return regime
             raise RegimeError(
                 f"window [{lambda_lo}, {lambda_hi}] touches the bifurcation "
                 f"boundary at {prev if lambda_lo <= prev else bound:g}"
             )
         prev = bound
-    raise RegimeError(
-        f"window [{lambda_lo}, {lambda_hi}] straddles the boundary at {prev:g}"
-    )
 
 
 def detect_period(lam: float) -> int:
@@ -197,8 +192,9 @@ def _converged_cycle(lam: float) -> tuple[int, float]:
     )
 
 
-def periodic_orbit(lam: float, period: int) -> list[float]:
-    """The attracting cycle points at the given rate, sorted ascending.
+def periodic_orbit(lam: float) -> list[float]:
+    """The attracting cycle at the given rate, sorted ascending; its
+    length is the period.
 
     Long iteration from x0 = 0.5 followed by one recorded cycle, taken
     from the state at which cycle detection converged (burn-in is
@@ -206,12 +202,7 @@ def periodic_orbit(lam: float, period: int) -> list[float]:
     returned points is the long-term orbit average of the fixed-rate
     map.
     """
-    detected, x = _converged_cycle(lam)
-    if detected != period:
-        raise DomainError(
-            f"requested period {period} but the orbit at lam={lam} has "
-            f"period {detected}"
-        )
+    period, x = _converged_cycle(lam)
     pts = []
     for _ in range(period):
         pts.append(x)
@@ -222,10 +213,8 @@ def periodic_orbit(lam: float, period: int) -> list[float]:
 def require_period2_window(lambda_bar: float, delta_lambda: float) -> tuple[float, float]:
     """Validate that the window sits strictly inside the two-cycle
     regime and return its endpoints (a, b)."""
-    if delta_lambda < 0:
-        raise DomainError(f"delta_lambda must be >= 0, got {delta_lambda}")
     a, b = lambda_bar - delta_lambda, lambda_bar + delta_lambda
-    if not (LAMBDA_C2 < a and b < LAMBDA_C4):
+    if classify_regime(a, b) is not Regime.PERIOD2:
         raise RegimeError(
             f"window [{a}, {b}] must lie strictly inside "
             f"({LAMBDA_C2:g}, {LAMBDA_C4:g})"
@@ -349,28 +338,21 @@ def h_function_roots(
     lam = lambda_bar
     xs = np.linspace(_ROOT_SCAN_LO, _ROOT_SCAN_HI, _ROOT_SCAN_N + 1)
     vals = _H_value(lam, epsilon, xs)
-    roots: list[float] = []
-    for i in range(_ROOT_SCAN_N):
-        va, vb = vals[i], vals[i + 1]
-        if va == 0.0:
-            roots.append(float(xs[i]))
-            continue
-        if va * vb < 0.0:
-            lo, hi = float(xs[i]), float(xs[i + 1])
-            flo = _H_value(lam, epsilon, lo)
-            while hi - lo > _ROOT_XTOL:
-                mid = 0.5 * (lo + hi)
-                fmid = _H_value(lam, epsilon, mid)
-                if fmid == 0.0:
-                    lo = hi = mid
-                    break
-                if flo * fmid < 0.0:
-                    hi = mid
-                else:
-                    lo, flo = mid, fmid
-            roots.append(0.5 * (lo + hi))
-    if vals[-1] == 0.0:
-        roots.append(float(xs[-1]))
+    roots: list[float] = xs[vals == 0.0].tolist()
+    for i in np.flatnonzero(vals[:-1] * vals[1:] < 0.0):
+        lo, hi = float(xs[i]), float(xs[i + 1])
+        flo = _H_value(lam, epsilon, lo)
+        while hi - lo > _ROOT_XTOL:
+            mid = 0.5 * (lo + hi)
+            fmid = _H_value(lam, epsilon, mid)
+            if fmid == 0.0:
+                lo = hi = mid
+                break
+            if flo * fmid < 0.0:
+                hi = mid
+            else:
+                lo, flo = mid, fmid
+        roots.append(0.5 * (lo + hi))
     if len(roots) != 4:
         raise RootCountError(
             f"expected 4 sign changes of H on [{_ROOT_SCAN_LO}, {_ROOT_SCAN_HI}], "

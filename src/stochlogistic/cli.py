@@ -11,7 +11,8 @@ Subcommands map one-to-one onto the experiment operations:
 Artifacts are written as CSV/JSON/SVG, in that order, under the output
 directory (--outdir, else $STOCHLOGISTIC_OUTDIR, else the working
 directory) with names <subcommand>-<lambda_bar>-<delta>-<seed>.<ext>;
-verify and flipflop have no drawing and reject --format svg.
+verify and flipflop have no drawing and reject --format svg.  --scale
+applies to compare, verify and flipflop only; the others reject it.
 Settings come from defaults, then an optional flat key=value config file
 (--config), then explicit flags, in increasing precedence.  The config
 keys are the keys of OPTIONS, which also defines every flag.  A default
@@ -101,10 +102,10 @@ OPTIONS = {
     ),
 }
 
-_COMMON = ("seed", "outdir", "format", "scale")
+_COMMON = ("seed", "outdir", "format")
 #: Subcommands whose results have no drawing.
 _NO_SVG = ("verify", "flipflop")
-_ENSEMBLE = ("delta", "particles", "generations", "window")
+_ENSEMBLE = ("delta", "particles", "generations", "window", "scale")
 
 
 def load_config(path: str | Path) -> dict:
@@ -186,14 +187,20 @@ def _mc_config(ns) -> MonteCarloConfig:
 _CSV_BLOCK = 4096
 
 
+def _json_default(obj):
+    """JSON form of a numpy array or scalar (tolist) or of a report (to_dict)."""
+    return obj.tolist() if hasattr(obj, "tolist") else obj.to_dict()
+
+
 def _write(ns, mid: str, delta: float, payload, rows, svg=None) -> int:
     """Write <outdir>/<subcommand>-<mid>-<delta>-<seed>.<ext> for every
     requested format, in the order csv, json, svg, and print each path.
 
     ``rows`` is an iterable of CSV rows, header first, streamed to disk,
     or a function that returns the CSV text already formatted, in chunks;
-    ``payload`` returns the JSON object and ``svg`` the drawing (None for
-    the subcommands in _NO_SVG, which reject --format svg up front).
+    ``payload`` returns the JSON object (arrays and reports encoded by
+    _json_default) and ``svg`` the drawing (None for the subcommands in
+    _NO_SVG, which reject --format svg up front).
     Nothing is produced for a format that was not requested.
     """
     for ext in _FORMATS:
@@ -207,7 +214,8 @@ def _write(ns, mid: str, delta: float, payload, rows, svg=None) -> int:
                 else:
                     csv.writer(fh).writerows(rows)
         else:
-            text = svg() if ext == "svg" else json.dumps(payload(), indent=2, sort_keys=True) + "\n"
+            text = svg() if ext == "svg" else json.dumps(
+                payload(), default=_json_default, indent=2, sort_keys=True) + "\n"
             path.write_text(text, encoding="utf-8")
         print(f"wrote {path}")
     return 0
@@ -272,11 +280,7 @@ def _run_evolve(ns) -> int:
             "delta_lambda": ns.delta,
             "seed": ns.seed,
             "snapshots": [
-                {
-                    "generation": s.generation,
-                    "edges": [float(e) for e in s.histogram.edges],
-                    "counts": [int(c) for c in s.histogram.counts],
-                }
+                {"generation": s.generation, "edges": s.histogram.edges, "counts": s.histogram.counts}
                 for s in snaps
             ],
         }

@@ -18,7 +18,7 @@ report of its period-2^rho window.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -44,13 +44,6 @@ from .measure import (
 #: z threshold separating a conclusive verdict from Monte-Carlo noise.
 Z_THRESHOLD = 3.0
 
-_REGIME_PERIOD = {
-    Regime.EXTINCTION: 1,
-    Regime.PERIOD1: 1,
-    Regime.PERIOD2: 2,
-    Regime.PERIOD4: 4,
-}
-
 
 @dataclass(frozen=True, eq=False)
 class BifurcationDataset:
@@ -64,14 +57,7 @@ class BifurcationDataset:
     seed: int
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "delta_lambda": self.delta_lambda,
-            "n_iter": self.n_iter,
-            "seed": self.seed,
-            "parameters": [float(v) for v in self.parameters],
-            "terminal_states": [[float(x) for x in row] for row in self.terminal_states],
-        }
+        return {k: getattr(self, k) for k in self.__dataclass_fields__}
 
 
 def _rate_grid(lam_lo: float, lam_hi: float, step: float) -> np.ndarray:
@@ -227,8 +213,8 @@ def mean_comparison(
     time averages, which are independent across particles.
     """
     regime = classify_regime(lambda_bar - delta_lambda, lambda_bar + delta_lambda)
-    period = _REGIME_PERIOD.get(regime) or detect_period(lambda_bar)
-    det_mean = 0.0 if regime is Regime.EXTINCTION else float(np.mean(periodic_orbit(lambda_bar, period)))
+    orbit = [0.0] if regime is Regime.EXTINCTION else periodic_orbit(lambda_bar)
+    period, det_mean = len(orbit), float(np.mean(orbit))
     cfg = replace(cfg, window=_parity_window(cfg.window, period))
     stoch_mean, se, final = ensemble_time_mean(ParameterDistribution(lambda_bar, delta_lambda), cfg)
     diff = stoch_mean - det_mean
@@ -255,31 +241,24 @@ def mean_comparison(
 class LemmaCheck:
     name: str
     passed: bool
-    details: dict = field(default_factory=dict)
+    details: dict
 
     def to_dict(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "details": self.details}
+        return {k: getattr(self, k) for k in self.__dataclass_fields__}
 
 
 @dataclass(frozen=True)
 class LemmaSuiteReport:
+    """The checks of the lemma suite; ``passed`` when all of them pass."""
+
     lambda_bar: float
     delta_lambda: float
     seed: int
+    passed: bool
     checks: tuple[LemmaCheck, ...]
 
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
     def to_dict(self) -> dict:
-        return {
-            "lambda_bar": self.lambda_bar,
-            "delta_lambda": self.delta_lambda,
-            "seed": self.seed,
-            "passed": self.passed,
-            "checks": [c.to_dict() for c in self.checks],
-        }
+        return {k: getattr(self, k) for k in self.__dataclass_fields__}
 
 
 def _variance_ladder(lambda_bar: float) -> list[float]:
@@ -401,7 +380,7 @@ def lemma_suite(
     # (iv) right-peak variance ratio V(h)/h decay with analytic bound
     ratios, ses = [], []
     for h, final in zip(ladder, stats.companion_finals):
-        v, se = variance_of_right_peak(lambda_bar, h, cfg, final)
+        v, se = variance_of_right_peak(lambda_bar, final)
         ratios.append(v / h)
         ses.append(se / h)
     monotone = all(
@@ -439,6 +418,7 @@ def lemma_suite(
         lambda_bar=lambda_bar,
         delta_lambda=delta_lambda,
         seed=cfg.seed,
+        passed=all(c.passed for c in checks),
         checks=tuple(checks),
     )
 
@@ -477,11 +457,7 @@ class FlipFlopReport:
     rows: tuple[FlipFlopRow, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "delta_lambda": self.delta_lambda,
-            "seed": self.seed,
-            "rows": [r.to_dict() for r in self.rows],
-        }
+        return {k: getattr(self, k) for k in self.__dataclass_fields__}
 
 
 #: Window center per doubling level (see _window_for_rho).
@@ -496,14 +472,7 @@ def _window_for_rho(rho: int, delta_lambda: float) -> tuple[float, float]:
     the longest run of period-2^rho rates that ``find_cycle`` (start 0.5,
     burn 20,000) finds on linspace(LAMBDA_C4_END, LAMBDA_C2_OMEGA, 257)[1:-1],
     the results of a scan that a test regenerates; it finds no period 128."""
-    target = 2**rho
-    if rho not in _RHO_CENTERS:
-        raise WindowNotFoundError(
-            f"no rate with a stable cycle of length {target} found in "
-            f"({analytic.LAMBDA_C4_END}, {analytic.LAMBDA_C2_OMEGA})"
-        )
-    center = _RHO_CENTERS[rho]
-    delta = delta_lambda
+    target, center, delta = 2**rho, _RHO_CENTERS[rho], delta_lambda
     while delta >= 1e-6:
         # the upper endpoint is tested only when the lower one holds: it
         # may lie past the cascade, where detection runs to its cap
@@ -526,20 +495,23 @@ def flipflop_scan(
     period-2^rho regimes.
 
     Each row is the ``mean_comparison`` report of the rho window, run
-    at seed cfg.seed + rho (DomainError past 2**64 - 1).  rho = 1 and 2
-    keep its verdict at the usual z threshold; rows with rho >= 3 are
-    exploratory (conjectured alternation) and carry a 3-sigma confidence
-    interval instead of a pass/fail claim.
+    at seed cfg.seed + rho.  rho = 1 and 2 keep its verdict at the usual
+    z threshold; rows with rho >= 3 are exploratory (conjectured
+    alternation) and carry a 3-sigma confidence interval instead of a
+    pass/fail claim.  Every rho is checked before any row runs:
+    DomainError for a level without a tabulated window, or for a row
+    seed past 2**64 - 1.
     """
     if not (math.isfinite(delta_lambda) and delta_lambda > 0):
         raise DomainError(f"delta_lambda must be finite and > 0 for the scan, got {delta_lambda}")
+    if bad := [rho for rho in rho_values if rho not in _RHO_CENTERS]:
+        raise DomainError(f"rho must be one of {sorted(_RHO_CENTERS)}, the levels with a stable "
+                          f"period-2**rho window below {analytic.LAMBDA_C2_OMEGA}; got {bad}")
     if cfg.seed + (top := max(rho_values, default=0)) >= 2**64:
         raise DomainError(f"row rho={top} runs at seed {cfg.seed} + {top}, past 2**64 - 1; "
                           f"the largest usable --seed is {2**64 - 1 - top}")
     rows = []
     for rho in rho_values:
-        if rho < 1:
-            raise DomainError(f"rho must be >= 1, got {rho}")
         center, delta = _window_for_rho(rho, delta_lambda)
         rep, _ = mean_comparison(center, delta, replace(cfg, seed=cfg.seed + rho))
         if rep.period != 2**rho:

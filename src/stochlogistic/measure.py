@@ -45,7 +45,9 @@ leave [0, 1] for a rate law that ParameterDistribution accepts
 
 Run settings (sizes, averaging window, seed) come only from a
 MonteCarloConfig, which validates them once; a caller that needs another
-window or seed passes ``dataclasses.replace(cfg, ...)``.
+window or seed passes ``dataclasses.replace(cfg, ...)``; the bootstrap
+of a peak variance is keyed by the seed of the snapshot it resamples.
+This module does not import ``analytic``: its callers validate windows.
 """
 
 from __future__ import annotations
@@ -55,7 +57,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .analytic import require_period2_window
 from .errors import DomainError, EmptyPeakError
 from .maps import BOOTSTRAP_STREAM, INIT_STREAM, ParameterDistribution, stream_rng
 
@@ -91,9 +92,6 @@ class Ensemble:
 
     @property
     def n(self) -> int:
-        return len(self.particles)
-
-    def __len__(self) -> int:
         return len(self.particles)
 
 
@@ -326,22 +324,16 @@ def ensemble_time_mean(
 BOOTSTRAP_RESAMPLES = 200
 
 
-def variance_of_right_peak(
-    lambda_bar: float,
-    delta_lambda: float,
-    cfg: MonteCarloConfig,
-    final: Ensemble,
-) -> tuple[float, float]:
+def variance_of_right_peak(lambda_bar: float, final: Ensemble) -> tuple[float, float]:
     """Variance of the right peak of the converged distribution, with a
     bootstrap standard error over particles.
 
-    ``final`` is the converged snapshot of the rate law lambda_bar +/-
-    delta_lambda (``stationary_stats`` returns it for each companion);
-    it is split at the peak threshold and the sample variance of the
-    right side returned.  The bootstrap draws from stream
-    BOOTSTRAP_STREAM of cfg.seed.
+    ``final`` is a converged snapshot of a rate law centered at
+    lambda_bar (``stationary_stats`` returns it for each companion); it
+    is split at the peak threshold and the sample variance of the right
+    side returned.  The bootstrap draws from stream BOOTSTRAP_STREAM of
+    the snapshot's own seed.
     """
-    require_period2_window(lambda_bar, delta_lambda)
     threshold = (lambda_bar - 1.0) / lambda_bar
     x = final.particles
     right = x[x > threshold]
@@ -354,7 +346,7 @@ def variance_of_right_peak(
     # centered evaluation: the naive E[X^2] - mean^2 form cancels badly
     # at the zero-noise limit where the peak is a point mass
     v = float(np.var(right))
-    rng = stream_rng(cfg.seed, BOOTSTRAP_STREAM)
+    rng = stream_rng(final.base_seed, BOOTSTRAP_STREAM)
     m = len(right)
     resampled = np.empty(BOOTSTRAP_RESAMPLES)
     for i in range(BOOTSTRAP_RESAMPLES):

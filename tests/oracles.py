@@ -86,3 +86,43 @@ def comparison_h(lam: float, eps: float, x: float) -> float:
     H(x) = lam*h(x) - x = F(x) + lam*eps."""
     u = lam * x * (1.0 - x)
     return u - u * u + eps
+
+
+def scan_h_roots(lam: float, eps: float) -> list[float]:
+    """Zeros of H(x) = lam*(u - u^2 + eps) - x, u = lam*x*(1-x), on
+    [-0.5, 1.2], sorted, however many there are: the exact zeros of a
+    uniform 10^4-cell grid and each sign-change cell bisected to 1e-12,
+    one cell at a time in a Python loop.  The reference for the
+    vectorized scan of analytic.h_function_roots, which must return the
+    same floats when there are four and raise otherwise."""
+
+    def H(x):
+        u = lam * x * (1.0 - x)
+        return lam * (u - u * u + eps) - x
+
+    n = 10_000
+    xs = np.linspace(-0.5, 1.2, n + 1)
+    vals = H(xs)
+    roots = []
+    for i in range(n):
+        va, vb = vals[i], vals[i + 1]
+        if va == 0.0:
+            roots.append(float(xs[i]))
+            continue
+        if va * vb < 0.0:
+            lo, hi = float(xs[i]), float(xs[i + 1])
+            flo = H(lo)
+            while hi - lo > 1e-12:
+                mid = 0.5 * (lo + hi)
+                fmid = H(mid)
+                if fmid == 0.0:
+                    lo = hi = mid
+                    break
+                if flo * fmid < 0.0:
+                    hi = mid
+                else:
+                    lo, flo = mid, fmid
+            roots.append(0.5 * (lo + hi))
+    if vals[-1] == 0.0:
+        roots.append(float(xs[-1]))
+    return sorted(roots)

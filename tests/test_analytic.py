@@ -43,6 +43,7 @@ from oracles import (
     grid_image_sweep,
     orbit_tail_mean,
     quartic_two_cycle,
+    scan_h_roots,
     second_iterate_gap,
     two_cycle_mean,
 )
@@ -71,7 +72,7 @@ class TestFixedPoints:
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            periodic_orbit(4.2, 1)
+            periodic_orbit(4.2)
 
 
 class TestPeriod2Points:
@@ -117,13 +118,13 @@ class TestPeriod2Average:
         for lam, want in ((3.0, 2.0 / 3.0), (3.2, 0.65625), (3.208, 4.208 / 6.416)):
             pair = period2_points(lam)
             assert 0.5 * (pair.p + pair.q) == pytest.approx(want, abs=1e-15)
-        assert float(np.mean(periodic_orbit(3.2, 2))) == pytest.approx(0.65625, abs=1e-15)
+        assert float(np.mean(periodic_orbit(3.2))) == pytest.approx(0.65625, abs=1e-15)
 
     def test_matches_pair_mean(self):
         pair = period2_points(3.3)
         avg = two_cycle_mean(3.3)
         assert abs(0.5 * (pair.p + pair.q) - avg) <= 2 * np.spacing(avg)
-        assert abs(float(np.mean(periodic_orbit(3.3, 2))) - avg) <= 2 * np.spacing(avg)
+        assert abs(float(np.mean(periodic_orbit(3.3))) - avg) <= 2 * np.spacing(avg)
 
 
 class TestClassifyRegime:
@@ -213,21 +214,31 @@ class TestFindCycle:
 class TestPeriodicOrbit:
     def test_two_cycle(self):
         p, q = quartic_two_cycle(3.2)
-        assert periodic_orbit(3.2, 2) == pytest.approx([p, q], abs=1e-6)
+        assert periodic_orbit(3.2) == pytest.approx([p, q], abs=1e-6)
 
     def test_fixed_point(self):
-        assert periodic_orbit(2.5, 1) == pytest.approx([0.6], abs=1e-12)
+        assert periodic_orbit(2.5) == pytest.approx([0.6], abs=1e-12)
 
     def test_period4_mean_regression(self):
-        pts = periodic_orbit(3.508, 4)
+        pts = periodic_orbit(3.508)
         assert len(pts) == 4 and pts == sorted(pts)
         mean = sum(pts) / 4.0
         assert mean == pytest.approx(PERIOD4_MEAN_AT_3_508, abs=1e-12)
         assert mean == pytest.approx(orbit_tail_mean(3.508, 4), abs=1e-12)
 
-    def test_wrong_period_rejected(self):
-        with pytest.raises(DomainError):
-            periodic_orbit(3.2, 4)
+    @pytest.mark.parametrize(
+        "lo,hi,regime,period",
+        [
+            (1.05, 2.95, Regime.PERIOD1, 1),
+            (3.01, 3.44, Regime.PERIOD2, 2),
+            (3.455, 3.54, Regime.PERIOD4, 4),
+        ],
+    )
+    def test_length_is_the_regime_period(self, lo, hi, regime, period):
+        # the cycle's length is the period the regime table implies
+        for lam in np.linspace(lo, hi, 9).tolist():
+            assert classify_regime(lam, lam) is regime
+            assert len(periodic_orbit(lam)) == period
 
     def test_slow_cycle_recorded_where_detection_converged(self):
         # just past the first doubling the two-cycle attracts slowly: one
@@ -236,7 +247,7 @@ class TestPeriodicOrbit:
         lam = 3.0001
         assert find_cycle(lam, 0.5, PERIOD_BURN_IN)[0] == -1
         p, q = quartic_two_cycle(lam)
-        assert periodic_orbit(lam, 2) == pytest.approx([p, q], abs=1e-6)
+        assert periodic_orbit(lam) == pytest.approx([p, q], abs=1e-6)
 
 
 class TestSupportIntervals:
@@ -474,6 +485,22 @@ class TestHFunctionRoots:
         assert len(brackets) == 4
         theirs = sorted(optimize.brentq(H, a, b, xtol=1e-13) for a, b in brackets)
         assert mine == pytest.approx(theirs, abs=1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        lam=st.floats(3.0, LAMBDA_C4, exclude_min=True, exclude_max=True),
+        eps=st.floats(0.0, 1e-3),
+    )
+    def test_matches_scalar_scan(self, lam, eps):
+        # the vectorized bracket scan finds bitwise the roots of the
+        # cell-by-cell loop, and fails exactly where that loop does not
+        # find four
+        want = scan_h_roots(lam, eps)
+        if len(want) == 4:
+            assert h_function_roots(lam, eps) == tuple(want)
+        else:
+            with pytest.raises(RootCountError):
+                h_function_roots(lam, eps)
 
     def test_ordering_property_across_rates(self):
         rng = np.random.default_rng(7)

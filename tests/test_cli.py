@@ -205,6 +205,51 @@ class TestFlipflop:
         assert payload["rows"][0]["verdict"] == "stochastic_greater"
 
 
+class TestRhoCheckedUpFront:
+    """flipflop rejects every level without a tabulated window before it
+    runs any row."""
+
+    @pytest.mark.parametrize("rho", ["1,7", "1,0"])
+    def test_rejected_before_any_row(self, rho, tmp_path, capsys, monkeypatch):
+        calls = []
+        original = measure.pf_step
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("stochlogistic") and vars(module).get("pf_step") is original:
+                monkeypatch.setattr(module, "pf_step", lambda *a: calls.append(a) or original(*a))
+        assert run(["flipflop", "--rho", rho, *FAST_COMPARE], tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: rho must be one of [1, 2, 3, 4, 5, 6]") and "3.56995" in err
+        assert calls == []
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestScaleOnlyWhereRead:
+    """--scale picks the ensemble sizes, so only the subcommands that run
+    an ensemble configuration take it."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["evolve", "--lambda-bar", "3.2", "--scale", "paper"], ["bifurcation", "--scale", "paper"]],
+        ids=["evolve", "bifurcation"],
+    )
+    def test_rejected_with_exit_2(self, argv, tmp_path, capsys):
+        assert run(argv, tmp_path) == 2
+        assert "--scale" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compare", "--lambda-bar", "3.208", "--delta", "0.024"],
+            ["verify", "--lambda-bar", "3.2", "--delta", "0.05"],
+            ["flipflop", "--rho", "1"],
+        ],
+        ids=["compare", "verify", "flipflop"],
+    )
+    def test_accepted(self, argv, tmp_path):
+        assert run([*argv, "--scale", "paper", *FAST_COMPARE], tmp_path) == 0
+
+
 class TestExplicitValues:
     """A value given on the command line is validated, never replaced by
     a default."""

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from stochlogistic import (
     MonteCarloConfig,
     ParameterDistribution,
+    detect_period,
     deterministic_bifurcation,
     distribution_evolution,
     fixed_point,
@@ -29,10 +30,9 @@ from stochlogistic.errors import (
     ConvergenceError,
     DomainError,
     RegimeError,
-    WindowNotFoundError,
 )
 
-from stochlogistic import analytic, experiments
+from stochlogistic import analytic, cli, experiments
 from stochlogistic.maps import INIT_STREAM, stream_rng
 from stochlogistic.cli import _SUBCOMMANDS, OPTIONS
 from stochlogistic.measure import pf_iterate, uniform_ensemble, variance_of_right_peak
@@ -335,7 +335,7 @@ class TestZScoreRule:
         assert rep.verdict == row.verdict == "stochastic_greater"
 
     def test_float_noise_difference_scores_zero_in_both(self, monkeypatch):
-        det = float(np.mean(periodic_orbit(3.208, 2)))
+        det = float(np.mean(periodic_orbit(3.208)))
         monkeypatch.setattr(experiments, "ensemble_time_mean", lambda *a, **k: (det + 1e-13, 1e-14, None))
         rep, _ = mean_comparison(3.208, 0.024, FAST)
         row = flipflop_scan((1,), 0.024, FAST).rows[0]
@@ -375,7 +375,9 @@ class TestLemmaSuite:
     def test_json_serializable(self):
         cfg = MonteCarloConfig(n_particles=300, generations=600, window=300, seed=24)
         report = lemma_suite(3.2, 0.01, cfg)
-        json.dumps(report.to_dict())
+        payload = json.loads(json.dumps(report.to_dict(), default=cli._json_default))
+        assert payload["passed"] is report.passed is all(c.passed for c in report.checks)
+        assert [c["name"] for c in payload["checks"]] == [c.name for c in report.checks]
 
     def test_seed_override_reaches_variance_ladder(self):
         # a seed set with replace() reaches the four ladder ensembles that
@@ -391,7 +393,7 @@ class TestLemmaSuite:
         alone = []
         for h in experiments._variance_ladder(3.2):
             final = pf_iterate(uniform_ensemble(300, cfg.seed), ParameterDistribution(3.2, h), 400)
-            alone.append(variance_of_right_peak(3.2, h, cfg, final)[0] / h)
+            alone.append(variance_of_right_peak(3.2, final)[0] / h)
         assert ratios(cfg) == alone
         assert ratios(cfg) != ratios(base)
 
@@ -423,12 +425,14 @@ class TestFlipFlopScan:
         assert 3.54409 < row.lambda_bar < 3.56995
 
     def test_reproducible_bytes(self):
-        a = json.dumps(flipflop_scan((1, 2), 0.024, FAST).to_dict(), sort_keys=True)
-        b = json.dumps(flipflop_scan((1, 2), 0.024, FAST).to_dict(), sort_keys=True)
-        assert a == b
+        def encoded():
+            report = flipflop_scan((1, 2), 0.024, FAST)
+            return json.dumps(report.to_dict(), default=cli._json_default, sort_keys=True)
+
+        assert encoded() == encoded()
 
     def test_unattainable_period(self):
-        with pytest.raises(WindowNotFoundError):
+        with pytest.raises(DomainError, match="3.56995"):
             flipflop_scan((9,), 0.01, FAST)
 
     def test_tabulated_centers_are_the_cascade_scan(self):
@@ -442,6 +446,11 @@ class TestFlipFlopScan:
             assert experiments._RHO_CENTERS[rho] == float(grid[run].mean())
         assert not np.any(periods == 128)
         assert 7 not in experiments._RHO_CENTERS
+
+    def test_orbit_at_each_center_has_the_detected_length(self):
+        # mean_comparison takes a row's period from the length of its orbit
+        for rho, center in experiments._RHO_CENTERS.items():
+            assert len(periodic_orbit(center)) == detect_period(center) == 2**rho
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -492,5 +501,5 @@ class TestPeriodicOrbitIntegration:
         report = flipflop_scan((2,), 0.024, FAST)
         row = report.rows[0]
         assert row.deterministic_mean == pytest.approx(
-            float(np.mean(periodic_orbit(row.lambda_bar, 4))), abs=1e-12
+            float(np.mean(periodic_orbit(row.lambda_bar))), abs=1e-12
         )

@@ -219,7 +219,7 @@ class TestGeneratePath:
     def test_path_metadata(self):
         start = Ensemble(np.full(11, 0.25), generation=0, base_seed=3)
         out = pf_iterate(start, ParameterDistribution(2.0, 0.0), 10)
-        assert out.generation == 10 and out.n == len(out) == 11 and out.base_seed == 3
+        assert out.generation == 10 and out.n == 11 and out.base_seed == 3
 
 
 class TestStreamRegistry:

@@ -26,7 +26,7 @@ from stochlogistic import (
     variance_of_right_peak,
 )
 from stochlogistic import measure
-from stochlogistic.errors import DomainError, EmptyPeakError, RegimeError
+from stochlogistic.errors import DomainError, EmptyPeakError
 from stochlogistic.maps import stream_rng
 from stochlogistic.measure import ensemble_time_mean, standard_error
 
@@ -345,28 +345,35 @@ def _converged(lambda_bar, h, cfg):
 class TestVarianceOfRightPeak:
     def test_zero_noise_gives_zero_variance(self):
         cfg = MonteCarloConfig(n_particles=1000, generations=2000, seed=14)
-        v, se = variance_of_right_peak(3.2, 0.0, cfg, _converged(3.2, 0.0, cfg))
+        v, se = variance_of_right_peak(3.2, _converged(3.2, 0.0, cfg))
         assert 0.0 <= v < 1e-20
         assert se >= 0.0
 
     def test_positive_and_bounded_by_support(self):
         cfg = MonteCarloConfig(n_particles=2000, generations=1500, seed=15)
         for h in (0.05, 0.024):
-            v, _ = variance_of_right_peak(3.2, h, cfg, _converged(3.2, h, cfg))
+            v, _ = variance_of_right_peak(3.2, _converged(3.2, h, cfg))
             sup = support_intervals(3.2, h)
             assert 0.0 <= v <= (sup.q_hi - sup.q_lo) ** 2
 
-    def test_regime_error(self):
-        cfg = MonteCarloConfig()
-        with pytest.raises(RegimeError):
-            variance_of_right_peak(3.2, 0.5, cfg, uniform_ensemble(10, cfg.seed))
+    def test_bootstrap_keyed_by_snapshot_seed(self):
+        # the resamples come from the snapshot's own seed: equal particles
+        # under another seed give the same variance and another spread
+        cfg = MonteCarloConfig(n_particles=500, generations=600, window=300, seed=17)
+        final = _converged(3.2, 0.05, cfg)
+        same = Ensemble(final.particles.copy(), final.generation, final.base_seed)
+        other = Ensemble(final.particles.copy(), final.generation, final.base_seed + 1)
+        v, se = variance_of_right_peak(3.2, final)
+        assert variance_of_right_peak(3.2, same) == (v, se)
+        v_other, se_other = variance_of_right_peak(3.2, other)
+        assert v_other == v and se_other != se
 
     def test_empty_peak_error(self):
         # all left of the threshold 0.6875, then all right of it
         for particles in ([0.1, 0.2, 0.3], [0.7, 0.8, 0.9]):
             e = Ensemble(np.array(particles), generation=0, base_seed=0)
             with pytest.raises(EmptyPeakError):
-                variance_of_right_peak(3.2, 0.05, MonteCarloConfig(), e)
+                variance_of_right_peak(3.2, e)
 
 
 class TestRightDerivativeProfile:
@@ -382,7 +389,7 @@ class TestRightDerivativeProfile:
         assert all(r >= 0 and s >= 0 for r, s in zip(details["ratio"], details["ratio_se"]))
         # each rung is V(h)/h and se/h of that rung's converged snapshot
         for h, ratio, ratio_se in zip(hs, details["ratio"], details["ratio_se"]):
-            v, se = variance_of_right_peak(3.2, h, cfg, _converged(3.2, h, cfg))
+            v, se = variance_of_right_peak(3.2, _converged(3.2, h, cfg))
             assert (ratio, ratio_se) == (v / h, se / h)
 
 

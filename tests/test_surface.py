@@ -9,7 +9,8 @@ deleted.  Likewise every field of a dataclass must be read as an
 attribute somewhere in the package, unless the class serializes all its
 fields through ``__dataclass_fields__``.  The benchmark's span tracer (``stochbench/spans.py``) names
 the functions it times; every one of them must still exist, or a traced
-run drops that metric.
+run drops that metric.  And ``src/`` stays within a budget of non-blank
+lines; a change that must raise it says why.
 """
 
 from __future__ import annotations
@@ -111,3 +112,18 @@ def test_every_traced_metric_is_present():
     finally:
         tracer.uninstall()
     assert sorted(set(spans.METRICS) - set(metrics)) == []
+
+
+#: Standing budget of non-blank lines in src/stochlogistic/*.py.
+LOC_BUDGET = 1800
+
+
+def test_src_stays_within_the_line_budget():
+    counts = {
+        path.name: sum(1 for line in path.read_text().splitlines() if line.strip())
+        for path in sorted(SRC.glob("*.py"))
+    }
+    total = sum(counts.values())
+    assert total <= LOC_BUDGET, (
+        f"src/ has {total} non-blank lines, over the budget of {LOC_BUDGET}: {counts}"
+    )
