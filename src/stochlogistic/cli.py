@@ -12,13 +12,15 @@ Artifacts are written as CSV/JSON/SVG, in that order, under the output
 directory (--outdir, else $STOCHLOGISTIC_OUTDIR, else the working
 directory) with names <subcommand>-<lambda_bar>-<delta>-<seed>.<ext>;
 verify and flipflop have no drawing and reject --format svg.  --scale
-applies to compare, verify and flipflop only; the others reject it.
-Settings come from defaults, then an optional flat key=value config file
-(--config), then explicit flags, in increasing precedence.  The config
-keys are the keys of OPTIONS, which also defines every flag.  A default
-fills a setting only when it is missing, so an explicit zero is
-validated, never replaced.  The seed, an integer in [0, 2**64), defaults
-to the fixed constant 12345, never the clock.
+(compare, verify and flipflop only) picks a row of the one size table
+_SCALES; a default window is clipped to the generations.  Settings come
+from defaults, then an optional flat key=value config file (--config),
+then explicit flags, in increasing precedence.  OPTIONS defines every
+flag and config key, and a config file may set only the keys that its
+subcommand has flags for.  A default fills a setting only when it is
+missing, so an explicit zero is validated, never replaced.  The seed,
+an integer in [0, 2**64), defaults to the fixed constant 12345, never
+the clock.
 
 Exit codes: 0 success, 2 validation error (bad flag, malformed config,
 window in the wrong regime), 1 runtime failure during computation.
@@ -39,7 +41,7 @@ from . import analytic, experiments, svgplot
 from .errors import ConfigError, DomainError, RegimeError
 from .maps import ParameterDistribution
 # pf_iterate and uniform_ensemble go unused here: stochbench/test_bench.py asserts cli holds them
-from .measure import DEFAULT_SEED, MonteCarloConfig, pf_iterate, uniform_ensemble, Histogram  # noqa: F401
+from .measure import MonteCarloConfig, pf_iterate, uniform_ensemble, Histogram  # noqa: F401
 
 ENV_OUTDIR = "STOCHLOGISTIC_OUTDIR"
 
@@ -71,9 +73,13 @@ def _format_list(text: str) -> tuple[str, ...]:
     return fmts
 
 
+_SCALES = {"desk": (2000, 2000, 1000), "paper": (20_000, 10_000, 5000)}
+_SEED = 12345
+
 #: Every setting: key -> (flag, converter from the raw string, default,
-#: further add_argument keywords).  A default of None is filled per
-#: scale (particles, generations, window) or per subcommand (format).
+#: further add_argument keywords).  A default of None is filled from the
+#: --scale row of _SCALES (particles, generations, window) or per
+#: subcommand (format).
 OPTIONS = {
     "lambda_bar": ("--lambda-bar", _finite, None, {}),
     "delta": ("--delta", _finite, 0.0, {"help": "noise half-width of the growth rate"}),
@@ -92,32 +98,36 @@ OPTIONS = {
         {"help": "comma-separated generations to snapshot"},
     ),
     "rho": ("--rho", _int_list, (1, 2, 3), {"help": "comma-separated doubling levels"}),
-    "seed": ("--seed", _seed, DEFAULT_SEED, {"help": f"RNG seed in [0, 2**64) (default {DEFAULT_SEED})"}),
+    "seed": ("--seed", _seed, _SEED, {"help": f"RNG seed in [0, 2**64) (default {_SEED})"}),
     "outdir": ("--outdir", str, None, {"help": "output directory"}),
     "format": ("--format", _format_list, None, {"help": "comma-separated subset of csv,json,svg"}),
     "scale": (
         "--scale", str, "desk",
-        {"choices": ("desk", "paper"),
-         "help": "desk: 2000 particles x 2000 generations; paper: 20000 x 10000"},
+        {"choices": tuple(_SCALES),
+         "help": "; ".join(f"{k}: {n} particles x {g} generations, window {w}"
+                           for k, (n, g, w) in _SCALES.items())},
     ),
 }
 
 _COMMON = ("seed", "outdir", "format")
 #: Subcommands whose results have no drawing.
 _NO_SVG = ("verify", "flipflop")
-_ENSEMBLE = ("delta", "particles", "generations", "window", "scale")
+_ENSEMBLE = ("delta", "particles", "generations", "window", "scale", *_COMMON)
 
 
-def load_config(path: str | Path) -> dict:
+def load_config(path: str | Path, keys) -> dict:
     """Parse a flat key = value config file into typed settings.
 
     Lines are ``key = value``; blank lines and ``#`` comments are
-    ignored.  ConfigError (with the line number) on malformed lines,
-    unknown keys, unparseable values, or values outside an option's
-    choices.
+    ignored.  ConfigError (with the line number) on malformed lines, keys
+    not in ``keys`` (the subcommand's), unparseable values, or values
+    outside an option's choices; also when the file cannot be read.
     """
     settings: dict = {}
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -126,8 +136,8 @@ def load_config(path: str | Path) -> dict:
         key = key.strip()
         if not eq:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        if key not in OPTIONS:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key not in keys:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} is not one of this subcommand's {keys}")
         _, convert, _, extras = OPTIONS[key]
         try:
             settings[key] = convert(value.strip())
@@ -147,18 +157,19 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, (_, helptext, keys, _) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=helptext)
-        for key in (*keys, *_COMMON):
+        for key in keys:
             flag, convert, _, extras = OPTIONS[key]
             p.add_argument(flag, dest=key, type=convert, default=None, **extras)
         p.add_argument("--config", help="flat key=value settings file")
     return parser
 
 
-def _resolve(ns: argparse.Namespace, config: dict) -> None:
+def _resolve(ns: argparse.Namespace) -> None:
     """Fill each setting no flag gave from the config file, else the
     subcommand's default, else the option table's; create the outdir."""
     _, _, keys, defaults = _SUBCOMMANDS[ns.subcommand]
-    for key in (*keys, *_COMMON):
+    config = load_config(ns.config, keys) if ns.config else {}
+    for key in keys:
         if getattr(ns, key) is None:
             setattr(ns, key, config.get(key, defaults.get(key, OPTIONS[key][2])))
     if "lambda_bar" in keys and ns.lambda_bar is None:
@@ -173,12 +184,12 @@ def _resolve(ns: argparse.Namespace, config: dict) -> None:
 
 
 def _mc_config(ns) -> MonteCarloConfig:
-    base = MonteCarloConfig.paper() if ns.scale == "paper" else MonteCarloConfig()
-    generations = base.generations if ns.generations is None else ns.generations
+    particles, generations, window = _SCALES[ns.scale]
+    generations = generations if ns.generations is None else ns.generations
     return MonteCarloConfig(
-        n_particles=base.n_particles if ns.particles is None else ns.particles,
+        n_particles=particles if ns.particles is None else ns.particles,
         generations=generations,
-        window=min(base.window, generations) if ns.window is None else ns.window,
+        window=min(window, generations) if ns.window is None else ns.window,
         seed=ns.seed,
     )
 
@@ -223,6 +234,8 @@ def _write(ns, mid: str, delta: float, payload, rows, svg=None) -> int:
 
 def _run_bifurcation(ns) -> int:
     sizes = {"n_init": ns.n_init, "n_iter": ns.n_iter, "seed": ns.seed}
+    if ns.kind == "deterministic" and ns.delta != 0:
+        raise DomainError(f"the deterministic sweep draws no noise; got --delta {ns.delta:g}")
     if ns.kind == "deterministic":
         data = experiments.deterministic_bifurcation(ns.lam_from, ns.lam_to, ns.step, **sizes)
     else:
@@ -344,19 +357,19 @@ def _run_flipflop(ns) -> int:
     return _write(ns, mid, ns.delta, report.to_dict, rows)
 
 
-#: subcommand -> (runner, help, option keys besides the common ones,
-#: defaults that differ from OPTIONS)
+#: subcommand -> (runner, help, its option keys, which are also the keys
+#: its config file may set, defaults that differ from OPTIONS)
 _SUBCOMMANDS = {
     "bifurcation": (
         _run_bifurcation,
         "terminal-state sweep over growth rates",
-        ("kind", "lam_from", "lam_to", "step", "delta", "n_init", "n_iter"),
+        ("kind", "lam_from", "lam_to", "step", "delta", "n_init", "n_iter", *_COMMON),
         {"format": ("csv",)},
     ),
     "evolve": (
         _run_evolve,
         "distribution snapshots under iteration",
-        ("lambda_bar", "delta", "particles", "checkpoints", "bins"),
+        ("lambda_bar", "delta", "particles", "checkpoints", "bins", *_COMMON),
         {"format": ("csv",), "particles": 1000},
     ),
     "compare": (
@@ -394,12 +407,7 @@ def parse_and_dispatch(argv: list[str]) -> int:
         code = exc.code if exc.code is not None else 0
         return int(code) if isinstance(code, int) else 2
     try:
-        config = load_config(ns.config) if ns.config else {}
-    except (ConfigError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        _resolve(ns, config)
+        _resolve(ns)
         return _SUBCOMMANDS[ns.subcommand][0](ns)
     except (DomainError, RegimeError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -199,6 +199,10 @@ def _parity_window(window: int, period: int) -> int:
     return max(w, period)
 
 
+#: Cycle length of each stable regime; a detected orbit must agree.
+_REGIME_CYCLE = {Regime.PERIOD1: 1, Regime.PERIOD2: 2, Regime.PERIOD4: 4}
+
+
 def mean_comparison(
     lambda_bar: float, delta_lambda: float, cfg: MonteCarloConfig
 ) -> tuple[ComparisonReport, Ensemble]:
@@ -206,7 +210,8 @@ def mean_comparison(
     attracting cycle of the fixed-rate map at lambda_bar; returns the
     report and the ensemble's final snapshot, at cfg.generations.
 
-    The window of the rates must sit strictly inside one regime.  The
+    The window of the rates must sit strictly inside one regime; in the
+    period 1, 2 and 4 regimes the cycle at lambda_bar must have that length.  The
     stochastic mean pools the trailing window of generations (clipped to
     a multiple of the cycle length so both cycle phases contribute
     equally); its standard error comes from the spread of per-particle
@@ -215,6 +220,8 @@ def mean_comparison(
     regime = classify_regime(lambda_bar - delta_lambda, lambda_bar + delta_lambda)
     orbit = [0.0] if regime is Regime.EXTINCTION else periodic_orbit(lambda_bar)
     period, det_mean = len(orbit), float(np.mean(orbit))
+    if _REGIME_CYCLE.get(regime, period) != period:
+        raise RegimeError(f"{regime.value} window, but the cycle at lam={lambda_bar} has length {period}")
     cfg = replace(cfg, window=_parity_window(cfg.window, period))
     stoch_mean, se, final = ensemble_time_mean(ParameterDistribution(lambda_bar, delta_lambda), cfg)
     diff = stoch_mean - det_mean

@@ -44,9 +44,10 @@ leave [0, 1] for a rate law that ParameterDistribution accepts
   rounds to at most 1.
 
 Run settings (sizes, averaging window, seed) come only from a
-MonteCarloConfig, which validates them once; a caller that needs another
-window or seed passes ``dataclasses.replace(cfg, ...)``; the bootstrap
-of a peak variance is keyed by the seed of the snapshot it resamples.
+MonteCarloConfig, which validates them once and has no protocol
+defaults (the desk and paper sizes and the seed are ``cli``'s).  A
+caller that needs another window or seed passes ``replace(cfg, ...)``;
+the bootstrap of a peak variance is keyed by its snapshot's seed.
 This module does not import ``analytic``: its callers validate windows.
 """
 
@@ -137,15 +138,14 @@ class MonteCarloConfig:
 
     ``window`` is the number of trailing generations pooled into time
     averages; it is clipped to a multiple of the cycle length where
-    parity matters.  The defaults are desk scale (verdicts in under a
-    minute), ``paper()`` the publication protocol.  Seeds outside
-    [0, 2**64) are rejected: the streams would wrap them onto another.
+    parity matters.  No field has a default.  Seeds outside [0, 2**64)
+    are rejected: the streams would wrap them onto another.
     """
 
-    n_particles: int = 2000
-    generations: int = 2000
-    window: int = 1000
-    seed: int = 12345
+    n_particles: int
+    generations: int
+    window: int
+    seed: int
 
     def __post_init__(self) -> None:
         if self.n_particles < 2:
@@ -156,13 +156,6 @@ class MonteCarloConfig:
             raise DomainError("need 0 < window <= generations")
         if not 0 <= self.seed < 2**64:
             raise DomainError(f"seed must be an integer in [0, 2**64), got {self.seed}")
-
-    @classmethod
-    def paper(cls) -> "MonteCarloConfig":
-        return cls(n_particles=20_000, generations=10_000, window=5000)
-
-
-DEFAULT_SEED = MonteCarloConfig().seed
 
 
 def uniform_ensemble(n: int, seed: int) -> Ensemble:

@@ -11,23 +11,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
-from stochlogistic import (
+from stochlogistic.analytic import (
     LAMBDA_C4,
-    Ensemble,
-    ParameterDistribution,
+    PERIOD_BURN_IN,
+    Regime,
+    _H_value,
     check_ordering,
     classify_regime,
     convexity_on_interval,
     detect_period,
+    find_cycle,
     fixed_point,
     h_function_roots,
     h_second_derivative,
     period2_points,
     periodic_orbit,
-    pf_step,
     support_intervals,
 )
-from stochlogistic.analytic import PERIOD_BURN_IN, Regime, _H_value, find_cycle
+from stochlogistic.maps import ParameterDistribution
+from stochlogistic.measure import Ensemble, pf_step
 from stochlogistic.errors import (
     ConvergenceError,
     DomainError,

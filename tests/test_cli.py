@@ -12,8 +12,10 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from stochlogistic import Histogram, deterministic_bifurcation, measure, uniform_ensemble
-from stochlogistic.cli import ENV_OUTDIR, OPTIONS, load_config, parse_and_dispatch
+from stochlogistic import cli, experiments, measure
+from stochlogistic.experiments import deterministic_bifurcation
+from stochlogistic.measure import Histogram, uniform_ensemble
+from stochlogistic.cli import _SUBCOMMANDS, ENV_OUTDIR, OPTIONS, load_config, parse_and_dispatch
 from stochlogistic.errors import ConfigError, DomainError
 from stochlogistic.svgplot import Marker, render_histograms, render_scatter
 
@@ -416,37 +418,37 @@ class TestConfigFile:
     def test_comments_and_blank_lines(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("# comment\n\nlambda_bar = 3.2  # inline\ndelta = 0.0\n")
-        parsed = load_config(cfg)
+        parsed = load_config(cfg, OPTIONS)
         assert parsed == {"lambda_bar": 3.2, "delta": 0.0}
 
     def test_unknown_key_with_line_number(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("lambda_bar = 3.2\nbogus = 1\n")
         with pytest.raises(ConfigError, match=":2:"):
-            load_config(cfg)
+            load_config(cfg, OPTIONS)
 
     def test_malformed_line(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("lambda_bar 3.2\n")
         with pytest.raises(ConfigError, match=":1:"):
-            load_config(cfg)
+            load_config(cfg, OPTIONS)
 
     def test_choice_checked(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("kind = chaotic\n")
         with pytest.raises(ConfigError, match=":1:"):
-            load_config(cfg)
+            load_config(cfg, OPTIONS)
 
     def test_list_values(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("rho = 1,2\ncheckpoints = 0,5\nformat = csv,svg\n")
-        assert load_config(cfg) == {"rho": (1, 2), "checkpoints": (0, 5), "format": ("csv", "svg")}
+        assert load_config(cfg, OPTIONS) == {"rho": (1, 2), "checkpoints": (0, 5), "format": ("csv", "svg")}
 
     def test_bad_value(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("seed = not-an-int\n")
         with pytest.raises(ConfigError, match=":1:"):
-            load_config(cfg)
+            load_config(cfg, OPTIONS)
 
     def test_malformed_config_exit_2(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -456,6 +458,130 @@ class TestConfigFile:
              "--outdir", str(tmp_path)]
         )
         assert code == 2
+
+
+#: A valid one-line config value for each OPTIONS key (outdir is set per test).
+ONE_LINE = {
+    "lambda_bar": "3.2", "delta": "0.01", "lam_from": "2.8", "lam_to": "3.0", "step": "0.1",
+    "kind": "stochastic", "n_init": "2", "n_iter": "3", "particles": "50", "generations": "20",
+    "window": "10", "bins": "5", "checkpoints": "0,1", "rho": "1", "seed": "3", "format": "json",
+    "scale": "paper",
+}
+
+
+class TestConfigKeysHeldToTheirSubcommand:
+    """A config file may set exactly the keys its subcommand has flags for."""
+
+    def test_every_option_has_a_value(self):
+        assert set(ONE_LINE) | {"outdir"} == set(OPTIONS)
+
+    @pytest.mark.parametrize("sub", sorted(_SUBCOMMANDS))
+    @pytest.mark.parametrize("key", sorted(OPTIONS))
+    def test_file_rejects_exactly_what_the_parser_has_no_flag_for(
+        self, sub, key, tmp_path, monkeypatch, capsys
+    ):
+        # the runner is stubbed: only which settings are taken is under test
+        monkeypatch.setitem(_SUBCOMMANDS, sub, (lambda ns: 0, *_SUBCOMMANDS[sub][1:]))
+        value = str(tmp_path / "out") if key == "outdir" else ONE_LINE[key]
+        base = [sub, "--outdir", str(tmp_path / "out")]
+        if sub in ("evolve", "compare", "verify"):
+            base += ["--lambda-bar", "3.2"]
+        by_flag = parse_and_dispatch([*base, OPTIONS[key][0], value])
+        cfg = tmp_path / "one.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        by_file = parse_and_dispatch([*base, "--config", str(cfg)])
+        assert by_flag in (0, 2)
+        assert by_file == by_flag
+        if by_file == 2:
+            assert f"one.cfg:1: key {key!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [(["evolve", "--lambda-bar", "3.2"], "scale = paper"),
+         (["compare", "--lambda-bar", "3.2"], "kind = stochastic")],
+    )
+    def test_unread_key_exits_2_and_writes_nothing(self, argv, line, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "out"
+        assert parse_and_dispatch([*argv, "--config", str(cfg), "--outdir", str(out)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestScaleSizes:
+    """--scale takes its sizes from cli's one table; no ensemble runs."""
+
+    @staticmethod
+    def sizes(argv, tmp_path, monkeypatch, config=""):
+        seen = []
+
+        def capture(lambda_bar, delta, cfg):
+            seen.append(cfg)
+            raise RuntimeError("stopped before the ensemble")
+
+        monkeypatch.setattr(experiments, "mean_comparison", capture)
+        if config:
+            (tmp_path / "run.cfg").write_text(config)
+            argv = [*argv, "--config", str(tmp_path / "run.cfg")]
+        assert run(["compare", "--lambda-bar", "3.2", *argv], tmp_path) == 1
+        (cfg,) = seen
+        return cfg.n_particles, cfg.generations, cfg.window, cfg.seed
+
+    def test_desk_and_paper_scales(self, tmp_path, monkeypatch):
+        assert self.sizes([], tmp_path, monkeypatch) == (2000, 2000, 1000, 12345)
+        assert self.sizes(["--scale", "desk"], tmp_path, monkeypatch) == (2000, 2000, 1000, 12345)
+        assert self.sizes(["--scale", "paper"], tmp_path, monkeypatch) == (20_000, 10_000, 5000, 12345)
+
+    @pytest.mark.parametrize(
+        "argv, config, expected",
+        [
+            (["--generations", "600"], "", (2000, 600, 600)),
+            (["--scale", "paper", "--generations", "3000"], "", (20_000, 3000, 3000)),
+            (["--scale", "paper", "--generations", "7000"], "", (20_000, 7000, 5000)),
+            (["--scale", "paper"], "window = 700\n", (20_000, 10_000, 700)),
+            ([], "scale = paper\ngenerations = 4000\n", (20_000, 4000, 4000)),
+            (["--window", "50"], "window = 700\n", (2000, 2000, 50)),
+            (["--particles", "30"], "scale = paper\n", (30, 10_000, 5000)),
+        ],
+    )
+    def test_window_rules(self, argv, config, expected, tmp_path, monkeypatch):
+        # a default window is clipped to the generations; a given one is kept
+        assert self.sizes(argv, tmp_path, monkeypatch, config)[:3] == expected
+
+    def test_help_lists_the_table(self, capsys):
+        assert parse_and_dispatch(["compare", "--help"]) == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert "desk: 2000 particles x 2000 generations, window 1000" in text
+        assert "paper: 20000 particles x 10000 generations, window 5000" in text
+
+
+class TestContradictionsRefused:
+    """Settings or reports that would contradict themselves exit 2 and
+    write no file."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compare", "--lambda-bar", "2.999", "--delta", "0.0005", "--particles", "200"],
+            ["compare", "--lambda-bar", "3.449", "--delta", "0.0004", "--particles", "200"],
+            ["bifurcation", "--kind", "deterministic", "--delta", "0.3"],
+            ["bifurcation", "--kind", "deterministic", "--delta", "-0.3", "--from", "2.8", "--to", "3"],
+        ],
+    )
+    def test_exit_2_and_no_file(self, argv, tmp_path, capsys):
+        assert run(argv, tmp_path) == 2
+        assert "error:" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_deterministic_sweep_at_zero_delta_unchanged(self, tmp_path, capsys):
+        sweep = ["bifurcation", "--from", "2.8", "--to", "3", "--step", "0.1", "--n-init", "3",
+                 "--n-iter", "10"]
+        assert run(sweep, tmp_path / "a") == 0
+        assert run([*sweep, "--kind", "deterministic", "--delta", "0"], tmp_path / "b") == 0
+        name = "bifurcation-deterministic-2.8to3-0-12345.csv"
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+        assert run([*sweep, "--kind", "stochastic", "--delta", "0.3"], tmp_path / "c") == 0
 
 
 class TestDeterminism:
@@ -496,8 +622,6 @@ class TestSvgRendering:
             render_histograms([], "state distribution")
 
     def test_scatter(self):
-        from stochlogistic import deterministic_bifurcation
-
         data = deterministic_bifurcation(2.0, 2.5, step=0.25, n_init=4, n_iter=50, seed=2)
         svg = render_scatter(data, (Marker(2.2, "#555555", "ref"),), "bifurcation diagram")
         assert svg.count("<circle") == 3 * 4

@@ -12,20 +12,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stochlogistic import (
-    MonteCarloConfig,
-    ParameterDistribution,
-    detect_period,
+from stochlogistic.analytic import (
+    classify_regime, detect_period, fixed_point, periodic_orbit, support_intervals,
+)
+from stochlogistic.experiments import (
     deterministic_bifurcation,
     distribution_evolution,
-    fixed_point,
     flipflop_scan,
     lemma_suite,
     mean_comparison,
-    periodic_orbit,
     stochastic_bifurcation,
-    support_intervals,
 )
+from stochlogistic.maps import ParameterDistribution
 from stochlogistic.errors import (
     ConvergenceError,
     DomainError,
@@ -35,7 +33,7 @@ from stochlogistic.errors import (
 from stochlogistic import analytic, cli, experiments
 from stochlogistic.maps import INIT_STREAM, stream_rng
 from stochlogistic.cli import _SUBCOMMANDS, OPTIONS
-from stochlogistic.measure import pf_iterate, uniform_ensemble, variance_of_right_peak
+from stochlogistic.measure import MonteCarloConfig, pf_iterate, uniform_ensemble, variance_of_right_peak
 
 from oracles import band_geometry, quartic_two_cycle, two_cycle_mean
 
@@ -303,6 +301,18 @@ class TestMeanComparison:
     def test_chaotic_center_fails(self):
         with pytest.raises(ConvergenceError):
             mean_comparison(3.9, 0.005, FAST)
+
+    @pytest.mark.parametrize(
+        "lambda_bar, delta, regime, length",
+        [(2.999, 0.0005, "period1", 2), (3.449, 0.0004, "period2", 4)],
+    )
+    def test_cycle_length_must_match_the_regime(self, lambda_bar, delta, regime, length):
+        # just below a doubling the detector reports twice the regime's
+        # cycle length; the report would name one period and the other
+        assert classify_regime(lambda_bar - delta, lambda_bar + delta).value == regime
+        assert len(periodic_orbit(lambda_bar)) == length
+        with pytest.raises(RegimeError, match=rf"^{regime} window, .* length {length}$"):
+            mean_comparison(lambda_bar, delta, FAST)
 
     def test_reproducible(self):
         a, _ = mean_comparison(3.208, 0.024, FAST)

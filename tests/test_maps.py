@@ -13,18 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stochlogistic import (
-    Ensemble,
-    MonteCarloConfig,
-    ParameterDistribution,
-    lemma_suite,
-    pf_iterate,
-    pf_step,
-    uniform_ensemble,
-)
 from stochlogistic import measure
 from stochlogistic.errors import DomainError
-from stochlogistic.maps import BOOTSTRAP_STREAM, INIT_STREAM, stream_rng
+from stochlogistic.experiments import lemma_suite
+from stochlogistic.maps import BOOTSTRAP_STREAM, INIT_STREAM, ParameterDistribution, stream_rng
+from stochlogistic.measure import Ensemble, MonteCarloConfig, pf_iterate, pf_step, uniform_ensemble
 
 from oracles import quartic_two_cycle
 

@@ -10,25 +10,23 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from stochlogistic import (
+from stochlogistic import measure
+from stochlogistic.analytic import fixed_point, period2_points, support_intervals
+from stochlogistic.errors import DomainError, EmptyPeakError
+from stochlogistic.experiments import lemma_suite
+from stochlogistic.maps import ParameterDistribution, stream_rng
+from stochlogistic.measure import (
     Ensemble,
     Histogram,
     MonteCarloConfig,
-    ParameterDistribution,
-    fixed_point,
-    lemma_suite,
-    period2_points,
+    ensemble_time_mean,
     pf_iterate,
     pf_step,
+    standard_error,
     stationary_stats,
-    support_intervals,
     uniform_ensemble,
     variance_of_right_peak,
 )
-from stochlogistic import measure
-from stochlogistic.errors import DomainError, EmptyPeakError
-from stochlogistic.maps import stream_rng
-from stochlogistic.measure import ensemble_time_mean, standard_error
 
 from oracles import quartic_two_cycle
 
@@ -344,13 +342,13 @@ def _converged(lambda_bar, h, cfg):
 
 class TestVarianceOfRightPeak:
     def test_zero_noise_gives_zero_variance(self):
-        cfg = MonteCarloConfig(n_particles=1000, generations=2000, seed=14)
+        cfg = MonteCarloConfig(n_particles=1000, generations=2000, window=1000, seed=14)
         v, se = variance_of_right_peak(3.2, _converged(3.2, 0.0, cfg))
         assert 0.0 <= v < 1e-20
         assert se >= 0.0
 
     def test_positive_and_bounded_by_support(self):
-        cfg = MonteCarloConfig(n_particles=2000, generations=1500, seed=15)
+        cfg = MonteCarloConfig(n_particles=2000, generations=1500, window=1000, seed=15)
         for h in (0.05, 0.024):
             v, _ = variance_of_right_peak(3.2, _converged(3.2, h, cfg))
             sup = support_intervals(3.2, h)
@@ -542,30 +540,32 @@ class TestStepRange:
 
 
 class TestMonteCarloConfig:
-    def test_desk_and_paper_scales(self):
-        desk = MonteCarloConfig()
-        paper = MonteCarloConfig.paper()
-        assert (desk.n_particles, desk.generations, desk.window) == (2000, 2000, 1000)
-        assert (paper.n_particles, paper.generations, paper.window) == (20_000, 10_000, 5000)
-        assert desk.seed == paper.seed == 12345
+    SIZES = {"n_particles": 2000, "generations": 2000, "window": 1000, "seed": 12345}
+
+    def test_no_field_has_a_default(self):
+        # the protocol sizes and the seed are written once, in cli
+        with pytest.raises(TypeError):
+            MonteCarloConfig()
+        assert not hasattr(MonteCarloConfig, "paper")
+        assert not hasattr(measure, "DEFAULT_SEED")
 
     @pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
     def test_seed_outside_64_bits_rejected(self, seed):
         # the streams key the seed modulo 2**64, so a wider one would alias
         # another seed's draws
         with pytest.raises(DomainError):
-            MonteCarloConfig(seed=seed)
+            MonteCarloConfig(**{**self.SIZES, "seed": seed})
 
     def test_derived_seed_past_the_top_rejected(self):
-        assert MonteCarloConfig(seed=0).seed == 0
-        top = MonteCarloConfig(seed=2**64 - 1)
+        assert MonteCarloConfig(**{**self.SIZES, "seed": 0}).seed == 0
+        top = MonteCarloConfig(**{**self.SIZES, "seed": 2**64 - 1})
         with pytest.raises(DomainError):
             replace(top, seed=top.seed + 1)
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            MonteCarloConfig(n_particles=0)
+            MonteCarloConfig(**{**self.SIZES, "n_particles": 0})
         with pytest.raises(DomainError):
-            MonteCarloConfig(n_particles=1)  # no standard error from one particle
+            MonteCarloConfig(**{**self.SIZES, "n_particles": 1})  # no standard error from one particle
         with pytest.raises(DomainError):
-            MonteCarloConfig(window=5000, generations=2000)
+            MonteCarloConfig(**{**self.SIZES, "window": 5000, "generations": 2000})
