@@ -4,8 +4,9 @@ geometry induced by a uniform growth-rate window.
 Covers the fixed point, the two-cycle, cycle detection, regime
 classification along the period-doubling cascade, the pair of disjoint
 intervals that carry the invariant distribution in the two-cycle
-regime, and the comparison function H whose roots locate the shifted
-peaks of that distribution.
+regime (the smallest pair holding the two-cycle that the random map
+takes into itself), and the comparison function H whose roots locate
+the shifted peaks of that distribution.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, OrderingError, RegimeError, RootCountError
+from .errors import ConvergenceError, DomainError, RegimeError, RootCountError
 
 # Bifurcation boundaries of the cascade.  The first two are exact; the
 # remaining ones are standard numerical values kept to the precision we
@@ -36,6 +37,7 @@ PERIOD_TOL = 1e-9
 PERIOD_MAX_ITER = 200_000
 _MAX_PERIOD = 64
 _CHECK_SPAN = 64
+_NEWTON_STEPS = 8
 
 
 class Regime(enum.Enum):
@@ -59,9 +61,8 @@ class Period2Pair:
 @dataclass(frozen=True)
 class SupportIntervals:
     """Disjoint intervals I_p = [p_lo, p_hi] and I_q = [q_lo, q_hi]
-    containing the two peaks of the invariant distribution: the images
-    of the two-cycle-point intervals under one map step over the whole
-    rate window."""
+    containing the two peaks of the invariant distribution: every rate
+    in the window maps each one into the other."""
 
     p_lo: float
     p_hi: float
@@ -142,8 +143,9 @@ def classify_regime(lambda_lo: float, lambda_hi: float) -> Regime:
 
 
 def detect_period(lam: float) -> int:
-    """Smallest k <= 64 with |x_{n+k} - x_n| < PERIOD_TOL along the orbit
-    of x0 = 0.5 after burn-in.
+    """Length of the attracting cycle: the smallest k <= 64 with
+    |x_{n+k} - x_n| < PERIOD_TOL along the orbit of x0 = 0.5 after
+    burn-in, cut to the divisor of k that the polished cycle repeats at.
 
     Burn-in starts at PERIOD_BURN_IN and is extended until PERIOD_MAX_ITER
     total iterations are spent; ConvergenceError if no cycle length is
@@ -185,11 +187,33 @@ def _converged_cycle(lam: float) -> tuple[int, float]:
         burn = min(PERIOD_BURN_IN, PERIOD_MAX_ITER - spent)
         period, start, x = find_cycle(lam, x, burn)
         if period > 0:
-            return int(period), start
+            return _cycle_length(lam, start, int(period)), start
         spent += burn + _CHECK_SPAN + _MAX_PERIOD
     raise ConvergenceError(
         f"no cycle of length <= {_MAX_PERIOD} within {PERIOD_MAX_ITER} iterations at lam={lam}"
     )
+
+
+def _cycle_length(lam: float, x: float, k: int) -> int:
+    """The length of the cycle near x, which repeats after k steps to
+    PERIOD_TOL: Newton on f^k(x) - x (the slope by the chain rule along
+    the orbit) polishes x, then the smallest divisor d of k with
+    |f^d(x) - x| < 1e-12.  A slowly converging cycle passes the tolerance
+    at twice its length first, just below a doubling."""
+    for _ in range(_NEWTON_STEPS):
+        y, slope = x, 1.0
+        for _ in range(k):
+            slope *= lam * (1.0 - 2.0 * y)
+            y = lam * y * (1.0 - y)
+        if slope == 1.0:
+            break
+        x -= (y - x) / (slope - 1.0)
+    y = x
+    for d in range(1, k):
+        y = lam * y * (1.0 - y)
+        if k % d == 0 and abs(y - x) < 1e-12:
+            return d
+    return k
 
 
 def periodic_orbit(lam: float) -> list[float]:
@@ -210,85 +234,46 @@ def periodic_orbit(lam: float) -> list[float]:
     return sorted(pts)
 
 
-def require_period2_window(lambda_bar: float, delta_lambda: float) -> tuple[float, float]:
-    """Validate that the window sits strictly inside the two-cycle
-    regime and return its endpoints (a, b)."""
-    a, b = lambda_bar - delta_lambda, lambda_bar + delta_lambda
-    if classify_regime(a, b) is not Regime.PERIOD2:
-        raise RegimeError(
-            f"window [{a}, {b}] must lie strictly inside "
-            f"({LAMBDA_C2:g}, {LAMBDA_C4:g})"
-        )
-    return a, b
+def _image(a: float, b: float, lo: float, hi: float) -> tuple[float, float]:
+    """Image of [lo, hi] under every rate in [a, b], rounded as the map
+    rounds: the rate enters linearly, so it is [a*min s, b*max s] with
+    s = x(1-x), which is smallest at an endpoint and largest at the
+    point nearest 1/2."""
+    top = min(max(0.5, lo), hi)
+    return min(a * lo * (1.0 - lo), a * hi * (1.0 - hi)), b * top * (1.0 - top)
 
 
 def support_intervals(lambda_bar: float, delta_lambda: float) -> SupportIntervals:
-    """Intervals I_p, I_q bracketing the two peaks of the invariant
-    distribution for a window inside the two-cycle regime.
+    """The smallest pair I_p, I_q that holds the two-cycle {p, q} at
+    lambda_bar and that every rate in the window maps into itself with
+    the sides swapped: the interval hulls are grown by their images
+    until they stop changing.
 
-    I_p is the image of the q-side two-cycle interval [q_-, q_+] under
-    one map step over all rates in the window; I_q is the image of the
-    p-side interval [p_+, p_-].  The map's vertex value b/4 enters the
-    q-side maximum only when 1/2 lies inside [p_+, p_-].
+    RegimeError once the two intervals meet (the support is one band, so
+    the two-interval hypothesis of the two-cycle lemma fails);
+    ConvergenceError past PERIOD_MAX_ITER images.  The window must lie
+    strictly inside the two-cycle regime (RegimeError otherwise).
     """
-    a, b = require_period2_window(lambda_bar, delta_lambda)
-    p_plus, q_plus = period2_points(b).p, period2_points(b).q
-    p_minus, q_minus = period2_points(a).p, period2_points(a).q
-
-    # q-side points all exceed 1/2, so the map is decreasing there
-    p_lo = a * q_plus * (1.0 - q_plus)
-    p_hi = b * q_minus * (1.0 - q_minus)
-
-    q_lo = min(q_minus, a * p_plus * (1.0 - p_plus))
-    candidates = [b * p_plus * (1.0 - p_plus), b * p_minus * (1.0 - p_minus)]
-    if p_plus <= 0.5 <= p_minus:
-        candidates.append(b / 4.0)
-    q_hi = max(candidates)
-    return SupportIntervals(p_lo=p_lo, p_hi=p_hi, q_lo=q_lo, q_hi=q_hi)
-
-
-def check_ordering(
-    lambda_bar: float, delta_lambda: float
-) -> list[tuple[str, float]]:
-    """Eight labeled values whose ordering proves I_p and I_q disjoint:
-
-        p_+ < p_- <= x_p_max < x*(a) < x*(b) < x_q_min <= q_- < q_+
-
-    For delta_lambda = 0 the strict inequalities inside each block
-    collapse to equalities.  Raises OrderingError on violation.
-    """
-    a, b = require_period2_window(lambda_bar, delta_lambda)
-    sup = support_intervals(lambda_bar, delta_lambda)
-    chain = [
-        ("p_plus", period2_points(b).p),
-        ("p_minus", period2_points(a).p),
-        ("x_p_max", sup.p_hi),
-        ("x_star_lo", fixed_point(a)),
-        ("x_star_hi", fixed_point(b)),
-        ("x_q_min", sup.q_lo),
-        ("q_minus", period2_points(a).q),
-        ("q_plus", period2_points(b).q),
-    ]
-    # (index pair, strict for delta > 0); the two <= links stay weak and
-    # get a whisker of absolute slack because their equality case
-    # (delta = 0) is reached along two different floating-point routes
-    # (closed form vs composed map image); genuine violations are many
-    # orders of magnitude larger
-    strict_when_noisy = {(0, 1), (3, 4), (6, 7)}
-    always_strict = {(2, 3), (4, 5)}
-    for i in range(len(chain) - 1):
-        (name_a, va), (name_b, vb) = chain[i], chain[i + 1]
-        pair = (i, i + 1)
-        strict = pair in always_strict or (
-            delta_lambda > 0 and pair in strict_when_noisy
-        )
-        ok = va < vb if strict else va <= vb + 1e-13
-        if not ok:
-            raise OrderingError(
-                f"ordering violated at {name_a}={va!r} vs {name_b}={vb!r} "
-                f"for window [{a}, {b}]"
+    a, b = lambda_bar - delta_lambda, lambda_bar + delta_lambda
+    if classify_regime(a, b) is not Regime.PERIOD2:
+        raise RegimeError(f"window [{a}, {b}] must lie strictly inside ({LAMBDA_C2:g}, {LAMBDA_C4:g})")
+    pair = period2_points(lambda_bar)
+    cur = (pair.p, pair.p, pair.q, pair.q)
+    for _ in range(PERIOD_MAX_ITER):
+        p_lo, p_hi, q_lo, q_hi = cur
+        (ip_lo, ip_hi), (iq_lo, iq_hi) = _image(a, b, q_lo, q_hi), _image(a, b, p_lo, p_hi)
+        new = (min(p_lo, ip_lo), max(p_hi, ip_hi), min(q_lo, iq_lo), max(q_hi, iq_hi))
+        if new[1] >= new[2]:
+            raise RegimeError(
+                f"window [{a}, {b}]: I_p and I_q merge into one band (I_p reaches "
+                f"{new[1]!r}, I_q starts at {new[2]!r}), so the two-cycle lemma does not apply"
             )
-    return chain
+        if new == cur:
+            return SupportIntervals(*cur)
+        cur = new
+    raise ConvergenceError(
+        f"support intervals of window [{a}, {b}] still growing after {PERIOD_MAX_ITER} images"
+    )
 
 
 def h_second_derivative(lambda_bar: float, x: float) -> float:

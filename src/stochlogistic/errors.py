@@ -3,7 +3,7 @@
 Validation-type errors (bad arguments, windows in the wrong parameter
 regime, malformed config files) derive from ``ValueError`` so callers can
 treat them uniformly; computation-type failures (no detectable period,
-an empty peak, a violated ordering chain) derive from ``RuntimeError``.
+an empty peak, a root scan with the wrong root count) derive from ``RuntimeError``.
 The CLI maps the first family to exit code 2 and the second to exit 1.
 """
 
@@ -23,11 +23,6 @@ class ConfigError(ValueError):
 
 class ConvergenceError(RuntimeError):
     """An orbit did not settle onto a detectable cycle within budget."""
-
-
-class OrderingError(RuntimeError):
-    """The support-interval ordering chain is violated; signals a bug or
-    a precondition breach upstream."""
 
 
 class RootCountError(RuntimeError):

@@ -24,9 +24,7 @@ import numpy as np
 
 from . import analytic
 from .analytic import Regime, classify_regime, detect_period, periodic_orbit
-from .errors import (
-    ConvergenceError, DomainError, OrderingError, RegimeError, RootCountError, WindowNotFoundError,
-)
+from .errors import ConvergenceError, DomainError, RegimeError, RootCountError, WindowNotFoundError
 from .maps import INIT_STREAM, ParameterDistribution, stream_rng
 from .measure import (
     Ensemble,
@@ -272,7 +270,7 @@ def _variance_ladder(lambda_bar: float) -> list[float]:
     h0 = 0.05
     while True:
         try:
-            analytic.require_period2_window(lambda_bar, h0)
+            analytic.support_intervals(lambda_bar, h0)
             return [h0, h0 / 2, h0 / 4, h0 / 8]
         except (RegimeError, DomainError):
             h0 /= 2
@@ -308,24 +306,19 @@ def lemma_suite(
     """Run the numerical verification chain behind the two-cycle mean
     inequality and report each step.
 
-    Checks: (i) support containment in the analytic intervals plus the
-    eight-point ordering chain, (ii) the pushforward identity
-    E_right[X] = lam*(E_left[X] - E_left[X^2]), (iii) the left-peak
+    Checks: (i) support containment in the invariant intervals I_p, I_q
+    and the ordering p_hi < x*(a) <= x*(b) < q_lo, (ii) the pushforward
+    identity E_right[X] = lam*(E_left[X] - E_left[X^2]), (iii) the left-peak
     shift E_left[X] > p(lam), (iv) decay of the right-peak variance
     ratio V(h)/h together with its analytic bound, (v) the ordering of
     the shifted comparison-function roots, (vi) convexity of h on I_p.
     """
-    analytic.require_period2_window(lambda_bar, delta_lambda)
-    dist = ParameterDistribution(lambda_bar, delta_lambda)
     sup = analytic.support_intervals(lambda_bar, delta_lambda)
+    dist = ParameterDistribution(lambda_bar, delta_lambda)
     checks: list[LemmaCheck] = []
 
-    # (i) ordering chain + containment of a converged snapshot
-    try:
-        analytic.check_ordering(lambda_bar, delta_lambda)
-        ordering_ok = True
-    except OrderingError:
-        ordering_ok = False
+    # (i) the fixed point between the intervals + containment of a converged snapshot
+    ordering_ok = sup.p_hi < analytic.fixed_point(dist.low) <= analytic.fixed_point(dist.high) < sup.q_lo
     # the variance ladder's ensembles share the seed, so they advance in
     # lockstep with the stationary run and reuse its variates
     ladder = _variance_ladder(lambda_bar)

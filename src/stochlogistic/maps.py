@@ -7,14 +7,12 @@ distribution.  Every draw comes from an explicit random stream, so runs
 are bit-reproducible from a seed.
 
 Stream registry (counter-based Philox, 128-bit keys): the low 64 bits of
-the key carry the user seed, the high 64 bits a stream index, in three
+the key carry the user seed, the high 64 bits a stream index, in two
 disjoint families:
 
 - INIT_STREAM = 0 draws initial conditions for ensembles and sweeps;
 - stream g+1 supplies the growth rates consumed when stepping away
-  from generation g;
-- BOOTSTRAP_STREAM = 2**62 drives bootstrap resampling, far above any
-  generation count.
+  from generation g.
 
 The i-th variate of a stream belongs to particle i, so a draw is a pure
 function of (seed, stream, particle index) and parallel evaluation
@@ -43,9 +41,6 @@ _MASK64 = (1 << 64) - 1
 
 #: Stream used to draw initial conditions for ensembles and sweeps.
 INIT_STREAM = 0
-#: Stream used for bootstrap resampling (far away from the
-#: per-generation step streams).
-BOOTSTRAP_STREAM = 1 << 62
 
 
 # the state setter copies these words, so one read-only array serves every call

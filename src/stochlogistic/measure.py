@@ -46,8 +46,7 @@ leave [0, 1] for a rate law that ParameterDistribution accepts
 Run settings (sizes, averaging window, seed) come only from a
 MonteCarloConfig, which validates them once and has no protocol
 defaults (the desk and paper sizes and the seed are ``cli``'s).  A
-caller that needs another window or seed passes ``replace(cfg, ...)``;
-the bootstrap of a peak variance is keyed by its snapshot's seed.
+caller that needs another window or seed passes ``replace(cfg, ...)``.
 This module does not import ``analytic``: its callers validate windows.
 """
 
@@ -59,7 +58,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, EmptyPeakError
-from .maps import BOOTSTRAP_STREAM, INIT_STREAM, ParameterDistribution, stream_rng
+from .maps import INIT_STREAM, ParameterDistribution, stream_rng
 
 
 @dataclass(frozen=True, eq=False)
@@ -313,19 +312,17 @@ def ensemble_time_mean(
     return float(per_particle.mean()), standard_error(per_particle), final
 
 
-#: Bootstrap resamples behind the standard error of a peak variance.
-BOOTSTRAP_RESAMPLES = 200
-
-
 def variance_of_right_peak(lambda_bar: float, final: Ensemble) -> tuple[float, float]:
-    """Variance of the right peak of the converged distribution, with a
-    bootstrap standard error over particles.
+    """Variance of the right peak of the converged distribution and its
+    standard error.
 
     ``final`` is a converged snapshot of a rate law centered at
     lambda_bar (``stationary_stats`` returns it for each companion); it
     is split at the peak threshold and the sample variance of the right
-    side returned.  The bootstrap draws from stream BOOTSTRAP_STREAM of
-    the snapshot's own seed.
+    side returned.  Each particle draws its own rates, so the m states
+    on the right are i.i.d. and the standard error of their variance is
+    sqrt((m4 - m2**2)/m) in the centered moments; m4 - m2**2 is the
+    variance of the squared deviations.
     """
     threshold = (lambda_bar - 1.0) / lambda_bar
     x = final.particles
@@ -339,9 +336,5 @@ def variance_of_right_peak(lambda_bar: float, final: Ensemble) -> tuple[float, f
     # centered evaluation: the naive E[X^2] - mean^2 form cancels badly
     # at the zero-noise limit where the peak is a point mass
     v = float(np.var(right))
-    rng = stream_rng(final.base_seed, BOOTSTRAP_STREAM)
-    m = len(right)
-    resampled = np.empty(BOOTSTRAP_RESAMPLES)
-    for i in range(BOOTSTRAP_RESAMPLES):
-        resampled[i] = np.var(right[rng.integers(0, m, size=m)])
-    return float(v), float(resampled.std(ddof=1))
+    se = np.sqrt(np.var(np.square(right - right.mean())) / len(right))
+    return v, float(se)

@@ -2,7 +2,8 @@
 
 These deliberately avoid the code paths they check: two-cycle points
 come from the roots of the second-iterate polynomial, interval images
-from brute-force grid sweeps, orbit averages from plain iteration, and
+and invariant interval pairs from brute-force grid sweeps, peak-variance
+errors from a plain bootstrap, orbit averages from plain iteration, and
 the remaining closed forms (two-cycle mean, fixed-point band, the
 comparison functions F and h) are written out here from the theory.
 """
@@ -38,6 +39,40 @@ def grid_image_sweep(
     xs = np.linspace(x_lo, x_hi, n)
     img = lams[:, None] * xs[None, :] * (1.0 - xs[None, :])
     return float(img.min()), float(img.max())
+
+
+def grid_invariant_pair(
+    lambda_bar: float, delta: float, n: int = 200, max_iter: int = 20_000
+) -> tuple[tuple[float, float], tuple[float, float]]:
+    """The smallest pair (I_p, I_q) that holds the two-cycle at
+    lambda_bar and that the window [lambda_bar - delta, lambda_bar + delta]
+    maps into itself with the sides swapped, by brute force: starting
+    from the quartic's cycle points, each interval is widened to cover
+    the grid image (grid_image_sweep, n x n) of the other until neither
+    changes.  The grid holds both ends of each interval, so the pair is
+    exact up to the sampled maximum near x = 1/2, which is off by at most
+    a quarter of a squared cell."""
+    a, b = lambda_bar - delta, lambda_bar + delta
+    p, q = quartic_two_cycle(lambda_bar)
+    i_p, i_q = (p, p), (q, q)
+    for _ in range(max_iter):
+        img_p, img_q = grid_image_sweep(a, b, *i_q, n=n), grid_image_sweep(a, b, *i_p, n=n)
+        new_p = (min(i_p[0], img_p[0]), max(i_p[1], img_p[1]))
+        new_q = (min(i_q[0], img_q[0]), max(i_q[1], img_q[1]))
+        if (new_p, new_q) == (i_p, i_q):
+            return i_p, i_q
+        i_p, i_q = new_p, new_q
+    raise AssertionError(f"no fixed point within {max_iter} images at {lambda_bar}+/-{delta}")
+
+
+def bootstrap_variance_se(values: np.ndarray, resamples: int, seed: int) -> float:
+    """Plain bootstrap standard error of the (population) variance of
+    i.i.d. values: the spread of np.var over resamples drawn with
+    replacement."""
+    rng = np.random.default_rng(seed)
+    m = len(values)
+    stats = [np.var(values[rng.integers(0, m, size=m)]) for _ in range(resamples)]
+    return float(np.std(stats, ddof=1))
 
 
 def orbit_tail_mean(lam: float, period: int, burn: int = 5000) -> float:

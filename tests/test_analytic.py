@@ -3,8 +3,6 @@ geometry, and the comparison function H."""
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +14,6 @@ from stochlogistic.analytic import (
     PERIOD_BURN_IN,
     Regime,
     _H_value,
-    check_ordering,
     classify_regime,
     convexity_on_interval,
     detect_period,
@@ -33,7 +30,6 @@ from stochlogistic.measure import Ensemble, pf_step
 from stochlogistic.errors import (
     ConvergenceError,
     DomainError,
-    OrderingError,
     RegimeError,
     RootCountError,
 )
@@ -43,6 +39,7 @@ from oracles import (
     central_second_difference,
     comparison_h,
     grid_image_sweep,
+    grid_invariant_pair,
     orbit_tail_mean,
     quartic_two_cycle,
     scan_h_roots,
@@ -180,6 +177,33 @@ class TestDetectPeriod:
         # x0 = 0.5 maps onto the fixed point 0 in two steps at lam = 4
         assert detect_period(4.0) == 1
 
+    @pytest.mark.parametrize(
+        "lam,period",
+        [(2.999, 1), (2.9999, 1), (3.0001, 2), (3.449, 2), (3.4494, 2), (3.4495, 4), (3.544, 4), (3.5441, 8)],
+    )
+    def test_slow_cycle_next_to_a_doubling(self, lam, period):
+        # just below a doubling the cycle converges so slowly that the
+        # tolerance test passes at twice its length first
+        assert detect_period(lam) == period
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([(1.01, 2.999, 1), (3.001, 3.449, 2), (3.4495, 3.544, 4)]).flatmap(
+            lambda r: st.tuples(st.floats(r[0], r[1]), st.just(r[2]))
+        )
+    )
+    def test_length_is_the_regime_cycle_length(self, case):
+        """Inside each stable regime, short of where detection runs into
+        its cap, the length is the regime's; the closed forms x* and
+        {p, q} give the cycle where they apply."""
+        lam, length = case
+        assert detect_period(lam) == length
+        orbit = periodic_orbit(lam)
+        if length == 1:
+            assert orbit == pytest.approx([fixed_point(lam)], abs=1e-5)
+        elif length == 2:
+            assert orbit == pytest.approx(list(quartic_two_cycle(lam)), abs=1e-5)
+
 
 class TestFindCycle:
     """One routine detects cycles for a single rate and for a grid."""
@@ -254,16 +278,14 @@ class TestPeriodicOrbit:
 
 class TestSupportIntervals:
     def test_reference_window(self):
-        sup = support_intervals(3.2, 0.1)
-        assert sup.p_lo == pytest.approx(0.450372, abs=1e-5)
-        assert sup.p_hi == pytest.approx(0.594017, abs=1e-5)
-        assert sup.q_lo == pytest.approx(0.764567, abs=1e-5)
-        assert sup.q_hi == pytest.approx(0.825, abs=1e-5)
-        # 1/2 lies between the window's lower two-cycle points, so the
-        # q-side maximum is the vertex value b/4
-        a, b = 3.2 - 0.1, 3.2 + 0.1
-        assert period2_points(b).p <= 0.5 <= period2_points(a).p
-        assert sup.q_hi == b / 4.0
+        sup = support_intervals(3.2, 0.05)
+        assert sup.p_lo == pytest.approx(0.47988, abs=1e-5)
+        assert sup.p_hi == pytest.approx(0.58191, abs=1e-5)
+        assert sup.q_lo == pytest.approx(0.76637, abs=1e-5)
+        assert sup.q_hi == pytest.approx(0.8125, abs=1e-5)
+        # 1/2 lies inside I_p, so the q-side maximum is the vertex value b/4
+        assert sup.p_lo <= 0.5 <= sup.p_hi
+        assert sup.q_hi == (3.2 + 0.05) / 4.0
 
     def test_degenerate_window(self):
         pair = period2_points(3.2)
@@ -274,103 +296,82 @@ class TestSupportIntervals:
         assert sup.q_hi == pytest.approx(pair.q, abs=1e-14)
 
     def test_window_below_vertex(self):
-        sup = support_intervals(3.15, 0.05)
-        # both lower two-cycle points sit right of the vertex, where the map
-        # decreases: the q-side maximum is the image of p(b), i.e. q(b)
-        b = 3.15 + 0.05
-        p_plus = period2_points(b).p
-        assert p_plus > 0.5
-        assert sup.q_hi == b * p_plus * (1.0 - p_plus)
-        assert sup.q_lo == pytest.approx(period2_points(3.1).q, abs=1e-5)
-        assert sup.q_hi == pytest.approx(period2_points(3.2).q, abs=1e-5)
-        assert sup.q_lo == pytest.approx(0.764567, abs=1e-5)
-        assert sup.q_hi == pytest.approx(0.799456, abs=1e-5)
+        # I_p sits right of the vertex, where the map decreases: the
+        # q-side maximum is the image of I_p's left end at rate b
+        sup = support_intervals(3.15, 0.02)
+        b = 3.15 + 0.02
+        assert sup.p_lo > 0.5
+        assert sup.q_hi == pytest.approx(b * sup.p_lo * (1.0 - sup.p_lo), abs=1e-15)
 
     def test_window_above_vertex(self):
+        # I_p sits left of the vertex, where the map increases: the
+        # q-side maximum is the image of I_p's right end at rate b
         sup = support_intervals(3.3, 0.02)
-        assert 3.3 - 0.02 > 1.0 + math.sqrt(5.0)
-        # both lower two-cycle points sit left of the vertex, where the map
-        # increases: the q-side maximum is the image of p(a) at rate b
-        a, b = 3.3 - 0.02, 3.3 + 0.02
-        p_minus = period2_points(a).p
-        assert p_minus < 0.5
-        assert sup.q_hi == b * p_minus * (1.0 - p_minus)
+        b = 3.3 + 0.02
+        assert sup.p_hi < 0.5
+        assert sup.q_hi == pytest.approx(b * sup.p_hi * (1.0 - sup.p_hi), abs=1e-15)
 
     def test_regime_error(self):
         with pytest.raises(RegimeError):
             support_intervals(3.3, 0.2)
 
-    @pytest.mark.parametrize("lb,dl", [(3.2, 0.1), (3.15, 0.05), (3.208, 0.024), (3.3, 0.02)])
-    def test_grid_sweep_oracle(self, lb, dl):
-        """Brute-force image sweep of both cycle-point intervals matches
-        the closed forms within one grid cell."""
-        a, b = lb - dl, lb + dl
-        pp, pm = period2_points(b).p, period2_points(a).p
-        qm, qp = period2_points(a).q, period2_points(b).q
+    @pytest.mark.parametrize(
+        "lb,dl", [(3.2, 0.1), (3.15, 0.05), (3.05, 0.04), (3.01, 0.005), (3.02, 0.0018), (3.0367, 0.0349)]
+    )
+    def test_merged_window_is_refused(self, lb, dl):
+        # windows inside the two-cycle regime whose support is one band:
+        # the two-interval hypothesis fails, and the brute-force pair meets too
+        with pytest.raises(RegimeError, match="merge into one band"):
+            support_intervals(lb, dl)
+        (_, p_hi), (q_lo, _) = grid_invariant_pair(lb, dl, n=50)
+        assert p_hi >= q_lo
+
+    @pytest.mark.parametrize("lb,dl", [(3.2, 0.05), (3.15, 0.02), (3.208, 0.024), (3.3, 0.02)])
+    def test_grid_invariant_pair_oracle(self, lb, dl):
+        """The brute-force invariant pair matches within a quarter of a
+        squared grid cell (its sampled maximum near 1/2) plus rounding."""
         sup = support_intervals(lb, dl)
-        p_img = grid_image_sweep(a, b, qm, qp)
-        q_img = grid_image_sweep(a, b, pp, pm)
-        cell = max(pm - pp, qp - qm, 1e-12) / 1000 + (b - a) / 1000
-        assert p_img[0] == pytest.approx(sup.p_lo, abs=cell)
-        assert p_img[1] == pytest.approx(sup.p_hi, abs=cell)
-        assert q_img[0] == pytest.approx(sup.q_lo, abs=cell)
-        assert q_img[1] == pytest.approx(sup.q_hi, abs=cell)
+        i_p, i_q = grid_invariant_pair(lb, dl)
+        cell = max(sup.p_hi - sup.p_lo, sup.q_hi - sup.q_lo) / 199
+        tol = (lb + dl) * cell * cell / 4 + 1e-14
+        assert list(i_p + i_q) == pytest.approx([sup.p_lo, sup.p_hi, sup.q_lo, sup.q_hi], abs=tol)
+
+    @settings(max_examples=200, deadline=None)
+    @given(lb=st.floats(3.02, 3.43), dl=st.floats(0.0, 0.05))
+    def test_pair_is_disjoint_and_invariant(self, lb, dl):
+        """Either the window is refused, or the pair is disjoint, holds
+        p and q (the quartic's roots, to 1e-12) with the fixed points
+        between them, and each interval's image over a rate x state grid
+        lies in the other.  The slack is 4 ulps: the map's two roundings
+        at a grid point and at the interval's end point err by up to
+        1.5 ulps each."""
+        try:
+            sup = support_intervals(lb, dl)
+        except RegimeError:
+            return
+        a, b = lb - dl, lb + dl
+        p, q = quartic_two_cycle(lb)
+        assert sup.p_lo - 1e-12 <= p <= sup.p_hi + 1e-12 and sup.q_lo - 1e-12 <= q <= sup.q_hi + 1e-12
+        assert sup.p_hi < fixed_point(a) <= fixed_point(b) < sup.q_lo
+        for (lo, hi), (to_lo, to_hi) in ((sup.I_p, sup.I_q), (sup.I_q, sup.I_p)):
+            img_lo, img_hi = grid_image_sweep(a, b, lo, hi, n=100)
+            assert to_lo - 4 * np.spacing(to_lo) <= img_lo and img_hi <= to_hi + 4 * np.spacing(to_hi)
 
     def test_contains_interval_union(self):
-        sup = support_intervals(3.2, 0.1)
+        sup = support_intervals(3.2, 0.05)
         assert sup.contains(0.5)
         assert sup.contains(0.8)
         assert not sup.contains(0.7)
         assert sup.contains(sup.p_lo - 1e-10, inflate=1e-9)
 
     def test_contains_elementwise_on_arrays(self):
-        sup = support_intervals(3.2, 0.1)
+        sup = support_intervals(3.2, 0.05)
         edges = [sup.p_lo, sup.p_hi, sup.q_lo, sup.q_hi]
         x = np.concatenate([np.linspace(0.0, 1.0, 1001), edges,
                             np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)])
         for inflate in (0.0, 1e-9):
             want = [sup.contains(float(v), inflate=inflate) for v in x]
             assert sup.contains(x, inflate=inflate).tolist() == want
-
-
-class TestCheckOrdering:
-    def test_reference_chain(self):
-        chain = dict(check_ordering(3.2, 0.1))
-        assert chain["x_star_lo"] == pytest.approx(0.6774194, abs=1e-6)
-        assert chain["x_star_hi"] == pytest.approx(0.6969697, abs=1e-6)
-        values = [v for _, v in check_ordering(3.2, 0.1)]
-        assert values == sorted(values)
-
-    def test_degenerate_collapses(self):
-        chain = dict(check_ordering(3.2, 0.0))
-        assert chain["p_plus"] == chain["p_minus"]
-        assert chain["q_minus"] == chain["q_plus"]
-
-    def test_regime_error(self):
-        with pytest.raises(RegimeError):
-            check_ordering(3.3, 0.2)
-
-    def test_never_raises_on_grid(self):
-        # 50 x 20 windows spread across the two-cycle regime.  The chain
-        # (and the two-peak support structure itself) requires the noise
-        # half-width to be small relative to the distance past the first
-        # doubling: asymptotically dl < 0.75*sqrt(a - 3).  Near the left
-        # edge large windows genuinely violate x_p_max < x*(a), so the
-        # grid stays within the smallness region (factor 0.3, a 2.5x
-        # margin on the asymptotic bound).
-        c = 0.3
-        for lb in np.linspace(3.02, LAMBDA_C4 - 0.02, 50):
-            s = lb - 3.0
-            small = (-c * c + math.sqrt(c**4 + 4 * c * c * s)) / 2.0
-            cap = min(0.95 * min(s, LAMBDA_C4 - lb), small)
-            for dl in np.linspace(0.0, cap, 20):
-                check_ordering(float(lb), float(dl))
-
-    def test_raises_when_noise_exceeds_smallness(self):
-        # counterexample window hugging the doubling point: the p-side
-        # image overshoots the left fixed point and the chain breaks
-        with pytest.raises(OrderingError):
-            check_ordering(3.0367, 0.0349)
 
 
 class TestComparisonFunctions:
@@ -418,7 +419,7 @@ class TestHSecondDerivative:
             )
 
     def test_positive_on_left_interval(self):
-        sup = support_intervals(3.2, 0.1)
+        sup = support_intervals(3.2, 0.05)
         xs = np.linspace(sup.p_lo, sup.p_hi, 2000)
         assert all(h_second_derivative(3.2, float(x)) > 0 for x in xs)
 
@@ -435,7 +436,7 @@ class TestHSecondDerivative:
 
 class TestConvexity:
     def test_left_interval_true(self):
-        sup = support_intervals(3.2, 0.1)
+        sup = support_intervals(3.2, 0.05)
         assert convexity_on_interval(3.2, sup.I_p) is True
 
     def test_near_zero_false(self):

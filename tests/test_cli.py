@@ -193,6 +193,13 @@ class TestVerify:
     def test_wrong_regime_exit_2(self, tmp_path):
         assert run(["verify", "--lambda-bar", "2.0", "--delta", "0.1"], tmp_path) == 2
 
+    def test_merged_window_exit_2(self, tmp_path, capsys):
+        # inside the two-cycle regime, but I_p and I_q merge into one band:
+        # the lemma's two-interval hypothesis fails, so nothing is verified
+        assert run(["verify", "--lambda-bar", "3.2", "--delta", "0.1"], tmp_path) == 2
+        assert "merge into one band" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestFlipflop:
     def test_single_level(self, tmp_path, capsys):
@@ -563,8 +570,6 @@ class TestContradictionsRefused:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["compare", "--lambda-bar", "2.999", "--delta", "0.0005", "--particles", "200"],
-            ["compare", "--lambda-bar", "3.449", "--delta", "0.0004", "--particles", "200"],
             ["bifurcation", "--kind", "deterministic", "--delta", "0.3"],
             ["bifurcation", "--kind", "deterministic", "--delta", "-0.3", "--from", "2.8", "--to", "3"],
         ],
@@ -573,6 +578,17 @@ class TestContradictionsRefused:
         assert run(argv, tmp_path) == 2
         assert "error:" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "lambda_bar, delta, regime, period", [("2.999", "0.0005", "period1", 1), ("3.449", "0.0004", "period2", 2)]
+    )
+    def test_slow_cycle_next_to_a_doubling_reports_its_regime(self, lambda_bar, delta, regime, period, tmp_path):
+        # the detector once reported twice the cycle length here, and the
+        # report was refused rather than contradict its own regime
+        argv = ["compare", "--lambda-bar", lambda_bar, "--delta", delta, "--particles", "200"]
+        assert run(argv, tmp_path) == 0
+        report = json.loads((tmp_path / f"compare-{lambda_bar}-{delta}-12345.json").read_text())
+        assert (report["regime"], report["period"]) == (regime, period)
 
     def test_deterministic_sweep_at_zero_delta_unchanged(self, tmp_path, capsys):
         sweep = ["bifurcation", "--from", "2.8", "--to", "3", "--step", "0.1", "--n-init", "3",

@@ -304,14 +304,26 @@ class TestMeanComparison:
 
     @pytest.mark.parametrize(
         "lambda_bar, delta, regime, length",
-        [(2.999, 0.0005, "period1", 2), (3.449, 0.0004, "period2", 4)],
+        [(2.999, 0.0005, "period1", 1), (3.449, 0.0004, "period2", 2)],
     )
-    def test_cycle_length_must_match_the_regime(self, lambda_bar, delta, regime, length):
-        # just below a doubling the detector reports twice the regime's
-        # cycle length; the report would name one period and the other
+    def test_slow_cycle_next_to_a_doubling_has_the_regime_length(self, lambda_bar, delta, regime, length):
+        # just below a doubling the tolerance test passes at twice the
+        # cycle length first; the report must still name the regime's length
         assert classify_regime(lambda_bar - delta, lambda_bar + delta).value == regime
         assert len(periodic_orbit(lambda_bar)) == length
-        with pytest.raises(RegimeError, match=rf"^{regime} window, .* length {length}$"):
+        rep, _ = mean_comparison(lambda_bar, delta, FAST)
+        assert (rep.regime, rep.period) == (regime, length)
+
+    @pytest.mark.parametrize(
+        "lambda_bar, delta, regime, orbit",
+        [(2.8, 0.1, "period1", [0.6, 0.7]), (3.2, 0.05, "period2", [0.5, 0.6, 0.7, 0.8])],
+    )
+    def test_cycle_length_must_match_the_regime(self, lambda_bar, delta, regime, orbit, monkeypatch):
+        # a detected cycle of another length than the regime's is refused
+        # before any ensemble runs, so no report names one period and the other
+        monkeypatch.setattr(experiments, "periodic_orbit", lambda lam: orbit)
+        monkeypatch.setattr(experiments, "ensemble_time_mean", None)
+        with pytest.raises(RegimeError, match=rf"^{regime} window, .* length {len(orbit)}$"):
             mean_comparison(lambda_bar, delta, FAST)
 
     def test_reproducible(self):
@@ -359,18 +371,11 @@ class TestLemmaSuite:
         report = lemma_suite(3.208, 0.024, cfg)
         by_name = {c.name: c for c in report.checks}
         assert len(report.checks) == 6
-        # the five checks that are mathematically sound all pass
-        assert by_name["pushforward_identity"].passed
-        assert by_name["left_peak_shift"].passed
-        assert by_name["right_variance_decay"].passed
-        assert by_name["shifted_root_ordering"].passed
-        assert by_name["left_interval_convexity"].passed
-        # containment in the closed-form intervals is nearly but not
-        # exactly total: the true invariant support extends slightly
-        # past them (see the decisions ledger / acceptance criterion 5)
+        assert report.passed and all(c.passed for c in report.checks)
+        # every particle lies in the invariant pair, with x*(a), x*(b) between
         cont = by_name["support_containment_and_ordering"]
         assert cont.details["ordering_ok"] is True
-        assert cont.details["containment_fraction"] >= 0.99
+        assert cont.details["containment_fraction"] == 1.0
 
     def test_degenerate_window_passes_everything(self):
         cfg = MonteCarloConfig(n_particles=500, generations=1000, window=500, seed=23)
@@ -381,6 +386,19 @@ class TestLemmaSuite:
     def test_regime_error(self):
         with pytest.raises(RegimeError):
             lemma_suite(3.3, 0.2, FAST)
+        # inside the two-cycle regime, but the support is one band
+        with pytest.raises(RegimeError, match="merge into one band"):
+            lemma_suite(3.2, 0.1, FAST)
+
+    @pytest.mark.parametrize("lambda_bar", [3.02, 3.05, 3.2, 3.44])
+    def test_variance_ladder_halves_until_the_pair_is_disjoint(self, lambda_bar):
+        ladder = experiments._variance_ladder(lambda_bar)
+        assert ladder == [ladder[0] / 2**k for k in range(4)] and ladder[0] <= 0.05
+        for h in ladder:
+            support_intervals(lambda_bar, h)
+        if ladder[0] < 0.05:
+            with pytest.raises(RegimeError):
+                support_intervals(lambda_bar, 2 * ladder[0])
 
     def test_json_serializable(self):
         cfg = MonteCarloConfig(n_particles=300, generations=600, window=300, seed=24)
@@ -391,8 +409,8 @@ class TestLemmaSuite:
 
     def test_seed_override_reaches_variance_ladder(self):
         # a seed set with replace() reaches the four ladder ensembles that
-        # advance in lockstep with the stationary run, and their bootstrap:
-        # the ratios equal those of rungs run on their own at that seed
+        # advance in lockstep with the stationary run: the ratios equal
+        # those of rungs run on their own at that seed
         base = MonteCarloConfig(n_particles=300, generations=400, window=200, seed=1)
 
         def ratios(cfg):

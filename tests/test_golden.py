@@ -54,8 +54,8 @@ CASES = {
     "verify": (
         ["verify", "--lambda-bar", "3.2", "--delta", "0.05", *SMALL, "--format", "csv,json"],
         {
-            "verify-3.2-0.05-3.csv": "1236f98b17aedcb277e8891d894734fd950a06f46ab178c7968d44df2d03c2c7",
-            "verify-3.2-0.05-3.json": "3ecccb1d6a217612a92a26130f48dc149789a2143defe6c60b2b6f95256aa506",
+            "verify-3.2-0.05-3.csv": "6880b97371203d5cb064b37e0dde04b8b6e233d02d6cae2241fd736edd347342",
+            "verify-3.2-0.05-3.json": "07cfc6904afb7dfa3744ff1aef57d69a3f2815e72f4b68c6fb304493b0a7bb90",
         },
     ),
     "flipflop": (

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from stochlogistic import measure
 from stochlogistic.errors import DomainError
 from stochlogistic.experiments import lemma_suite
-from stochlogistic.maps import BOOTSTRAP_STREAM, INIT_STREAM, ParameterDistribution, stream_rng
+from stochlogistic.maps import INIT_STREAM, ParameterDistribution, stream_rng
 from stochlogistic.measure import Ensemble, MonteCarloConfig, pf_iterate, pf_step, uniform_ensemble
 
 from oracles import quartic_two_cycle
@@ -216,8 +216,8 @@ class TestGeneratePath:
 
 
 class TestStreamRegistry:
-    """Every (seed, stream) key has one role: initial conditions, the
-    rates of one generation, or bootstrap resampling."""
+    """Every (seed, stream) key has one role: initial conditions or the
+    rates of one generation."""
 
     def test_lemma_suite_keys_are_disjoint_roles(self, monkeypatch):
         keys = []
@@ -232,9 +232,8 @@ class TestStreamRegistry:
         lemma_suite(3.2, 0.05, replace(cfg, seed=8))
         init = {(8, INIT_STREAM)}
         rates = {(8, g) for g in range(1, cfg.generations + 1)}
-        bootstrap = {(8, BOOTSTRAP_STREAM)}
-        assert not (init & rates or init & bootstrap or rates & bootstrap)
-        assert set(keys) == init | rates | bootstrap
+        assert not init & rates
+        assert set(keys) == init | rates
 
 
 class TestStreamGenerator:
