@@ -151,35 +151,29 @@ def detect_period(lam: float) -> int:
     total iterations are spent; ConvergenceError if no cycle length is
     found by then (chaotic rate, or a neutral boundary value).
     """
-    return _converged_cycle(lam)[0]
+    return len(_converged_cycle(lam))
 
 
-def find_cycle(lam, x, burn: int):
+def find_cycle(lam: float, x: float, burn: int) -> tuple[int, float, float]:
     """Burn x in for ``burn`` steps at rate lam, record the next 128
     states, and return (smallest k <= 64 with |x_{n+k} - x_n| < PERIOD_TOL
-    on the first 64 of them, -1 where none; the state where recording
-    began; the last state).  Floats for one rate keep a fast scalar loop;
-    arrays for a grid of rates give elementwise the same numbers."""
+    on the first 64 of them, -1 if none; the state where recording
+    began; the last state)."""
     for _ in range(burn):
         x = lam * x * (1.0 - x)
     start = x
-    states = []
+    orbit = []
     for _ in range(_CHECK_SPAN + _MAX_PERIOD):
         x = lam * x * (1.0 - x)
-        states.append(x)
-    orbit = np.array(states)
-    period = np.full(np.shape(x), -1)
+        orbit.append(x)
     for k in range(1, _MAX_PERIOD + 1):
-        hit = np.all(np.abs(orbit[k : k + _CHECK_SPAN] - orbit[:_CHECK_SPAN]) < PERIOD_TOL, axis=0)
-        period = np.where((period < 0) & hit, k, period)
-        if np.all(period > 0):
-            break
-    return period, start, x
+        if all(abs(orbit[n + k] - orbit[n]) < PERIOD_TOL for n in range(_CHECK_SPAN)):
+            return k, start, x
+    return -1, start, x
 
 
-def _converged_cycle(lam: float) -> tuple[int, float]:
-    """detect_period's cycle length together with the orbit state at
-    which the successful check began."""
+def _converged_cycle(lam: float) -> list[float]:
+    """detect_period's polished cycle, in orbit order."""
     if not 0.0 <= lam <= 4.0:
         raise DomainError(f"growth rate must lie in [0, 4], got {lam}")
     x, spent = 0.5, 0
@@ -187,19 +181,19 @@ def _converged_cycle(lam: float) -> tuple[int, float]:
         burn = min(PERIOD_BURN_IN, PERIOD_MAX_ITER - spent)
         period, start, x = find_cycle(lam, x, burn)
         if period > 0:
-            return _cycle_length(lam, start, int(period)), start
+            return _polished_cycle(lam, start, period)
         spent += burn + _CHECK_SPAN + _MAX_PERIOD
     raise ConvergenceError(
         f"no cycle of length <= {_MAX_PERIOD} within {PERIOD_MAX_ITER} iterations at lam={lam}"
     )
 
 
-def _cycle_length(lam: float, x: float, k: int) -> int:
-    """The length of the cycle near x, which repeats after k steps to
-    PERIOD_TOL: Newton on f^k(x) - x (the slope by the chain rule along
-    the orbit) polishes x, then the smallest divisor d of k with
-    |f^d(x) - x| < 1e-12.  A slowly converging cycle passes the tolerance
-    at twice its length first, just below a doubling."""
+def _polished_cycle(lam: float, x: float, k: int) -> list[float]:
+    """The cycle near x, which repeats after k steps to PERIOD_TOL:
+    Newton on f^k(x) - x (the slope by the chain rule along the orbit)
+    polishes x, then the orbit from x up to the smallest divisor d of k
+    with |f^d(x) - x| < 1e-12.  A slowly converging cycle passes the
+    tolerance at twice its length first, just below a doubling."""
     for _ in range(_NEWTON_STEPS):
         y, slope = x, 1.0
         for _ in range(k):
@@ -208,30 +202,25 @@ def _cycle_length(lam: float, x: float, k: int) -> int:
         if slope == 1.0:
             break
         x -= (y - x) / (slope - 1.0)
-    y = x
+    cycle, y = [x], x
     for d in range(1, k):
         y = lam * y * (1.0 - y)
         if k % d == 0 and abs(y - x) < 1e-12:
-            return d
-    return k
+            break
+        cycle.append(y)
+    return cycle
 
 
 def periodic_orbit(lam: float) -> list[float]:
     """The attracting cycle at the given rate, sorted ascending; its
     length is the period.
 
-    Long iteration from x0 = 0.5 followed by one recorded cycle, taken
-    from the state at which cycle detection converged (burn-in is
-    extended there for slowly attracting cycles).  The mean of the
+    The cycle that detect_period finds from x0 = 0.5 (burn-in extended
+    for slowly attracting cycles), Newton-polished, so the mean of the
     returned points is the long-term orbit average of the fixed-rate
-    map.
+    map to rounding.
     """
-    period, x = _converged_cycle(lam)
-    pts = []
-    for _ in range(period):
-        pts.append(x)
-        x = lam * x * (1.0 - x)
-    return sorted(pts)
+    return sorted(_converged_cycle(lam))
 
 
 def _image(a: float, b: float, lo: float, hi: float) -> tuple[float, float]:

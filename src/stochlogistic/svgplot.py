@@ -15,6 +15,7 @@ from .errors import DomainError
 
 _WIDTH, _HEIGHT = 720, 520
 _ML, _MR, _MT, _MB = 72, 24, 40, 56
+_TICK_TARGET = 6  # ticks per axis before the step is rounded to 1, 2, 2.5, 5 x 10^n
 
 _PALETTE = (
     "#7b3294",  # purple
@@ -39,10 +40,8 @@ def _fmt(v: float) -> str:
     return f"{v:.6g}"
 
 
-def _ticks(lo: float, hi: float, target: int = 6) -> list[float]:
-    if hi <= lo:
-        return [lo]
-    raw = (hi - lo) / target
+def _ticks(lo: float, hi: float) -> list[float]:
+    raw = (hi - lo) / _TICK_TARGET
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         step = mult * mag

@@ -589,6 +589,21 @@ class TestContradictionsRefused:
         assert run(argv, tmp_path) == 0
         report = json.loads((tmp_path / f"compare-{lambda_bar}-{delta}-12345.json").read_text())
         assert (report["regime"], report["period"]) == (regime, period)
+        # the cycle mean is the closed form to rounding, not the mean of
+        # the slowly converging orbit where detection stopped
+        lam = float(lambda_bar)
+        closed = (lam - 1.0) / lam if period == 1 else (lam + 1.0) / (2.0 * lam)
+        assert report["deterministic_mean"] == pytest.approx(closed, abs=1e-12)
+
+    def test_flipflop_row_whose_center_has_another_period(self, tmp_path, capsys, monkeypatch):
+        # real detection cannot reach this guard (the period is monotone
+        # along the cascade and both window ends are checked), so a wrong
+        # table center is planted and the end checks are told it holds
+        monkeypatch.setitem(experiments._RHO_CENTERS, 3, experiments._RHO_CENTERS[4])
+        monkeypatch.setattr(experiments, "detect_period", lambda lam: 8)
+        assert run(["flipflop", "--rho", "3", "--delta", "0.001", *FAST_COMPARE], tmp_path) == 2
+        assert "requested period 8 but the orbit" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_deterministic_sweep_at_zero_delta_unchanged(self, tmp_path, capsys):
         sweep = ["bifurcation", "--from", "2.8", "--to", "3", "--step", "0.1", "--n-init", "3",

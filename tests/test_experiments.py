@@ -467,7 +467,7 @@ class TestFlipFlopScan:
         # the scan the rho >= 3 centers were taken from: the longest run of
         # period-2^rho rates on the interior of the cascade grid
         grid = np.linspace(analytic.LAMBDA_C4_END, analytic.LAMBDA_C2_OMEGA, 257)[1:-1]
-        periods, _, _ = analytic.find_cycle(grid, np.full(len(grid), 0.5), burn=20_000)
+        periods = np.array([analytic.find_cycle(lam, 0.5, 20_000)[0] for lam in grid.tolist()])
         for rho in range(3, 7):
             hits = np.flatnonzero(periods == 2**rho)
             run = max(np.split(hits, np.flatnonzero(np.diff(hits) > 1) + 1), key=len)
