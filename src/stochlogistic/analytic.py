@@ -1,7 +1,7 @@
 """Closed-form quantities of the deterministic logistic map and the
 geometry induced by a uniform growth-rate window.
 
-Covers the fixed point, the two-cycle, cycle detection, regime
+Covers the fixed point, the two-cycle, the attracting cycle, regime
 classification along the period-doubling cascade, the pair of disjoint
 intervals that carry the invariant distribution in the two-cycle
 regime (the smallest pair holding the two-cycle that the random map
@@ -31,13 +31,10 @@ LAMBDA_C3 = 3.8284
 #: Burn-in before cycle detection; the critical point x = 0.5 is in the
 #: attracting basin throughout the stable-periodic range.
 PERIOD_BURN_IN = 10_000
-#: Largest |x_{n+k} - x_n| that counts as a repeat of the cycle.
-PERIOD_TOL = 1e-9
-#: Iterations cycle detection spends before it gives up.
-PERIOD_MAX_ITER = 200_000
 _MAX_PERIOD = 64
-_CHECK_SPAN = 64
 _NEWTON_STEPS = 8
+#: Images support_intervals takes before it gives up.
+_MAX_IMAGES = 200_000
 
 
 class Regime(enum.Enum):
@@ -143,84 +140,59 @@ def classify_regime(lambda_lo: float, lambda_hi: float) -> Regime:
 
 
 def detect_period(lam: float) -> int:
-    """Length of the attracting cycle: the smallest k <= 64 with
-    |x_{n+k} - x_n| < PERIOD_TOL along the orbit of x0 = 0.5 after
-    burn-in, cut to the divisor of k that the polished cycle repeats at.
+    """Length of the attracting cycle (see periodic_orbit).
 
-    Burn-in starts at PERIOD_BURN_IN and is extended until PERIOD_MAX_ITER
-    total iterations are spent; ConvergenceError if no cycle length is
-    found by then (chaotic rate, or a neutral boundary value).
+    ConvergenceError if there is no attracting cycle of length <= 64
+    (a chaotic rate, a doubling point such as lam = 3, or lam = 4, where
+    x0 = 0.5 lands on the repelling fixed point 0).
     """
-    return len(_converged_cycle(lam))
+    return len(_attracting_cycle(lam))
 
 
-def find_cycle(lam: float, x: float, burn: int) -> tuple[int, float, float]:
-    """Burn x in for ``burn`` steps at rate lam, record the next 128
-    states, and return (smallest k <= 64 with |x_{n+k} - x_n| < PERIOD_TOL
-    on the first 64 of them, -1 if none; the state where recording
-    began; the last state)."""
-    for _ in range(burn):
-        x = lam * x * (1.0 - x)
-    start = x
-    orbit = []
-    for _ in range(_CHECK_SPAN + _MAX_PERIOD):
-        x = lam * x * (1.0 - x)
-        orbit.append(x)
-    for k in range(1, _MAX_PERIOD + 1):
-        if all(abs(orbit[n + k] - orbit[n]) < PERIOD_TOL for n in range(_CHECK_SPAN)):
-            return k, start, x
-    return -1, start, x
-
-
-def _converged_cycle(lam: float) -> list[float]:
-    """detect_period's polished cycle, in orbit order."""
+def _attracting_cycle(lam: float) -> list[float]:
+    """The attracting cycle in orbit order.  From the orbit of x0 = 0.5
+    after PERIOD_BURN_IN steps, Newton on f^k(x) - x (the slope by the
+    chain rule along the orbit) is run for k = 1..64, and the first root
+    whose least period is k and whose multiplier prod lam(1 - 2 x_j) lies
+    inside (-1, 1) is the cycle.  The map has negative Schwarzian
+    derivative, so it has at most one attracting cycle (Singer 1978):
+    every other root Newton finds repels and is passed over."""
     if not 0.0 <= lam <= 4.0:
         raise DomainError(f"growth rate must lie in [0, 4], got {lam}")
-    x, spent = 0.5, 0
-    while spent < PERIOD_MAX_ITER:
-        burn = min(PERIOD_BURN_IN, PERIOD_MAX_ITER - spent)
-        period, start, x = find_cycle(lam, x, burn)
-        if period > 0:
-            return _polished_cycle(lam, start, period)
-        spent += burn + _CHECK_SPAN + _MAX_PERIOD
-    raise ConvergenceError(
-        f"no cycle of length <= {_MAX_PERIOD} within {PERIOD_MAX_ITER} iterations at lam={lam}"
-    )
-
-
-def _polished_cycle(lam: float, x: float, k: int) -> list[float]:
-    """The cycle near x, which repeats after k steps to PERIOD_TOL:
-    Newton on f^k(x) - x (the slope by the chain rule along the orbit)
-    polishes x, then the orbit from x up to the smallest divisor d of k
-    with |f^d(x) - x| < 1e-12.  A slowly converging cycle passes the
-    tolerance at twice its length first, just below a doubling."""
-    for _ in range(_NEWTON_STEPS):
-        y, slope = x, 1.0
+    start = 0.5
+    for _ in range(PERIOD_BURN_IN):
+        start = lam * start * (1.0 - start)
+    for k in range(1, _MAX_PERIOD + 1):
+        x = start
+        for _ in range(_NEWTON_STEPS):
+            y, slope = x, 1.0
+            for _ in range(k):
+                slope *= lam * (1.0 - 2.0 * y)
+                y = lam * y * (1.0 - y)
+            if slope == 1.0:
+                break
+            x -= (y - x) / (slope - 1.0)
+        cycle, y, multiplier = [], x, 1.0
         for _ in range(k):
-            slope *= lam * (1.0 - 2.0 * y)
+            cycle.append(y)
+            multiplier *= lam * (1.0 - 2.0 * y)
             y = lam * y * (1.0 - y)
-        if slope == 1.0:
-            break
-        x -= (y - x) / (slope - 1.0)
-    cycle, y = [x], x
-    for d in range(1, k):
-        y = lam * y * (1.0 - y)
-        if k % d == 0 and abs(y - x) < 1e-12:
-            break
-        cycle.append(y)
-    return cycle
+            if abs(y - x) < 1e-12:
+                break
+        if len(cycle) == k and abs(y - x) < 1e-12 and abs(multiplier) < 1.0:
+            return cycle
+    raise ConvergenceError(f"no attracting cycle of length <= {_MAX_PERIOD} at lam={lam}")
 
 
 def periodic_orbit(lam: float) -> list[float]:
     """The attracting cycle at the given rate, sorted ascending; its
     length is the period.
 
-    The cycle that detect_period finds from x0 = 0.5 (burn-in extended
-    for slowly attracting cycles), Newton-polished, so the mean of the
+    Newton-polished from the orbit of x0 = 0.5, so the mean of the
     returned points is the long-term orbit average of the fixed-rate
     map to rounding.
     """
-    return sorted(_converged_cycle(lam))
+    return sorted(_attracting_cycle(lam))
 
 
 def _image(a: float, b: float, lo: float, hi: float) -> tuple[float, float]:
@@ -240,7 +212,7 @@ def support_intervals(lambda_bar: float, delta_lambda: float) -> SupportInterval
 
     RegimeError once the two intervals meet (the support is one band, so
     the two-interval hypothesis of the two-cycle lemma fails);
-    ConvergenceError past PERIOD_MAX_ITER images.  The window must lie
+    ConvergenceError past 200,000 images.  The window must lie
     strictly inside the two-cycle regime (RegimeError otherwise).
     """
     a, b = lambda_bar - delta_lambda, lambda_bar + delta_lambda
@@ -248,7 +220,7 @@ def support_intervals(lambda_bar: float, delta_lambda: float) -> SupportInterval
         raise RegimeError(f"window [{a}, {b}] must lie strictly inside ({LAMBDA_C2:g}, {LAMBDA_C4:g})")
     pair = period2_points(lambda_bar)
     cur = (pair.p, pair.p, pair.q, pair.q)
-    for _ in range(PERIOD_MAX_ITER):
+    for _ in range(_MAX_IMAGES):
         p_lo, p_hi, q_lo, q_hi = cur
         (ip_lo, ip_hi), (iq_lo, iq_hi) = _image(a, b, q_lo, q_hi), _image(a, b, p_lo, p_hi)
         new = (min(p_lo, ip_lo), max(p_hi, ip_hi), min(q_lo, iq_lo), max(q_hi, iq_hi))
@@ -261,7 +233,7 @@ def support_intervals(lambda_bar: float, delta_lambda: float) -> SupportInterval
             return SupportIntervals(*cur)
         cur = new
     raise ConvergenceError(
-        f"support intervals of window [{a}, {b}] still growing after {PERIOD_MAX_ITER} images"
+        f"support intervals of window [{a}, {b}] still growing after {_MAX_IMAGES} images"
     )
 
 

@@ -469,13 +469,12 @@ def _window_for_rho(rho: int, delta_lambda: float) -> tuple[float, float]:
     """(lambda_bar, usable half-width) inside the stable period-2^rho
     regime: the tabulated center, with the half-width halved until both
     endpoints carry the cycle length.  The rho >= 3 centers are the mean of
-    the longest run of period-2^rho rates that ``find_cycle`` (start 0.5,
-    burn 20,000) finds on linspace(LAMBDA_C4_END, LAMBDA_C2_OMEGA, 257)[1:-1],
-    the results of a scan that a test regenerates; it finds no period 128."""
+    the longest run of period-2^rho rates on
+    linspace(LAMBDA_C4_END, LAMBDA_C2_OMEGA, 257)[1:-1] under the tolerance
+    scan frozen as ``tests/oracles.py::cascade_scan_period``, which a test
+    reruns; it finds no period 128."""
     target, center, delta = 2**rho, _RHO_CENTERS[rho], delta_lambda
     while delta >= 1e-6:
-        # the upper endpoint is tested only when the lower one holds: it
-        # may lie past the cascade, where detection runs to its cap
         try:
             ok = detect_period(center - delta) == target and detect_period(center + delta) == target
         except (ConvergenceError, DomainError):

@@ -3,9 +3,10 @@
 These deliberately avoid the code paths they check: two-cycle points
 come from the roots of the second-iterate polynomial, interval images
 and invariant interval pairs from brute-force grid sweeps, peak-variance
-errors from a plain bootstrap, orbit averages from plain iteration, and
-the remaining closed forms (two-cycle mean, fixed-point band, the
-comparison functions F and h) are written out here from the theory.
+errors from a plain bootstrap, orbit averages and the cascade scan from
+plain iteration, and the remaining closed forms (two-cycle mean,
+fixed-point band, the comparison functions F and h) are written out
+here from the theory.
 """
 
 from __future__ import annotations
@@ -85,6 +86,25 @@ def orbit_tail_mean(lam: float, period: int, burn: int = 5000) -> float:
         total += x
         x = lam * x * (1.0 - x)
     return total / period
+
+
+def cascade_scan_period(lam: float) -> int:
+    """The tolerance scan the flipflop rho >= 3 window centers were taken
+    from, frozen: after 20,000 steps from x0 = 0.5, the smallest k <= 64
+    with |x_{n+k} - x_n| < 1e-9 for each of the next 64 states, -1 if none.
+    Unlike the multiplier test it reports twice the period, or none,
+    where the cycle attracts slowly."""
+    x = 0.5
+    for _ in range(20_000):
+        x = lam * x * (1.0 - x)
+    orbit = []
+    for _ in range(128):
+        x = lam * x * (1.0 - x)
+        orbit.append(x)
+    for k in range(1, 65):
+        if all(abs(orbit[n + k] - orbit[n]) < 1e-9 for n in range(64)):
+            return k
+    return -1
 
 
 def central_second_difference(f, x: float, step: float = 1e-5) -> float:

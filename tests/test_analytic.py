@@ -11,13 +11,11 @@ from scipy import optimize
 
 from stochlogistic.analytic import (
     LAMBDA_C4,
-    PERIOD_BURN_IN,
     Regime,
     _H_value,
     classify_regime,
     convexity_on_interval,
     detect_period,
-    find_cycle,
     fixed_point,
     h_function_roots,
     h_second_derivative,
@@ -164,7 +162,8 @@ class TestClassifyRegime:
 class TestDetectPeriod:
     @pytest.mark.parametrize(
         "lam,period",
-        [(2.0, 1), (2.5, 1), (2.9, 1), (3.05, 2), (3.2, 2), (3.4, 2), (3.47, 4), (3.5, 4), (3.53, 4)],
+        [(2.0, 1), (2.5, 1), (2.9, 1), (3.05, 2), (3.2, 2), (3.4, 2), (3.47, 4), (3.5, 4), (3.53, 4),
+         (3.56, 8), (3.83, 3)],
     )
     def test_known_periods(self, lam, period):
         assert detect_period(lam) == period
@@ -173,30 +172,36 @@ class TestDetectPeriod:
         with pytest.raises(ConvergenceError):
             detect_period(3.9)
 
-    def test_preperiodic_critical_point_at_four(self):
-        # x0 = 0.5 maps onto the fixed point 0 in two steps at lam = 4
-        assert detect_period(4.0) == 1
+    def test_preperiodic_critical_point_at_four_fails(self):
+        # x0 = 0.5 maps onto the fixed point 0 in two steps at lam = 4, but
+        # 0 repels (multiplier 4): almost every orbit averages 1/2, not 0
+        with pytest.raises(ConvergenceError):
+            detect_period(4.0)
 
     @pytest.mark.parametrize(
         "lam,period",
-        [(2.999, 1), (2.9999, 1), (3.0001, 2), (3.449, 2), (3.4494, 2), (3.4495, 4), (3.544, 4), (3.5441, 8)],
+        [(2.999, 1), (2.9999, 1), (2.99999, 1), (3.0001, 2), (3.449, 2), (3.4494, 2), (3.4495, 4), (3.544, 4),
+         (3.5441, 8)],
     )
     def test_slow_cycle_next_to_a_doubling(self, lam, period):
-        # just below a doubling the cycle converges so slowly that the
-        # tolerance test passes at twice its length first
+        # next to a doubling the orbit of 0.5 is still far from the cycle
+        # after burn-in; just past one, the cycle of half the length
+        # repels and must be passed over
         assert detect_period(lam) == period
 
     @settings(max_examples=60, deadline=None)
     @given(
-        st.sampled_from([(1.01, 2.9999, 1), (3.0001, 3.4494, 2), (3.4495, 3.544, 4)]).flatmap(
+        st.sampled_from([(1.01, 2.999999, 1), (3.0001, 3.449489, 2), (3.44949, 3.54409, 4)]).flatmap(
             lambda r: st.tuples(st.floats(r[0], r[1]), st.just(r[2]))
         )
     )
     def test_length_is_the_regime_cycle_length(self, case):
-        """Inside each stable regime, short of where detection runs into
-        its cap, the length is the regime's; where the closed forms x*
-        and {p, q} apply, the polished cycle and its mean match them to
-        rounding."""
+        """Inside each stable regime the length is the regime's; where
+        the closed forms x* and {p, q} apply, the polished cycle and its
+        mean match them to rounding.  The two-cycle starts at 3.0001: closer
+        to lam = 3 it is a near-triple root of f^2(x) - x, whose slope
+        there is about -4(lam - 3), so Newton resolves it only to rounding
+        over that slope (4e-12 at 3.00001)."""
         lam, length = case
         assert detect_period(lam) == length
         orbit = periodic_orbit(lam)
@@ -209,22 +214,22 @@ class TestDetectPeriod:
             assert orbit == pytest.approx([pair.p, pair.q], abs=1e-12)
             assert float(np.mean(orbit)) == pytest.approx((lam + 1.0) / (2.0 * lam), abs=1e-12)
 
-
-class TestFindCycle:
-    """The one routine that detects a cycle, one rate at a time."""
-
-    def test_scalar_path_stays_on_python_floats(self):
-        period, start, end = find_cycle(3.2, 0.5, 100)
-        assert period == 2
-        assert type(start) is float and type(end) is float
-
-    def test_no_cycle_is_minus_one(self):
-        assert find_cycle(3.9, 0.5, 2000)[0] == -1
-
-    def test_grid_matches_detect_period(self):
-        lams = [2.5, 3.2, 3.5, 3.56]
-        periods = [find_cycle(lam, 0.5, 20_000)[0] for lam in lams]
-        assert periods == [detect_period(lam) for lam in lams] == [1, 2, 4, 8]
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([(1.01, 2.999999), (3.0001, 3.449489), (3.44949, 3.54409), (3.5441, 3.5644),
+                         (3.8285, 3.841)]).flatmap(lambda r: st.floats(r[0], r[1]))
+    )
+    def test_cycle_attracts_at_its_least_period(self, lam):
+        orbit = periodic_orbit(lam)
+        multiplier = 1.0
+        for x in orbit:
+            multiplier *= lam * (1.0 - 2.0 * x)
+        assert abs(multiplier) < 1.0
+        x = orbit[0]
+        for _ in range(len(orbit) - 1):
+            x = lam * x * (1.0 - x)
+            assert abs(x - orbit[0]) >= 1e-12
+        assert abs(lam * x * (1.0 - x) - orbit[0]) < 1e-12
 
 
 class TestPeriodicOrbit:
@@ -257,12 +262,10 @@ class TestPeriodicOrbit:
             assert len(periodic_orbit(lam)) == period
 
     def test_slow_cycle_recorded_where_detection_converged(self):
-        # just past the first doubling the two-cycle attracts slowly: one
-        # burn-in pass is not enough, detection extends it, and the
-        # returned cycle is the Newton-polished one, not the states
-        # where the tolerance test passed (those sit ~5e-7 off the pair)
+        # just past the first doubling the two-cycle attracts slowly: the
+        # returned cycle is the Newton-polished one, not the orbit after
+        # burn-in (which sits ~3e-4 off the pair)
         lam = 3.0001
-        assert find_cycle(lam, 0.5, PERIOD_BURN_IN)[0] == -1
         pair = period2_points(lam)
         assert periodic_orbit(lam) == pytest.approx([pair.p, pair.q], abs=1e-12)
 

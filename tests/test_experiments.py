@@ -35,7 +35,7 @@ from stochlogistic.maps import INIT_STREAM, stream_rng
 from stochlogistic.cli import _SUBCOMMANDS, OPTIONS
 from stochlogistic.measure import MonteCarloConfig, pf_iterate, uniform_ensemble, variance_of_right_peak
 
-from oracles import band_geometry, quartic_two_cycle, two_cycle_mean
+from oracles import band_geometry, cascade_scan_period, quartic_two_cycle, two_cycle_mean
 
 FAST = MonteCarloConfig(n_particles=500, generations=600, window=300, seed=21)
 
@@ -465,9 +465,11 @@ class TestFlipFlopScan:
 
     def test_tabulated_centers_are_the_cascade_scan(self):
         # the scan the rho >= 3 centers were taken from: the longest run of
-        # period-2^rho rates on the interior of the cascade grid
+        # period-2^rho rates on the interior of the cascade grid.  Regenerated
+        # from detect_period instead, the centers would move: it finds 8 at
+        # 3.564394140625 (scan: -1) and 16 at 3.5687378125 (scan: 32)
         grid = np.linspace(analytic.LAMBDA_C4_END, analytic.LAMBDA_C2_OMEGA, 257)[1:-1]
-        periods = np.array([analytic.find_cycle(lam, 0.5, 20_000)[0] for lam in grid.tolist()])
+        periods = np.array([cascade_scan_period(lam) for lam in grid.tolist()])
         for rho in range(3, 7):
             hits = np.flatnonzero(periods == 2**rho)
             run = max(np.split(hits, np.flatnonzero(np.diff(hits) > 1) + 1), key=len)
