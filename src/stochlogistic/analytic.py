@@ -159,6 +159,8 @@ def _attracting_cycle(lam: float) -> list[float]:
     every other root Newton finds repels and is passed over."""
     if not 0.0 <= lam <= 4.0:
         raise DomainError(f"growth rate must lie in [0, 4], got {lam}")
+    if lam <= 1.0:  # 0 attracts; at 1, Newton on f(x) - x = -x**2 would only halve the error
+        return [0.0]
     start = 0.5
     for _ in range(PERIOD_BURN_IN):
         start = lam * start * (1.0 - start)

@@ -43,8 +43,15 @@ from .measure import (
 Z_THRESHOLD = 3.0
 
 
+class _Record:
+    """A result whose JSON form is its dataclass fields, in order."""
+
+    def to_dict(self) -> dict:
+        return {k: getattr(self, k) for k in self.__dataclass_fields__}
+
+
 @dataclass(frozen=True, eq=False)
-class BifurcationDataset:
+class BifurcationDataset(_Record):
     """Terminal states of many initial conditions on a grid of rates."""
 
     kind: str  # "deterministic" or "stochastic"
@@ -53,9 +60,6 @@ class BifurcationDataset:
     delta_lambda: float
     n_iter: int
     seed: int
-
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
 
 
 def _rate_grid(lam_lo: float, lam_hi: float, step: float) -> np.ndarray:
@@ -149,7 +153,7 @@ def distribution_evolution(
 
 
 @dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(_Record):
     """Stochastic ensemble mean versus the deterministic cycle mean at
     the center rate, with a z-scored verdict."""
 
@@ -167,9 +171,6 @@ class ComparisonReport:
     generations: int
     window: int
     seed: int
-
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
 
 
 def _verdict(z: float) -> str:
@@ -216,7 +217,7 @@ def mean_comparison(
     time averages, which are independent across particles.
     """
     regime = classify_regime(lambda_bar - delta_lambda, lambda_bar + delta_lambda)
-    orbit = [0.0] if regime is Regime.EXTINCTION else periodic_orbit(lambda_bar)
+    orbit = periodic_orbit(lambda_bar)
     period, det_mean = len(orbit), float(np.mean(orbit))
     if _REGIME_CYCLE.get(regime, period) != period:
         raise RegimeError(f"{regime.value} window, but the cycle at lam={lambda_bar} has length {period}")
@@ -243,17 +244,14 @@ def mean_comparison(
 
 
 @dataclass(frozen=True)
-class LemmaCheck:
+class LemmaCheck(_Record):
     name: str
     passed: bool
     details: dict
 
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
 
 @dataclass(frozen=True)
-class LemmaSuiteReport:
+class LemmaSuiteReport(_Record):
     """The checks of the lemma suite; ``passed`` when all of them pass."""
 
     lambda_bar: float
@@ -261,9 +259,6 @@ class LemmaSuiteReport:
     seed: int
     passed: bool
     checks: tuple[LemmaCheck, ...]
-
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
 
 
 def _variance_ladder(lambda_bar: float) -> list[float]:
@@ -431,7 +426,7 @@ _FROM_COMPARISON = (
 
 
 @dataclass(frozen=True)
-class FlipFlopRow:
+class FlipFlopRow(_Record):
     rho: int
     period: int
     lambda_bar: float
@@ -446,18 +441,12 @@ class FlipFlopRow:
     ci_low: float
     ci_high: float
 
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
 
 @dataclass(frozen=True)
-class FlipFlopReport:
+class FlipFlopReport(_Record):
     delta_lambda: float
     seed: int
     rows: tuple[FlipFlopRow, ...]
-
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
 
 
 #: Window center per doubling level (see _window_for_rho).

@@ -14,14 +14,26 @@ is scheduled.  Ensembles of one size that share a seed therefore consume
 the same variates each generation, whatever their rate law, and a
 one-slot memo holds the last generation's variates.
 
-One private driver runs the loops of ``pf_iterate``, ``ensemble_time_mean``
-and ``stationary_stats``: it steps same-seed ensembles, one per rate law,
-in lockstep through ``pf_step`` (each generation is drawn once for all),
-hands the first one's particles at each trailing window generation to an
-accumulator, and returns the final snapshots.  Each accumulator keeps its
-own summation order (split sums do not add up bitwise to the total).  The
-lemma suite reads its variance ladder from the finals, and ``compare``
-draws its histogram from the one ``ensemble_time_mean`` returns.
+One private driver runs the loops of ``pf_iterate``,
+``ensemble_time_mean`` and ``stationary_stats``: it steps same-seed
+ensembles, one per rate law, in lockstep through ``pf_step`` (each
+generation is drawn once for all), hands the first one's particles at each
+trailing window generation to an accumulator, and returns the final
+snapshots.  Each accumulator keeps its own summation order (the left and
+right sums do not add up bitwise to the total).  The lemma suite reads its
+variance ladder from the finals, and ``compare`` draws its histogram from
+the one ``ensemble_time_mean`` returns.
+
+``ensemble_time_mean`` and ``stationary_stats`` split runs of
+``_SPLIT_MIN`` particles or more over two processes where ``os.fork``
+exists and two CPUs are usable: a forked child steps particles [mid, n),
+mid = n // 8 * 4 a multiple of 4 so that its variates start on a Philox
+block, and the parent [0, mid).  The initial states, window sums and
+final snapshots live in one shared anonymous map made before the fork;
+each process works on its own columns in place, and the statistics come
+from the whole arrays, so the bytes equal a one-process run's.  The
+child leaves by ``os._exit``, status 0 only on success; the parent
+always reaps it and raises RuntimeError on any other status.
 
 Snapshots are validated where they enter: ``Ensemble(...)`` and
 ``uniform_ensemble`` check that every particle lies in [0, 1].  The
@@ -52,8 +64,10 @@ This module does not import ``analytic``: its callers validate windows.
 
 from __future__ import annotations
 
+import mmap
+import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -72,6 +86,7 @@ class Ensemble:
     particles: np.ndarray
     generation: int
     base_seed: int
+    _first = 0  # index of particles[0] in its whole ensemble (not a field)
 
     def __post_init__(self) -> None:
         if len(self.particles) == 0:
@@ -81,13 +96,11 @@ class Ensemble:
             raise DomainError("all particles must lie in [0, 1]")
 
     @classmethod
-    def _unchecked(cls, particles: np.ndarray, generation: int, base_seed: int) -> "Ensemble":
+    def _unchecked(cls, particles: np.ndarray, generation: int, base_seed: int, first: int = 0) -> "Ensemble":
         """A snapshot of particles already known to lie in [0, 1], built
         without the range scan (see the module docstring)."""
-        ens = object.__new__(cls)
-        object.__setattr__(ens, "particles", particles)
-        object.__setattr__(ens, "generation", generation)
-        object.__setattr__(ens, "base_seed", base_seed)
+        ens = object.__new__(cls)  # frozen: the attributes go straight into __dict__
+        ens.__dict__.update(particles=particles, generation=generation, base_seed=base_seed, _first=first)
         return ens
 
     @property
@@ -174,11 +187,14 @@ def uniform_ensemble(n: int, seed: int) -> Ensemble:
 
 
 @lru_cache(maxsize=1)
-def _rate_variates(seed: int, stream: int, n: int) -> np.ndarray:
-    """The first n standard-uniform variates of stream (seed, stream),
-    read-only.  One slot suffices: ensembles stepped in lockstep ask for
-    the same generation's variates one after another."""
-    u = stream_rng(seed, stream).random(n)
+def _rate_variates(seed: int, stream: int, first: int, n: int) -> np.ndarray:
+    """Variates first .. first + n - 1 of stream (seed, stream), read-only,
+    for first a multiple of 4.  One slot suffices: ensembles stepped in
+    lockstep ask for the same generation's variates one after another."""
+    rng = stream_rng(seed, stream)
+    if first:
+        rng.bit_generator.advance(first // 4)
+    u = rng.random(n)
     u.flags.writeable = False
     return u
 
@@ -195,13 +211,13 @@ def pf_step(ensemble: Ensemble, dist: ParameterDistribution) -> Ensemble:
     The result stays in [0, 1] by the argument in the module docstring,
     so it is returned without a range scan.
     """
-    u = _rate_variates(ensemble.base_seed, ensemble.generation + 1, ensemble.n)
+    u = _rate_variates(ensemble.base_seed, ensemble.generation + 1, ensemble._first, ensemble.n)
     x = ensemble.particles
     y = u * (dist.high - dist.low)
     y += dist.low
     y *= x
     y *= 1.0 - x
-    return Ensemble._unchecked(y, ensemble.generation + 1, ensemble.base_seed)
+    return Ensemble._unchecked(y, ensemble.generation + 1, ensemble.base_seed, ensemble._first)
 
 
 def _drive(ensembles, dists, steps: int, window: int = 0, accumulate=None) -> list[Ensemble]:
@@ -213,6 +229,46 @@ def _drive(ensembles, dists, steps: int, window: int = 0, accumulate=None) -> li
         if t >= 0:
             accumulate(ensembles[0].particles)
     return ensembles
+
+
+_SPLIT_MIN = 12_000  # windowed runs this large split over two processes
+
+
+def _windowed(dists, cfg: MonteCarloConfig, rows: int, bind) -> tuple[np.ndarray, list[Ensemble]]:
+    """Run same-seed ensembles, one per rate law, through ``_drive`` with
+    ``bind(sums)`` as the accumulator of zeroed per-particle sums of
+    ``rows`` rows; returns (sums, final snapshots)."""
+    n, g, w = cfg.n_particles, cfg.generations, cfg.window
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
+    if n < _SPLIT_MIN or not hasattr(os, "fork") or len(cpus) < 2:
+        sums = np.zeros((rows, n))
+        return sums, _drive([uniform_ensemble(n, cfg.seed) for _ in dists], dists, g, w, bind(sums))
+    # an anonymous map is MAP_SHARED: each process writes its own columns in place
+    buf = np.frombuffer(mmap.mmap(-1, 8 * n * (rows + len(dists))), dtype=np.float64).reshape(-1, n)
+    sums, ends = buf[:rows], buf[rows:]
+    for end in ends:  # the initial states, overwritten by the finals
+        end[:] = uniform_ensemble(n, cfg.seed).particles
+
+    def part(lo: int, hi: int) -> None:
+        halves = [Ensemble._unchecked(end[lo:hi], 0, cfg.seed, lo) for end in ends]
+        for end, e in zip(ends[:, lo:hi], _drive(halves, dists, g, w, bind(sums[:, lo:hi]))):
+            end[:] = e.particles
+
+    mid = n // 8 * 4  # a multiple of 4, so the child's variates start on a Philox block
+    pid = os.fork()
+    if pid == 0:  # the child reports by its exit status only
+        try:
+            part(mid, n)
+            os._exit(0)
+        finally:
+            os._exit(1)
+    try:
+        part(0, mid)
+    finally:
+        status = os.waitpid(pid, 0)[1]
+    if status:
+        raise RuntimeError(f"the child process stepping particles [{mid}, {n}) failed (wait status {status})")
+    return sums, [Ensemble._unchecked(e, g, cfg.seed) for e in ends]
 
 
 def pf_iterate(ensemble: Ensemble, dist: ParameterDistribution, n: int) -> Ensemble:
@@ -243,10 +299,7 @@ class StationaryStats:
 
 def standard_error(values: np.ndarray) -> float:
     """Standard error of the mean of i.i.d. values, std(ddof=1)/sqrt(n)."""
-    n = len(values)
-    if n < 2:
-        return 0.0
-    return float(values.std(ddof=1) / np.sqrt(n))
+    return float(values.std(ddof=1) / np.sqrt(len(values)))
 
 
 def stationary_stats(
@@ -268,24 +321,26 @@ def stationary_stats(
     if dist.lambda_bar <= 1.0:
         raise DomainError("peak threshold needs lambda_bar > 1")
     threshold = (dist.lambda_bar - 1.0) / dist.lambda_bar
-    n, w = cfg.n_particles, cfg.window
-    lsum, lsq, rsum, lx, rx, sq = np.zeros((6, n))
-    lcnt = np.zeros(n, dtype=np.int64)
-    left = np.empty(n, dtype=bool)
 
-    def split(x: np.ndarray) -> None:
-        # masks as 0/1 factors: exact for x in [0, 1], and no where-temporaries
-        np.less_equal(x, threshold, out=left)
-        np.multiply(x, left, out=lx)
-        np.subtract(x, lx, out=rx)
-        np.add(lsum, lx, out=lsum)
-        np.add(rsum, rx, out=rsum)
-        np.add(lsq, np.multiply(lx, x, out=sq), out=lsq)
-        np.add(lcnt, left, out=lcnt)
+    def bind(sums: np.ndarray):
+        lsum, lsq, rsum, lcnt = sums  # the count is a float: exact below 2**53
+        lx, rx, sq = np.empty((3, len(lcnt)))
+        left = np.empty(len(lcnt), dtype=bool)
 
-    dists = (dist, *companions)
-    ens, *others = _drive([uniform_ensemble(n, cfg.seed) for _ in dists], dists, cfg.generations, w, split)
-    rcnt = w - lcnt
+        def split(x: np.ndarray) -> None:
+            # masks as 0/1 factors: exact for x in [0, 1], and no where-temporaries
+            np.less_equal(x, threshold, out=left)
+            np.multiply(x, left, out=lx)
+            np.subtract(x, lx, out=rx)
+            np.add(lsum, lx, out=lsum)
+            np.add(rsum, rx, out=rsum)
+            np.add(lsq, np.multiply(lx, x, out=sq), out=lsq)
+            np.add(lcnt, left, out=lcnt)
+
+        return split
+
+    (lsum, lsq, rsum, lcnt), (ens, *others) = _windowed((dist, *companions), cfg, 4, bind)
+    rcnt = cfg.window - lcnt
     if np.any(lcnt == 0) or np.any(rcnt == 0):
         raise EmptyPeakError(
             "some particle never visited one side of the threshold during "
@@ -306,8 +361,7 @@ def ensemble_time_mean(
     """(mean, standard error, final snapshot) of a run from cfg.seed: the
     state pooled over particles and the trailing cfg.window generations,
     and the ensemble at cfg.generations."""
-    total, start = np.zeros(cfg.n_particles), uniform_ensemble(cfg.n_particles, cfg.seed)
-    (final,) = _drive([start], [dist], cfg.generations, cfg.window, lambda x: np.add(total, x, out=total))
+    (total,), (final,) = _windowed([dist], cfg, 1, lambda sums: partial(np.add, sums[0], out=sums[0]))
     per_particle = total / cfg.window
     return float(per_particle.mean()), standard_error(per_particle), final
 

@@ -240,6 +240,13 @@ class TestPeriodicOrbit:
     def test_fixed_point(self):
         assert periodic_orbit(2.5) == pytest.approx([0.6], abs=1e-12)
 
+    @pytest.mark.parametrize("lam, limit", [(0.999, 0.0), (1.0, 0.0), (1.001, 1.0 - 1.0 / 1.001)])
+    def test_neutral_rate_reaches_its_limit(self, lam, limit):
+        # at lam = 1, f(x) - x = -x**2: Newton from the burn-in only halves
+        # the error each step, so the orbit used to stop at 3.9e-7
+        orbit = periodic_orbit(lam)
+        assert len(orbit) == 1 and abs(orbit[0] - limit) <= 1e-12
+
     def test_period4_mean_regression(self):
         pts = periodic_orbit(3.508)
         assert len(pts) == 4 and pts == sorted(pts)

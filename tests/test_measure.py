@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 from dataclasses import replace
 from unittest import mock
 
@@ -317,6 +318,176 @@ class TestDriverFinals:
             assert final.particles.tobytes() == _stepped_alone(n, seed, law, generations).particles.tobytes()
 
 
+def _counting_fork():
+    """A stand-in for os.fork that records the pids it returns to the parent."""
+    pids, real = [], os.fork
+
+    def fork():
+        pid = real()
+        pids.append(pid)
+        return pid
+
+    return pids, fork
+
+
+def _outcome(run):
+    """The bytes of every array and float a windowed run returns, or the
+    type of the error it raises."""
+    try:
+        out = run()
+    except EmptyPeakError as exc:
+        return type(exc)
+    if isinstance(out, measure.StationaryStats):
+        arrays = (out.left_mean_pp, out.left_sq_pp, out.right_mean_pp)
+        finals = (out.final, *out.companion_finals)
+        return [a.tobytes() for a in arrays] + [(e.generation, e.particles.tobytes()) for e in finals]
+    mean, se, final = out
+    return [np.float64(mean).tobytes(), np.float64(se).tobytes(), final.generation, final.particles.tobytes()]
+
+
+def _split_and_whole(run, split_min):
+    """(outcome of run split from split_min particles on, outcome in one
+    process, pids forked for the split run), on a host taken to have two
+    usable CPUs."""
+    pids, fork = _counting_fork()
+    with mock.patch.object(os, "fork", fork), mock.patch.object(os, "sched_getaffinity", lambda pid: {0, 1}):
+        with mock.patch.object(measure, "_SPLIT_MIN", split_min):
+            split = _outcome(run)
+        with mock.patch.object(measure, "_SPLIT_MIN", 2**62):
+            whole = _outcome(run)
+    return split, whole, pids
+
+
+#: Point masses, the full-width law on [0, 4], and laws between.
+_SPLIT_LAWS = st.one_of(
+    st.floats(0.0, 4.0).map(lambda lam: ParameterDistribution(lam, 0.0)),
+    st.just(ParameterDistribution(2.0, 2.0)),
+    _RATE_LAWS,
+)
+
+
+class TestParticleSplit:
+    """Windowed runs from _SPLIT_MIN particles on step particles [mid, n)
+    in a forked child; every byte equals the one-process run's."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(2, 90),
+        split_min=st.integers(8, 60),
+        generations=st.integers(60, 120),
+        seed=st.integers(0, 2**64 - 1),
+        # a two-cycle window, where every particle visits both sides; the
+        # companions take any law, as only their finals are kept
+        dist=st.tuples(st.floats(3.1, 3.4), st.sampled_from([0.0, 0.01, 0.04])).map(
+            lambda t: ParameterDistribution(*t)
+        ),
+        companions=st.lists(_SPLIT_LAWS, max_size=3),
+    )
+    def test_stationary_stats_split_equals_one_process(
+        self, data, n, split_min, generations, seed, dist, companions
+    ):
+        window = data.draw(st.integers(2, generations // 2))
+        cfg = MonteCarloConfig(n_particles=n, generations=generations, window=window, seed=seed)
+        run = lambda: stationary_stats(dist, cfg, tuple(companions))  # noqa: E731
+        split, whole, pids = _split_and_whole(run, split_min)
+        assert split == whole
+        assert len(pids) == (n >= split_min)
+        assume(split is not EmptyPeakError)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(2, 90),
+        split_min=st.integers(8, 60),
+        generations=st.integers(1, 40),
+        seed=st.integers(0, 2**64 - 1),
+        dist=_SPLIT_LAWS,
+    )
+    def test_time_mean_split_equals_one_process(self, data, n, split_min, generations, seed, dist):
+        window = data.draw(st.integers(1, generations))
+        cfg = MonteCarloConfig(n_particles=n, generations=generations, window=window, seed=seed)
+        split, whole, pids = _split_and_whole(lambda: ensemble_time_mean(dist, cfg), split_min)
+        assert split == whole
+        assert len(pids) == (n >= split_min)
+
+    def test_paper_size_splits_with_four_rungs(self):
+        # the verify shape at paper size: one stationary run and its ladder
+        cfg = MonteCarloConfig(n_particles=20_001, generations=60, window=30, seed=12345)
+        ladder = tuple(ParameterDistribution(3.2, h) for h in (0.05, 0.025, 0.0125, 0.00625))
+        run = lambda: stationary_stats(ParameterDistribution(3.2, 0.05), cfg, ladder)  # noqa: E731
+        split, whole, pids = _split_and_whole(run, measure._SPLIT_MIN)
+        assert split != EmptyPeakError and len(split) == 8
+        assert split == whole and len(pids) == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        stream=st.integers(0, 2**64 - 1),
+        n=st.integers(1, 3000),
+        data=st.data(),
+    )
+    def test_advanced_variates_are_the_tail_of_the_full_draw(self, seed, stream, n, data):
+        first = 4 * data.draw(st.integers(0, n // 4))
+        full = measure._rate_variates(seed, stream, 0, n).copy()
+        tail = measure._rate_variates(seed, stream, first, n - first)
+        assert tail.tobytes() == full[first:].tobytes()
+
+    def test_desk_size_runs_in_one_process(self):
+        cfg = MonteCarloConfig(n_particles=2000, generations=3, window=2, seed=12345)
+        pids, fork = _counting_fork()
+        with mock.patch.object(os, "fork", fork):
+            _outcome(lambda: ensemble_time_mean(ParameterDistribution(3.2, 0.05), cfg))
+            _outcome(lambda: stationary_stats(ParameterDistribution(3.2, 0.05), cfg))
+        assert pids == []
+
+    @pytest.mark.parametrize("host", ["no fork", "no affinity", "one cpu"])
+    def test_fallback_is_one_process(self, host, monkeypatch):
+        cfg = MonteCarloConfig(n_particles=50, generations=30, window=10, seed=9)
+        dist = ParameterDistribution(3.2, 0.05)
+        runs = (lambda: stationary_stats(dist, cfg), lambda: ensemble_time_mean(dist, cfg))
+        split = [_split_and_whole(run, 8)[0] for run in runs]
+        pids, fork = _counting_fork()
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(measure, "_SPLIT_MIN", 8)
+        if host == "no fork":
+            monkeypatch.delattr(os, "fork")
+        elif host == "no affinity":
+            monkeypatch.delattr(os, "sched_getaffinity")
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert [_outcome(run) for run in runs] == split
+        assert pids == []
+
+    @pytest.mark.parametrize("failing", ["child", "parent"])
+    def test_a_failing_half_raises_and_leaves_no_process(self, failing, monkeypatch, tmp_path):
+        # the child's half starts at particle mid > 0, the parent's at 0
+        drive, parent = measure._drive, os.getpid()
+
+        def broken(ensembles, *args):
+            if (ensembles[0]._first > 0) == (failing == "child"):
+                raise MemoryError(f"{failing} half")
+            return drive(ensembles, *args)
+
+        monkeypatch.setattr(measure, "_drive", broken)
+        monkeypatch.setattr(measure, "_SPLIT_MIN", 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        cfg = MonteCarloConfig(n_particles=40, generations=20, window=10, seed=3)
+        raised = RuntimeError if failing == "child" else MemoryError
+        try:
+            with pytest.raises(raised):
+                stationary_stats(ParameterDistribution(3.2, 0.05), cfg)
+            with pytest.raises(raised):
+                ensemble_time_mean(ParameterDistribution(3.2, 0.05), cfg)
+        finally:
+            if os.getpid() != parent:  # a child got back into the caller's code
+                (tmp_path / "escaped").touch()
+                os._exit(0)
+        assert not (tmp_path / "escaped").exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
 class TestStationaryStats:
     def test_pushforward_identity_small(self):
         dist = ParameterDistribution(3.208, 0.024)
@@ -536,7 +707,7 @@ class TestStepRange:
         assert np.all((out >= 0.0) & (out <= 1.0))
         # the largest variate rounds the rate up the most
         top = float(np.nextafter(1.0, 0.0))
-        with mock.patch.object(measure, "_rate_variates", lambda s, g, n: np.full(n, top)):
+        with mock.patch.object(measure, "_rate_variates", lambda s, g, first, n: np.full(n, top)):
             out = pf_step(Ensemble(x, generation, seed), dist).particles
         rate = top * (dist.high - dist.low) + dist.low
         assert rate <= 4.0

@@ -8,7 +8,8 @@ such API is either wired into a subcommand or deleted.  The package
 ``__init__`` imports nothing, so each name has one import path, its
 module's.  Likewise every field of a dataclass must be read as an
 attribute somewhere in the package, unless the class serializes all its
-fields through ``__dataclass_fields__``.  The benchmark's span tracer (``stochbench/spans.py``) names
+fields through ``__dataclass_fields__``, itself or through a base class
+of its module.  The benchmark's span tracer (``stochbench/spans.py``) names
 the functions it times; every one of them must still exist, or a traced
 run drops that metric.  And ``src/`` stays within a budget of non-blank
 lines; a change that must raise it says why.
@@ -89,10 +90,13 @@ def test_every_dataclass_field_is_read_in_src():
     read = set().union(*(_read_attributes(tree) for tree in trees.values()))
     unread = []
     for module, tree in trees.items():
-        for cls in tree.body:
-            if not (isinstance(cls, ast.ClassDef) and _is_dataclass(cls)):
+        classes = [node for node in tree.body if isinstance(node, ast.ClassDef)]
+        # a class that reads __dataclass_fields__ serializes every field, and so do its subclasses
+        serializers = {cls.name for cls in classes if "__dataclass_fields__" in _read_attributes(cls)}
+        for cls in classes:
+            if not _is_dataclass(cls):
                 continue
-            if "__dataclass_fields__" in _read_attributes(cls):
+            if cls.name in serializers or any(getattr(b, "id", None) in serializers for b in cls.bases):
                 continue  # every field is serialized
             fields = [
                 node.target.id
@@ -124,7 +128,7 @@ def test_every_traced_metric_is_present():
 
 
 #: Standing budget of non-blank lines in src/stochlogistic/*.py.
-LOC_BUDGET = 1646
+LOC_BUDGET = 1686
 
 
 def test_src_stays_within_the_line_budget():
