@@ -23,10 +23,9 @@ generator to (seed, stream) at counter zero instead of building a new
 one per call, which would also seed an unused entropy pool.  The
 generator it returns is therefore valid only until the next
 ``stream_rng`` call, and it is not thread-safe: a caller draws what it
-needs from one stream before it asks for another.  A forked child
-re-keys its own copy of it, so two processes may draw at once.  The
-generator is built on first use, so importing the package does not load
-``numpy.random``.
+needs from one stream before it asks for another (a forked child
+re-keys its own copy).  It is built on first use, so importing the
+package does not load ``numpy.random``.
 """
 
 from __future__ import annotations

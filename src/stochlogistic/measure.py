@@ -14,26 +14,24 @@ is scheduled.  Ensembles of one size that share a seed therefore consume
 the same variates each generation, whatever their rate law, and a
 one-slot memo holds the last generation's variates.
 
-One private driver runs the loops of ``pf_iterate``,
-``ensemble_time_mean`` and ``stationary_stats``: it steps same-seed
-ensembles, one per rate law, in lockstep through ``pf_step`` (each
-generation is drawn once for all), hands the first one's particles at each
-trailing window generation to an accumulator, and returns the final
-snapshots.  Each accumulator keeps its own summation order (the left and
-right sums do not add up bitwise to the total).  The lemma suite reads its
-variance ladder from the finals, and ``compare`` draws its histogram from
-the one ``ensemble_time_mean`` returns.
+One private driver runs the loops of ``pf_iterate``, ``ensemble_time_mean``
+and ``stationary_stats``: it steps same-seed ensembles, one per rate law,
+in lockstep through ``pf_step`` (each generation is drawn once for all),
+hands the first one's particles at each trailing window generation to an
+accumulator, and returns the final snapshots.  Each accumulator keeps its
+own summation order (side sums do not add up bitwise to the total).  The
+lemma suite reads its variance ladder from the finals, and ``compare``
+draws its histogram from the one ``ensemble_time_mean`` returns.
 
 ``ensemble_time_mean`` and ``stationary_stats`` split runs of
 ``_SPLIT_MIN`` particles or more over two processes where ``os.fork``
 exists and two CPUs are usable: a forked child steps particles [mid, n),
 mid = n // 8 * 4 a multiple of 4 so that its variates start on a Philox
 block, and the parent [0, mid).  The initial states, window sums and
-final snapshots live in one shared anonymous map made before the fork;
-each process works on its own columns in place, and the statistics come
-from the whole arrays, so the bytes equal a one-process run's.  The
-child leaves by ``os._exit``, status 0 only on success; the parent
-always reaps it and raises RuntimeError on any other status.
+finals live in one shared anonymous map, which each process writes in
+place; the statistics come from the whole arrays, so the bytes equal a
+one-process run's.  The child leaves by ``os._exit``, status 0 only on
+success; the parent always reaps it and raises RuntimeError otherwise.
 
 Snapshots are validated where they enter: ``Ensemble(...)`` and
 ``uniform_ensemble`` check that every particle lies in [0, 1].  The
@@ -239,11 +237,7 @@ def _windowed(dists, cfg: MonteCarloConfig, rows: int, bind) -> tuple[np.ndarray
     ``bind(sums)`` as the accumulator of zeroed per-particle sums of
     ``rows`` rows; returns (sums, final snapshots)."""
     n, g, w = cfg.n_particles, cfg.generations, cfg.window
-    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
-    if n < _SPLIT_MIN or not hasattr(os, "fork") or len(cpus) < 2:
-        sums = np.zeros((rows, n))
-        return sums, _drive([uniform_ensemble(n, cfg.seed) for _ in dists], dists, g, w, bind(sums))
-    # an anonymous map is MAP_SHARED: each process writes its own columns in place
+    # an anonymous map is MAP_SHARED: a forked child writes its own columns in place
     buf = np.frombuffer(mmap.mmap(-1, 8 * n * (rows + len(dists))), dtype=np.float64).reshape(-1, n)
     sums, ends = buf[:rows], buf[rows:]
     for end in ends:  # the initial states, overwritten by the finals
@@ -254,20 +248,24 @@ def _windowed(dists, cfg: MonteCarloConfig, rows: int, bind) -> tuple[np.ndarray
         for end, e in zip(ends[:, lo:hi], _drive(halves, dists, g, w, bind(sums[:, lo:hi]))):
             end[:] = e.particles
 
-    mid = n // 8 * 4  # a multiple of 4, so the child's variates start on a Philox block
-    pid = os.fork()
-    if pid == 0:  # the child reports by its exit status only
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
+    if n < _SPLIT_MIN or not hasattr(os, "fork") or len(cpus) < 2:
+        part(0, n)
+    else:
+        mid = n // 8 * 4  # a multiple of 4, so the child's variates start on a Philox block
+        pid = os.fork()
+        if pid == 0:  # the child reports by its exit status only
+            try:
+                part(mid, n)
+                os._exit(0)
+            finally:
+                os._exit(1)
         try:
-            part(mid, n)
-            os._exit(0)
+            part(0, mid)
         finally:
-            os._exit(1)
-    try:
-        part(0, mid)
-    finally:
-        status = os.waitpid(pid, 0)[1]
-    if status:
-        raise RuntimeError(f"the child process stepping particles [{mid}, {n}) failed (wait status {status})")
+            status = os.waitpid(pid, 0)[1]
+        if status:
+            raise RuntimeError(f"the child process stepping particles [{mid}, {n}) failed (wait status {status})")
     return sums, [Ensemble._unchecked(e, g, cfg.seed) for e in ends]
 
 
@@ -299,7 +297,10 @@ class StationaryStats:
 
 def standard_error(values: np.ndarray) -> float:
     """Standard error of the mean of i.i.d. values, std(ddof=1)/sqrt(n)."""
-    return float(values.std(ddof=1) / np.sqrt(len(values)))
+    n = len(values)
+    if n < 2:
+        return 0.0
+    return float(values.std(ddof=1) / np.sqrt(n))
 
 
 def stationary_stats(

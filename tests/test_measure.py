@@ -105,6 +105,9 @@ class TestMoments:
     def test_point_mass(self):
         assert standard_error(np.full(10, 0.3)) == pytest.approx(0.0, abs=1e-16)
 
+    def test_one_value_has_no_spread(self):
+        assert standard_error(np.array([0.3])) == 0.0
+
     def test_uniform_variance(self):
         x = uniform_ensemble(1_000_000, seed=8).particles
         assert standard_error(x) ** 2 * len(x) == pytest.approx(1.0 / 12.0, abs=5e-4)
