@@ -261,12 +261,11 @@ class LemmaSuiteReport(_Record):
     checks: tuple[LemmaCheck, ...]
 
 
-def _variance_ladder(lambda_bar: float) -> list[float]:
+def _variance_ladder(lambda_bar: float) -> list[tuple[float, analytic.SupportIntervals]]:
     h0 = 0.05
     while True:
         try:
-            analytic.support_intervals(lambda_bar, h0)
-            return [h0, h0 / 2, h0 / 4, h0 / 8]
+            return [(h, analytic.support_intervals(lambda_bar, h)) for h in (h0, h0 / 2, h0 / 4, h0 / 8)]
         except (RegimeError, DomainError):
             h0 /= 2
             if h0 < 1e-6:
@@ -319,7 +318,7 @@ def lemma_suite(
     ladder = _variance_ladder(lambda_bar)
     stats = stationary_stats(
         dist, replace(cfg, window=_parity_window(cfg.window, 2)),
-        companions=tuple(ParameterDistribution(lambda_bar, h) for h in ladder),
+        companions=tuple(ParameterDistribution(lambda_bar, h) for h, _ in ladder),
     )
     inside = sup.contains(stats.final.particles, inflate=1e-9)
     fraction = float(inside.mean())
@@ -341,14 +340,10 @@ def lemma_suite(
     g_pp = stats.right_mean_pp - lambda_bar * (stats.left_mean_pp - stats.left_sq_pp)
     g = float(g_pp.mean())
     g_se = standard_error(g_pp)
-    if g_se == 0.0:
-        identity_ok = abs(g) < 1e-12
-    else:
-        identity_ok = abs(g) <= 4.0 * g_se
     checks.append(
         LemmaCheck(
             "pushforward_identity",
-            bool(identity_ok),
+            abs(_z_score(g, g_se)) <= 4.0,
             {"statistic": g, "se": g_se, "threshold_se": 4.0},
         )
     )
@@ -374,7 +369,7 @@ def lemma_suite(
 
     # (iv) right-peak variance ratio V(h)/h decay with analytic bound
     ratios, ses = [], []
-    for h, final in zip(ladder, stats.companion_finals):
+    for (h, _), final in zip(ladder, stats.companion_finals):
         v, se = variance_of_right_peak(lambda_bar, final)
         ratios.append(v / h)
         ses.append(se / h)
@@ -382,17 +377,14 @@ def lemma_suite(
         ratios[i + 1] <= ratios[i] + Z_THRESHOLD * math.hypot(ses[i], ses[i + 1])
         for i in range(len(ratios) - 1)
     )
-    bounds = []
-    for h in ladder:
-        s = analytic.support_intervals(lambda_bar, h)
-        bounds.append((s.q_hi - s.q_lo) ** 2 / h)
+    bounds = [(s.q_hi - s.q_lo) ** 2 / h for h, s in ladder]
     bound_decreasing = all(b2 < b1 for b1, b2 in zip(bounds, bounds[1:]))
     checks.append(
         LemmaCheck(
             "right_variance_decay",
             bool(monotone and bound_decreasing),
             {
-                "h": ladder,
+                "h": [h for h, _ in ladder],
                 "ratio": ratios,
                 "ratio_se": ses,
                 "analytic_bound": bounds,
@@ -456,24 +448,24 @@ _RHO_CENTERS = {1: 3.208, 2: 3.508, 3: 3.5542420703124997, 4: 3.5665659765625,
 
 def _window_for_rho(rho: int, delta_lambda: float) -> tuple[float, float]:
     """(lambda_bar, usable half-width) inside the stable period-2^rho
-    regime: the tabulated center, with the half-width halved until both
-    endpoints carry the cycle length.  The rho >= 3 centers are the mean of
-    the longest run of period-2^rho rates on
-    linspace(LAMBDA_C4_END, LAMBDA_C2_OMEGA, 257)[1:-1] under the tolerance
-    scan frozen as ``tests/oracles.py::cascade_scan_period``, which a test
-    reruns; it finds no period 128."""
+    regime: the tabulated center, with the requested half-width halved,
+    while it stays >= 1e-6, until both ends carry the cycle length.  The
+    rho >= 3 centers are the mean of the longest run of period-2^rho rates
+    on linspace(LAMBDA_C4_END, LAMBDA_C2_OMEGA, 257)[1:-1] under the
+    tolerance scan frozen as ``tests/oracles.py::cascade_scan_period``,
+    which a test reruns; it finds no period 128."""
     target, center, delta = 2**rho, _RHO_CENTERS[rho], delta_lambda
-    while delta >= 1e-6:
+    while True:
         try:
-            ok = detect_period(center - delta) == target and detect_period(center + delta) == target
+            if detect_period(center - delta) == target and detect_period(center + delta) == target:
+                return center, delta
         except (ConvergenceError, DomainError):
-            ok = False
-        if ok:
-            return center, delta
+            pass
         delta /= 2.0
-    raise WindowNotFoundError(
-        f"could not shrink a window at {center} onto the period-{target} regime"
-    )
+        if delta < 1e-6:
+            raise WindowNotFoundError(
+                f"could not shrink a window at {center} onto the period-{target} regime"
+            )
 
 
 def flipflop_scan(

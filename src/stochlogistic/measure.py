@@ -17,11 +17,11 @@ one-slot memo holds the last generation's variates.
 One private driver runs the loops of ``pf_iterate``, ``ensemble_time_mean``
 and ``stationary_stats``: it steps same-seed ensembles, one per rate law,
 in lockstep through ``pf_step`` (each generation is drawn once for all),
-hands the first one's particles at each trailing window generation to an
-accumulator, and returns the final snapshots.  Each accumulator keeps its
-own summation order (side sums do not add up bitwise to the total).  The
-lemma suite reads its variance ladder from the finals, and ``compare``
-draws its histogram from the one ``ensemble_time_mean`` returns.
+hands the first one's particles x at each trailing window generation to
+an accumulator, a function of (sums, x), and returns the final snapshots.
+Each accumulator keeps its own summation order (side sums do not add up
+bitwise to the total).  The lemma suite reads its variance ladder from the
+finals, and ``compare`` draws its histogram from ``ensemble_time_mean``'s.
 
 ``ensemble_time_mean`` and ``stationary_stats`` split runs of
 ``_SPLIT_MIN`` particles or more over two processes where ``os.fork``
@@ -232,10 +232,10 @@ def _drive(ensembles, dists, steps: int, window: int = 0, accumulate=None) -> li
 _SPLIT_MIN = 12_000  # windowed runs this large split over two processes
 
 
-def _windowed(dists, cfg: MonteCarloConfig, rows: int, bind) -> tuple[np.ndarray, list[Ensemble]]:
+def _windowed(dists, cfg: MonteCarloConfig, rows: int, accumulate) -> tuple[np.ndarray, list[Ensemble]]:
     """Run same-seed ensembles, one per rate law, through ``_drive`` with
-    ``bind(sums)`` as the accumulator of zeroed per-particle sums of
-    ``rows`` rows; returns (sums, final snapshots)."""
+    ``accumulate(sums, x)`` adding each window generation's x into zeroed
+    per-particle sums of ``rows`` rows; returns (sums, final snapshots)."""
     n, g, w = cfg.n_particles, cfg.generations, cfg.window
     # an anonymous map is MAP_SHARED: a forked child writes its own columns in place
     buf = np.frombuffer(mmap.mmap(-1, 8 * n * (rows + len(dists))), dtype=np.float64).reshape(-1, n)
@@ -245,7 +245,7 @@ def _windowed(dists, cfg: MonteCarloConfig, rows: int, bind) -> tuple[np.ndarray
 
     def part(lo: int, hi: int) -> None:
         halves = [Ensemble._unchecked(end[lo:hi], 0, cfg.seed, lo) for end in ends]
-        for end, e in zip(ends[:, lo:hi], _drive(halves, dists, g, w, bind(sums[:, lo:hi]))):
+        for end, e in zip(ends[:, lo:hi], _drive(halves, dists, g, w, partial(accumulate, sums[:, lo:hi]))):
             end[:] = e.particles
 
     cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
@@ -323,24 +323,17 @@ def stationary_stats(
         raise DomainError("peak threshold needs lambda_bar > 1")
     threshold = (dist.lambda_bar - 1.0) / dist.lambda_bar
 
-    def bind(sums: np.ndarray):
+    def split(sums: np.ndarray, x: np.ndarray) -> None:
         lsum, lsq, rsum, lcnt = sums  # the count is a float: exact below 2**53
-        lx, rx, sq = np.empty((3, len(lcnt)))
-        left = np.empty(len(lcnt), dtype=bool)
+        # the mask as a 0/1 factor: exact for x in [0, 1], and no where-temporaries
+        left = x <= threshold
+        lx = x * left
+        lsum += lx
+        rsum += x - lx
+        lsq += lx * x
+        lcnt += left
 
-        def split(x: np.ndarray) -> None:
-            # masks as 0/1 factors: exact for x in [0, 1], and no where-temporaries
-            np.less_equal(x, threshold, out=left)
-            np.multiply(x, left, out=lx)
-            np.subtract(x, lx, out=rx)
-            np.add(lsum, lx, out=lsum)
-            np.add(rsum, rx, out=rsum)
-            np.add(lsq, np.multiply(lx, x, out=sq), out=lsq)
-            np.add(lcnt, left, out=lcnt)
-
-        return split
-
-    (lsum, lsq, rsum, lcnt), (ens, *others) = _windowed((dist, *companions), cfg, 4, bind)
+    (lsum, lsq, rsum, lcnt), (ens, *others) = _windowed((dist, *companions), cfg, 4, split)
     rcnt = cfg.window - lcnt
     if np.any(lcnt == 0) or np.any(rcnt == 0):
         raise EmptyPeakError(
@@ -362,7 +355,7 @@ def ensemble_time_mean(
     """(mean, standard error, final snapshot) of a run from cfg.seed: the
     state pooled over particles and the trailing cfg.window generations,
     and the ensemble at cfg.generations."""
-    (total,), (final,) = _windowed([dist], cfg, 1, lambda sums: partial(np.add, sums[0], out=sums[0]))
+    (total,), (final,) = _windowed([dist], cfg, 1, lambda sums, x: np.add(sums[0], x, out=sums[0]))
     per_particle = total / cfg.window
     return float(per_particle.mean()), standard_error(per_particle), final
 

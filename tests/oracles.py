@@ -11,6 +11,8 @@ here from the theory.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -105,6 +107,41 @@ def cascade_scan_period(lam: float) -> int:
         if all(abs(orbit[n + k] - orbit[n]) < 1e-9 for n in range(64)):
             return k
     return -1
+
+
+def small_noise_gap(lambda_bar: float, delta: float) -> float:
+    """The O(delta**2) gap between the stationary mean of the map with
+    rates uniform on [lambda_bar - delta, lambda_bar + delta] and the mean
+    of the stable k-cycle x_j at lambda_bar, by second-order moment
+    closure about the cycle (Kifer, Random Perturbations of Dynamical
+    Systems, 1988).  With a_j = lambda_bar (1 - 2 x_j), c_j = x_j (1 - x_j)
+    and sigma^2 = delta^2 / 3 the variance s and the mean m of the
+    deviation from x_j obey, from x_j to x_{j+1},
+
+        s <- a_j^2 s + sigma^2 c_j^2,    m <- a_j m - lambda_bar s;
+
+    the gap is the average of the settled m_j over one turn.  The cycle
+    and its length come from plain iteration of 0.5, no noise is drawn."""
+    k = cascade_scan_period(lambda_bar)
+    assert k > 0, f"no attracting cycle at {lambda_bar}"
+    x = 0.5
+    for _ in range(20_000):
+        x = lambda_bar * x * (1.0 - x)
+    cycle = []
+    for _ in range(k):
+        cycle.append(x)
+        x = lambda_bar * x * (1.0 - x)
+    var = delta * delta / 3.0
+    s = m = 0.0
+    for _ in range(1_000_000):
+        start, total = (s, m), 0.0
+        for xj in cycle:
+            a = lambda_bar * (1.0 - 2.0 * xj)
+            s, m = a * a * s + var * (xj * (1.0 - xj)) ** 2, a * m - lambda_bar * s
+            total += m
+        if all(math.isclose(new, old, rel_tol=1e-14, abs_tol=1e-300) for new, old in zip((s, m), start)):
+            return total / k
+    raise AssertionError(f"moment recurrences still moving at {lambda_bar}+/-{delta}")
 
 
 def central_second_difference(f, x: float, step: float = 1e-5) -> float:

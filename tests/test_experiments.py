@@ -35,7 +35,7 @@ from stochlogistic.maps import INIT_STREAM, stream_rng
 from stochlogistic.cli import _SUBCOMMANDS, OPTIONS
 from stochlogistic.measure import MonteCarloConfig, pf_iterate, uniform_ensemble, variance_of_right_peak
 
-from oracles import band_geometry, cascade_scan_period, quartic_two_cycle, two_cycle_mean
+from oracles import band_geometry, cascade_scan_period, quartic_two_cycle, small_noise_gap, two_cycle_mean
 
 FAST = MonteCarloConfig(n_particles=500, generations=600, window=300, seed=21)
 
@@ -346,8 +346,26 @@ class TestMeanComparison:
         assert payload["lambda_bar"] == 3.208
 
 
+class TestSmallNoiseOracle:
+    """The mean gap against its noise-free O(delta**2) moment closure."""
+
+    @pytest.mark.parametrize(
+        "lambda_bar, delta, within",
+        [(2.8, 0.1, 0.1), (3.2, 0.05, 0.1), (3.208, 0.024, 0.1), (3.508, 0.024, None)],
+    )
+    def test_difference_follows_the_oracle(self, lambda_bar, delta, within):
+        cfg = MonteCarloConfig(n_particles=2000, generations=1000, window=500, seed=7)
+        rep, _ = mean_comparison(lambda_bar, delta, cfg)
+        gap = small_noise_gap(lambda_bar, delta)
+        assert np.sign(rep.difference) == np.sign(gap) != 0
+        assert abs(rep.z_score) >= 3.0
+        # the period-4 window is checked by sign only: its O(delta**4) remainder is larger
+        if within is not None:
+            assert rep.difference == pytest.approx(gap, rel=within)
+
+
 class TestZScoreRule:
-    """compare and flipflop score a difference by one rule."""
+    """compare, flipflop and lemma check (ii) score a difference by one rule."""
 
     def test_zero_se_is_conclusive_in_both(self, monkeypatch):
         monkeypatch.setattr(experiments, "ensemble_time_mean", lambda *a, **k: (0.9, 0.0, None))
@@ -363,6 +381,22 @@ class TestZScoreRule:
         row = flipflop_scan((1,), 0.024, FAST).rows[0]
         assert rep.z_score == row.z_score == 0.0
         assert rep.verdict == row.verdict == "inconclusive"
+
+    def test_float_noise_identity_statistic_passes_check_ii(self, monkeypatch):
+        # a pushforward statistic below float-noise scale with a still smaller
+        # positive standard error: scored 0 like the differences above
+        real = experiments.stationary_stats
+
+        def planted(*args, **kwargs):
+            stats = real(*args, **kwargs)
+            noise = 1e-13 + 1e-16 * np.resize([-1.0, 1.0, 0.5], len(stats.right_mean_pp))
+            return replace(stats, left_sq_pp=stats.left_mean_pp, right_mean_pp=noise)
+
+        monkeypatch.setattr(experiments, "stationary_stats", planted)
+        check = next(c for c in lemma_suite(3.208, 0.024, FAST).checks if c.name == "pushforward_identity")
+        g, se = check.details["statistic"], check.details["se"]
+        assert abs(g) < 1e-12 and 0.0 < se < abs(g) / 4
+        assert check.passed is True
 
 
 class TestLemmaSuite:
@@ -393,12 +427,13 @@ class TestLemmaSuite:
     @pytest.mark.parametrize("lambda_bar", [3.02, 3.05, 3.2, 3.44])
     def test_variance_ladder_halves_until_the_pair_is_disjoint(self, lambda_bar):
         ladder = experiments._variance_ladder(lambda_bar)
-        assert ladder == [ladder[0] / 2**k for k in range(4)] and ladder[0] <= 0.05
-        for h in ladder:
-            support_intervals(lambda_bar, h)
-        if ladder[0] < 0.05:
+        hs = [h for h, _ in ladder]
+        assert hs == [hs[0] / 2**k for k in range(4)] and hs[0] <= 0.05
+        for h, pair in ladder:
+            assert pair == support_intervals(lambda_bar, h)
+        if hs[0] < 0.05:
             with pytest.raises(RegimeError):
-                support_intervals(lambda_bar, 2 * ladder[0])
+                support_intervals(lambda_bar, 2 * hs[0])
 
     def test_json_serializable(self):
         cfg = MonteCarloConfig(n_particles=300, generations=600, window=300, seed=24)
@@ -419,7 +454,7 @@ class TestLemmaSuite:
 
         cfg = replace(base, seed=2)
         alone = []
-        for h in experiments._variance_ladder(3.2):
+        for h, _ in experiments._variance_ladder(3.2):
             final = pf_iterate(uniform_ensemble(300, cfg.seed), ParameterDistribution(3.2, h), 400)
             alone.append(variance_of_right_peak(3.2, final)[0] / h)
         assert ratios(cfg) == alone
@@ -451,6 +486,10 @@ class TestFlipFlopScan:
         # requested half-width cannot fit inside the period-8 regime
         assert row.delta_lambda < 0.024
         assert 3.54409 < row.lambda_bar < 3.56995
+
+    def test_half_width_below_1e_6_is_tested_as_requested(self):
+        row = flipflop_scan((1,), 1e-7, FAST).rows[0]
+        assert row.delta_lambda == 1e-7 and row.period == 2
 
     def test_reproducible_bytes(self):
         def encoded():
