@@ -130,9 +130,7 @@ class Histogram:
         return cls(edges=edges, counts=counts)
 
     def density(self) -> np.ndarray:
-        widths = np.diff(self.edges)
-        total = max(self.total, 1)
-        return self.counts / (total * widths)
+        return self.counts / (max(self.total, 1) * np.diff(self.edges))
 
     def csv_rows(self) -> list[tuple[float, float, int, float]]:
         dens = self.density()

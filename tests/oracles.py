@@ -120,28 +120,35 @@ def small_noise_gap(lambda_bar: float, delta: float) -> float:
 
         s <- a_j^2 s + sigma^2 c_j^2,    m <- a_j m - lambda_bar s;
 
-    the gap is the average of the settled m_j over one turn.  The cycle
-    and its length come from plain iteration of 0.5, no noise is drawn."""
+    the gap is the average of the settled m_j over one turn.  A turn is
+    affine in each: s <- A^2 s + B with A = prod a_j and B the turn's s
+    from 0, so s* = B/(1 - A^2); then m <- A m + Q with Q the turn's m
+    from (s*, 0), so m* = Q/(1 - A).  Solving for the fixed point instead
+    of iterating to it also holds near a doubling point, where |A| is
+    close to 1 and iteration settles too slowly.  The cycle and its
+    length come from plain iteration of 0.5, no noise is drawn."""
     k = cascade_scan_period(lambda_bar)
     assert k > 0, f"no attracting cycle at {lambda_bar}"
     x = 0.5
     for _ in range(20_000):
         x = lambda_bar * x * (1.0 - x)
-    cycle = []
+    steps = []
     for _ in range(k):
-        cycle.append(x)
+        steps.append((lambda_bar * (1.0 - 2.0 * x), delta * delta / 3.0 * (x * (1.0 - x)) ** 2))
         x = lambda_bar * x * (1.0 - x)
-    var = delta * delta / 3.0
-    s = m = 0.0
-    for _ in range(1_000_000):
-        start, total = (s, m), 0.0
-        for xj in cycle:
-            a = lambda_bar * (1.0 - 2.0 * xj)
-            s, m = a * a * s + var * (xj * (1.0 - xj)) ** 2, a * m - lambda_bar * s
+
+    def turn(s: float, m: float) -> tuple[float, float, float]:
+        total = 0.0
+        for a, b in steps:
+            s, m = a * a * s + b, a * m - lambda_bar * s
             total += m
-        if all(math.isclose(new, old, rel_tol=1e-14, abs_tol=1e-300) for new, old in zip((s, m), start)):
-            return total / k
-    raise AssertionError(f"moment recurrences still moving at {lambda_bar}+/-{delta}")
+        return s, m, total
+
+    A = math.prod(a for a, _ in steps)
+    assert abs(A) < 1.0, f"the cycle at {lambda_bar} does not attract (multiplier {A})"
+    s_star = turn(0.0, 0.0)[0] / (1.0 - A * A)
+    m_star = turn(s_star, 0.0)[1] / (1.0 - A)
+    return turn(s_star, m_star)[2] / k
 
 
 def central_second_difference(f, x: float, step: float = 1e-5) -> float:

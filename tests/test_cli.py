@@ -5,7 +5,9 @@ from __future__ import annotations
 import csv
 import json
 import math
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -676,3 +678,43 @@ class TestHelp:
 
     def test_no_subcommand_exit_2(self):
         assert parse_and_dispatch([]) == 2
+
+
+#: Runs each argv of the JSON list in sys.argv[1] through parse_and_dispatch
+#: in one fresh interpreter and prints [exit code, numpy loaded] after each.
+_START_UP = """
+import contextlib, io, json, sys
+sys.path.insert(0, {src!r})
+from stochlogistic.cli import parse_and_dispatch
+seen = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        seen.append([parse_and_dispatch(argv), "numpy" in sys.modules])
+print(json.dumps(seen))
+"""
+
+
+class TestStartUpLoadsNoNumpy:
+    """--help and the input checks that come before a computation answer
+    without loading numpy; a subcommand that computes loads it."""
+
+    def test_start_up_paths_then_a_run(self, tmp_path):
+        config = tmp_path / "unknown-key.cfg"
+        config.write_text("particles = 50\ncolour = red\n")
+        calls = [
+            (["--help"], 0),
+            (["compare", "--help"], 0),
+            (["compare", "--particles", "x"], 2),
+            (["compare", "--delta", "0.01"], 2),
+            (["verify", "--lambda-bar", "3.2", "--format", "svg"], 2),
+            (["compare", "--lambda-bar", "3.208", "--config", str(config)], 2),
+        ]
+        run = ["compare", "--lambda-bar", "3.208", "--delta", "0.024", "--particles", "50",
+               "--generations", "20", "--window", "10", "--outdir", str(tmp_path / "out")]
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        out = subprocess.run(
+            [sys.executable, "-I", "-c", _START_UP.format(src=src), json.dumps([argv for argv, _ in calls] + [run])],
+            capture_output=True, text=True, check=True, timeout=60, cwd=tmp_path,
+        )
+        assert json.loads(out.stdout) == [[code, False] for _, code in calls] + [[0, True]]
+        assert (tmp_path / "out" / "compare-3.208-0.024-12345.json").is_file()

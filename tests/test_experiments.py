@@ -363,6 +363,23 @@ class TestSmallNoiseOracle:
         if within is not None:
             assert rep.difference == pytest.approx(gap, rel=within)
 
+    @pytest.mark.parametrize(
+        "lambda_bar, delta, iterated",
+        [(2.8, 0.1, -0.0007592322643343072), (3.2, 0.05, 0.0002871984722970536),
+         (3.208, 0.024, 6.576785137513949e-05), (3.508, 0.024, -0.00033301702103189965)],
+    )
+    def test_closed_form_equals_the_iterated_recurrences(self, lambda_bar, delta, iterated):
+        # the gaps once found by iterating the moment recurrences until they
+        # moved by under 1e-14 relative, which the closed form must reproduce
+        assert small_noise_gap(lambda_bar, delta) == pytest.approx(iterated, rel=1e-13)
+
+    @pytest.mark.parametrize("lambda_bar, gap", [(3.447, 5.139024165362914e-06), (3.543, -1.2084086412077683e-05)])
+    def test_closure_holds_next_to_a_doubling_point(self, lambda_bar, gap):
+        # within 3e-3 of the doublings at 1 + sqrt(6) and 3.54409 the cycle
+        # multiplier is close to -1, and iterating the recurrences never
+        # met their tolerance; the sign is the paper's, + in period 2, - in 4
+        assert small_noise_gap(lambda_bar, 1e-3) == pytest.approx(gap, rel=1e-9)
+
 
 class TestZScoreRule:
     """compare, flipflop and lemma check (ii) score a difference by one rule."""
@@ -479,6 +496,16 @@ class TestFlipFlopScan:
         assert rows[3].verdict == "exploratory"
         assert rows[3].ci_low < rows[3].difference < rows[3].ci_high
         assert rows[3].period == 8
+
+    def test_row_signs_follow_the_small_noise_oracle(self):
+        # conclusive rows, the conjectured alternation at rho >= 3 included,
+        # carry the sign of their window's noise-free O(delta**2) gap
+        report = flipflop_scan((1, 2, 3, 4), 0.024, MonteCarloConfig(2000, 1000, 500, 12345))
+        conclusive = [row for row in report.rows if abs(row.z_score) >= 3.0]
+        assert [row.rho for row in conclusive] == [1, 2, 3, 4]
+        for row in conclusive:
+            gap = small_noise_gap(row.lambda_bar, row.delta_lambda)
+            assert row.sign == {1.0: "+", -1.0: "-"}[np.sign(gap)]
 
     def test_window_shrinks_for_period8(self):
         report = flipflop_scan((3,), 0.024, FAST)
