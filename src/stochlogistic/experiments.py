@@ -143,7 +143,12 @@ def distribution_evolution(
     out = []
     for target in cps:
         ens = pf_iterate(ens, dist, target - ens.generation)
-        out.append(EvolutionSnapshot(ens.generation, Histogram.from_samples(ens.particles, n_bins)))
+        out.append(
+            EvolutionSnapshot(
+                generation=ens.generation,
+                histogram=Histogram.from_samples(ens.particles, n_bins=n_bins),
+            )
+        )
     return out
 
 
@@ -189,7 +194,8 @@ def _z_score(diff: float, se: float) -> float:
 
 
 def _parity_window(window: int, period: int) -> int:
-    return max(window - window % period, period)
+    w = window - (window % period)
+    return max(w, period)
 
 
 #: Cycle length of each stable regime; a detected orbit must agree.
@@ -270,13 +276,14 @@ def _root_chain_check(lambda_bar: float) -> LemmaCheck:
     pair = analytic.period2_points(lambda_bar)
     x_star = analytic.fixed_point(lambda_bar)
     eps = 1e-3
+    roots = None
     for _ in range(4):
         try:
             roots = analytic.h_function_roots(lambda_bar, eps)
             break
         except RootCountError:
             eps /= 4
-    else:
+    if roots is None:
         return LemmaCheck("shifted_root_ordering", False, {"error": "no four roots"})
     z_h, p_h, xs_h, q_h = roots
     ok = z_h < 0.0 < pair.p < p_h < xs_h < x_star < pair.q < q_h

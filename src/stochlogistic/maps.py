@@ -25,8 +25,7 @@ generator it returns is therefore valid only until the next
 ``stream_rng`` call, and it is not thread-safe: a caller draws what it
 needs from one stream before it asks for another (a forked child
 re-keys its own copy).  It is built on first use, so importing this
-module does not load ``numpy.random``; importing ``stochlogistic.cli``
-loads no numpy at all (its subcommands import this module when they run).
+module does not load ``numpy.random``.
 """
 
 from __future__ import annotations

@@ -130,7 +130,9 @@ class Histogram:
         return cls(edges=edges, counts=counts)
 
     def density(self) -> np.ndarray:
-        return self.counts / (max(self.total, 1) * np.diff(self.edges))
+        widths = np.diff(self.edges)
+        total = max(self.total, 1)
+        return self.counts / (total * widths)
 
     def csv_rows(self) -> list[tuple[float, float, int, float]]:
         dens = self.density()

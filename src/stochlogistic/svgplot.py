@@ -47,7 +47,9 @@ def _ticks(lo: float, hi: float) -> list[float]:
         step = mult * mag
         if raw <= step:
             break
-    ticks, t = [], math.ceil(lo / step) * step
+    first = math.ceil(lo / step) * step
+    ticks = []
+    t = first
     while t <= hi + 1e-12 * step:
         ticks.append(0.0 if abs(t) < 1e-12 else t)
         t += step
@@ -182,7 +184,8 @@ def render_histograms(
 def render_scatter(dataset, vlines: tuple[Marker, ...], title: str) -> str:
     """Point cloud of (parameter, terminal state) pairs, one dot per
     sample, with vertical reference lines."""
-    params, states = dataset.parameters, dataset.terminal_states
+    params = dataset.parameters
+    states = dataset.terminal_states
     if len(params) == 0 or states.size == 0:
         raise DomainError("cannot render an empty dataset")
     canvas = _Canvas(
