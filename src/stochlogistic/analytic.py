@@ -261,12 +261,6 @@ def convexity_on_interval(lambda_bar: float, interval: tuple[float, float]) -> b
     return min(h_second_derivative(lambda_bar, lo), h_second_derivative(lambda_bar, hi)) > 0.0
 
 
-_ROOT_SCAN_LO = -0.5
-_ROOT_SCAN_HI = 1.2
-_ROOT_SCAN_N = 10_000
-_ROOT_XTOL = 1e-12
-
-
 def _H_value(lam: float, eps: float, x: np.ndarray | float):
     u = lam * x * (1.0 - x)
     return lam * (u - u * u + eps) - x
@@ -275,37 +269,24 @@ def _H_value(lam: float, eps: float, x: np.ndarray | float):
 def h_function_roots(
     lambda_bar: float, epsilon: float
 ) -> tuple[float, float, float, float]:
-    """The four zeros of H on [-0.5, 1.2], sorted ascending.
-
-    Brackets come from a uniform sign-change scan over 10^4
-    subintervals, refined by bisection to 1e-12.  At epsilon = 0 those
-    zeros are exactly {0, p, x*, q}; for small epsilon > 0 they shift to
-    z_H < 0 < p < p_H < x*_H < x* < q < q_H.  RootCountError if the scan
-    does not find exactly four roots (the shift was too large).
+    """The four zeros of H(x) = lam*(u - u^2 + epsilon) - x, u = lam*x*(1-x),
+    sorted ascending: the real roots of the quartic
+    -lam^3 x^4 + 2 lam^3 x^3 - (lam^2 + lam^3) x^2 + (lam^2 - 1) x + lam*epsilon,
+    each polished by one Newton step with H'(x) = lam^2 (1 - 2x)(1 - 2u) - 1,
+    since the companion-matrix roots lose digits next to lam = 3, where p,
+    x* and q nearly meet.  At epsilon = 0 the zeros are exactly {0, p, x*, q};
+    for small epsilon > 0 they shift to z_H < 0 < p < p_H < x*_H < x* < q < q_H.
+    RootCountError unless all four are real and lie in [-0.5, 1.2].
     """
     lam = lambda_bar
-    xs = np.linspace(_ROOT_SCAN_LO, _ROOT_SCAN_HI, _ROOT_SCAN_N + 1)
-    vals = _H_value(lam, epsilon, xs)
-    roots: list[float] = xs[vals == 0.0].tolist()
-    for i in np.flatnonzero(vals[:-1] * vals[1:] < 0.0):
-        lo, hi = float(xs[i]), float(xs[i + 1])
-        flo = _H_value(lam, epsilon, lo)
-        while hi - lo > _ROOT_XTOL:
-            mid = 0.5 * (lo + hi)
-            fmid = _H_value(lam, epsilon, mid)
-            if fmid == 0.0:
-                lo = hi = mid
-                break
-            if flo * fmid < 0.0:
-                hi = mid
-            else:
-                lo, flo = mid, fmid
-        roots.append(0.5 * (lo + hi))
-    if len(roots) != 4:
+    l2, l3 = lam * lam, lam * lam * lam
+    z = np.roots([-l3, 2.0 * l3, -(l2 + l3), l2 - 1.0, lam * epsilon])
+    x = z[z.imag == 0.0].real
+    if len(x) != 4 or x.min() < -0.5 or x.max() > 1.2:
         raise RootCountError(
-            f"expected 4 sign changes of H on [{_ROOT_SCAN_LO}, {_ROOT_SCAN_HI}], "
-            f"found {len(roots)} (lam={lam}, epsilon={epsilon})"
+            f"H has real zeros {sorted(x.tolist())}, not four in [-0.5, 1.2] (lam={lam}, epsilon={epsilon})"
         )
-    roots.sort()
-    return tuple(roots)  # type: ignore[return-value]
+    u = lam * x * (1.0 - x)
+    x = x - _H_value(lam, epsilon, x) / (l2 * (1.0 - 2.0 * x) * (1.0 - 2.0 * u) - 1.0)
+    return tuple(sorted(x.tolist()))  # type: ignore[return-value]
 

@@ -3,7 +3,7 @@
 Validation-type errors (bad arguments, windows in the wrong parameter
 regime, malformed config files) derive from ``ValueError`` so callers can
 treat them uniformly; computation-type failures (no detectable period,
-an empty peak, a root scan with the wrong root count) derive from ``RuntimeError``.
+an empty peak, an H without four real zeros) derive from ``RuntimeError``.
 The CLI maps the first family to exit code 2 and the second to exit 1.
 """
 
@@ -26,8 +26,8 @@ class ConvergenceError(RuntimeError):
 
 
 class RootCountError(RuntimeError):
-    """A root bracketing scan did not find the expected number of sign
-    changes."""
+    """The comparison function H does not have four real zeros in
+    [-0.5, 1.2]."""
 
 
 class EmptyPeakError(RuntimeError):

@@ -192,8 +192,8 @@ def scan_h_roots(lam: float, eps: float) -> list[float]:
     [-0.5, 1.2], sorted, however many there are: the exact zeros of a
     uniform 10^4-cell grid and each sign-change cell bisected to 1e-12,
     one cell at a time in a Python loop.  The reference for the
-    vectorized scan of analytic.h_function_roots, which must return the
-    same floats when there are four and raise otherwise."""
+    polished quartic roots of analytic.h_function_roots, which must
+    agree to the scan's 1e-12 when there are four and raise otherwise."""
 
     def H(x):
         u = lam * x * (1.0 - x)

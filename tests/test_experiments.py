@@ -363,6 +363,16 @@ class TestSmallNoiseOracle:
         if within is not None:
             assert rep.difference == pytest.approx(gap, rel=within)
 
+    @pytest.mark.parametrize("delta", [3.75e-4, 1.875e-4])
+    def test_period16_window_meets_the_oracle_at_small_delta(self, delta):
+        # at the rho = 4 flipflop half-width 1.5e-3 the O(delta**2) closure
+        # does not hold yet; from 3.75e-4 down the Monte-Carlo gap is
+        # within 15% of it
+        lambda_bar = experiments._RHO_CENTERS[4]
+        rep, _ = mean_comparison(lambda_bar, delta, MonteCarloConfig(20_000, 2_000, 1_024, 12345))
+        assert rep.period == 16
+        assert rep.difference == pytest.approx(small_noise_gap(lambda_bar, delta), rel=0.15)
+
     @pytest.mark.parametrize(
         "lambda_bar, delta, iterated",
         [(2.8, 0.1, -0.0007592322643343072), (3.2, 0.05, 0.0002871984722970536),
@@ -479,7 +489,7 @@ class TestLemmaSuite:
 
     def test_unexpected_error_propagates(self, monkeypatch):
         def broken(lambda_bar, epsilon):
-            raise ZeroDivisionError("bug in the root scan")
+            raise ZeroDivisionError("bug in the root finder")
 
         monkeypatch.setattr(analytic, "h_function_roots", broken)
         cfg = MonteCarloConfig(n_particles=100, generations=200, window=100, seed=2)
