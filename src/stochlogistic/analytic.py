@@ -19,14 +19,14 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, RegimeError, RootCountError
 
-# Bifurcation boundaries of the cascade.  The first two are exact; the
-# remaining ones are standard numerical values kept to the precision we
-# rely on.
+# Bifurcation boundaries of the cascade and the period-3 onset.  C2, C4
+# and C3 are exact; C4_END and C2_OMEGA are standard numerical values
+# kept to the precision we rely on.
 LAMBDA_C2 = 3.0
 LAMBDA_C4 = 1.0 + math.sqrt(6.0)
 LAMBDA_C4_END = 3.54409
 LAMBDA_C2_OMEGA = 3.56995
-LAMBDA_C3 = 3.8284
+LAMBDA_C3 = 1.0 + math.sqrt(8.0)
 
 #: Burn-in before cycle detection; the critical point x = 0.5 is in the
 #: attracting basin throughout the stable-periodic range.

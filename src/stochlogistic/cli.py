@@ -287,11 +287,13 @@ def _run_evolve(ns) -> int:
         seed=ns.seed,
         n_bins=ns.bins,
     )
-    rows = (
-        (s.generation, f"{lo:.17g}", f"{hi:.17g}", count, f"{dens:.17g}")
-        for s in snaps
-        for lo, hi, count, dens in s.histogram.csv_rows()
-    )
+
+    def rows():
+        for s in snaps:
+            h = s.histogram
+            edges = h.edges.tolist()
+            for lo, hi, count, dens in zip(edges, edges[1:], h.counts.tolist(), h.density().tolist()):
+                yield s.generation, f"{lo:.17g}", f"{hi:.17g}", count, f"{dens:.17g}"
 
     def payload() -> dict:
         return {
@@ -309,7 +311,7 @@ def _run_evolve(ns) -> int:
         f"{ns.lambda_bar:g}",
         ns.delta,
         payload,
-        chain([("generation", "bin_lo", "bin_hi", "count", "density")], rows),
+        chain([("generation", "bin_lo", "bin_hi", "count", "density")], rows()),
         lambda: svgplot.render_histograms(
             [s.histogram for s in snaps],
             labels=tuple(f"generation {s.generation}" for s in snaps),

@@ -82,11 +82,9 @@ def _sweep(
     rate on the grid and record the final state of each; with
     delta_lambda > 0 every path redraws its rate each step, uniform in
     [rate - delta_lambda, rate + delta_lambda], from stream g+1."""
-    if not delta_lambda >= 0:  # also rejects NaN
-        raise DomainError(f"delta_lambda must be >= 0, got {delta_lambda}")
     grid = _rate_grid(lam_lo, lam_hi, step)
-    if grid[0] - delta_lambda < 0.0 or grid[-1] + delta_lambda > 4.0:
-        raise DomainError(f"rates [{lam_lo}, {lam_hi}] +/- {delta_lambda} must stay inside [0, 4]")
+    ParameterDistribution(grid[0], delta_lambda)  # the rate law's check: delta >= 0, windows in [0, 4]
+    ParameterDistribution(grid[-1], delta_lambda)
     if n_init < 1 or n_iter < 0:
         raise DomainError("need n_init >= 1 and n_iter >= 0")
     # one block, so the arrays' placement (and speed) is the same every call; x is copied out

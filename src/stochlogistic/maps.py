@@ -86,7 +86,7 @@ class ParameterDistribution:
     """
 
     lambda_bar: float
-    delta_lambda: float = 0.0
+    delta_lambda: float
 
     def __post_init__(self) -> None:
         if not np.isfinite(self.lambda_bar) or not np.isfinite(self.delta_lambda):

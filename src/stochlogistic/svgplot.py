@@ -62,8 +62,6 @@ class _Canvas:
         self.y_lo, self.y_hi = y_range
         if self.x_hi <= self.x_lo:
             self.x_hi = self.x_lo + 1.0
-        if self.y_hi <= self.y_lo:
-            self.y_hi = self.y_lo + 1.0
         self.parts: list[str] = [
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
             f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
@@ -154,20 +152,18 @@ def render_histograms(
         raise DomainError("cannot render an empty histogram")
     if labels is not None and len(labels) != len(hists):
         raise DomainError("one label per histogram required")
-    x_lo = min(float(h.edges[0]) for h in hists)
-    x_hi = max(float(h.edges[-1]) for h in hists)
     y_hi = max(float(h.density().max()) for h in hists)
-    canvas = _Canvas((x_lo, x_hi), (0.0, 1.05 * y_hi), title, "x", "density")
+    canvas = _Canvas((0.0, 1.0), (0.0, 1.05 * y_hi), title, "x", "density")
     slot = 0
     for idx, h in enumerate(hists):
         color = _PALETTE[idx % len(_PALETTE)]
-        dens = h.density()
-        pts = [f"{canvas.px(h.edges[0]):.2f},{canvas.py(0.0):.2f}"]
+        dens, edges = h.density(), h.edges
+        pts = [f"{canvas.px(edges[0]):.2f},{canvas.py(0.0):.2f}"]
         for i, d in enumerate(dens):
             y = canvas.py(float(d))
-            pts.append(f"{canvas.px(h.edges[i]):.2f},{y:.2f}")
-            pts.append(f"{canvas.px(h.edges[i + 1]):.2f},{y:.2f}")
-        pts.append(f"{canvas.px(h.edges[-1]):.2f},{canvas.py(0.0):.2f}")
+            pts.append(f"{canvas.px(edges[i]):.2f},{y:.2f}")
+            pts.append(f"{canvas.px(edges[i + 1]):.2f},{y:.2f}")
+        pts.append(f"{canvas.px(edges[-1]):.2f},{canvas.py(0.0):.2f}")
         canvas.parts.append(
             f'<polyline points="{" ".join(pts)}" fill="none" stroke="{color}" '
             f'stroke-width="1.5"/>'

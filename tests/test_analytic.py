@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy import optimize
 
 from stochlogistic.analytic import (
+    LAMBDA_C3,
     LAMBDA_C4,
     Regime,
     _H_value,
@@ -77,12 +78,12 @@ class TestPeriod2Points:
         pair = period2_points(3.0)
         assert pair.p == pair.q == pytest.approx(2.0 / 3.0, abs=1e-15)
 
-    @pytest.mark.parametrize("lam", [3.2, 3.4])
+    @pytest.mark.parametrize("lam", [3.0001, 3.001, 3.01, 3.2, 3.449])
     def test_against_quartic_roots(self, lam):
         pair = period2_points(lam)
         p, q = quartic_two_cycle(lam)
-        assert pair.p == pytest.approx(p, abs=1e-7)
-        assert pair.q == pytest.approx(q, abs=1e-7)
+        assert pair.p == pytest.approx(p, abs=1e-12)
+        assert pair.q == pytest.approx(q, abs=1e-12)
 
     def test_sum_rule(self):
         pair = period2_points(3.4)
@@ -168,6 +169,12 @@ class TestDetectPeriod:
     def test_known_periods(self, lam, period):
         assert detect_period(lam) == period
 
+    def test_period3_window_opens_at_lambda_c3(self):
+        # the tangent bifurcation at 1 + 2*sqrt(2): no cycle attracts just below it
+        assert detect_period(LAMBDA_C3 + 1e-9) == 3
+        with pytest.raises(ConvergenceError):
+            detect_period(LAMBDA_C3 - 1e-9)
+
     def test_chaotic_rate_fails(self):
         with pytest.raises(ConvergenceError):
             detect_period(3.9)
@@ -208,8 +215,6 @@ class TestDetectPeriod:
         if length == 1:
             assert orbit == pytest.approx([fixed_point(lam)], abs=1e-12)
         elif length == 2:
-            # not quartic_two_cycle: the companion-matrix roots are
-            # themselves ~2e-12 off next to the triple root at lam = 3
             pair = period2_points(lam)
             assert orbit == pytest.approx([pair.p, pair.q], abs=1e-12)
             assert float(np.mean(orbit)) == pytest.approx((lam + 1.0) / (2.0 * lam), abs=1e-12)
@@ -456,7 +461,7 @@ class TestHFunctionRoots:
     def test_unshifted_roots(self, lam):
         # at epsilon = 0 the zeros are {0, p, x*, q}; next to lam = 3 the
         # companion-matrix roots alone are 3.2e-12 off, so this pins the
-        # Newton step (not quartic_two_cycle, itself only 1e-12 there)
+        # Newton step
         pair = period2_points(lam)
         want = (0.0, pair.p, fixed_point(lam), pair.q)
         assert h_function_roots(lam, 0.0) == pytest.approx(want, abs=1e-12)

@@ -170,6 +170,9 @@ class TestEvolve:
         assert len(rows) == 1 + 3 * 20
         gen0 = [r for r in rows[1:] if r[0] == "0"]
         assert sum(int(r[3]) for r in gen0) == 300
+        # edge k is k times the width 1/20 (not the division k/20, which differs in the last digit)
+        edges = [f"{k * (1 / 20):.17g}" for k in range(21)]
+        assert [(r[1], r[2]) for r in gen0] == list(zip(edges, edges[1:]))
 
     def test_svg(self, tmp_path):
         code = run(
@@ -653,7 +656,7 @@ class TestSvgRendering:
         assert "mid" in svg
 
     def test_empty_histogram_rejected(self):
-        h = Histogram(edges=np.linspace(0, 1, 5), counts=np.zeros(4, dtype=int))
+        h = Histogram(np.zeros(4, dtype=int))
         with pytest.raises(DomainError):
             render_histograms([h], "state distribution")
         with pytest.raises(DomainError):

@@ -363,6 +363,22 @@ class TestSmallNoiseOracle:
         if within is not None:
             assert rep.difference == pytest.approx(gap, rel=within)
 
+    @settings(max_examples=20, deadline=None)
+    @given(
+        st.one_of(st.floats(1.5, 2.85), st.floats(3.10, 3.40)),
+        st.floats(0.005, 0.03),
+        st.integers(0, 2**64 - 1),
+    )
+    def test_sign_follows_the_oracle_in_periods_1_and_2(self, lambda_bar, delta, seed):
+        """Wherever the closure predicts a gap of at least 5 standard
+        errors, the measured gap has its sign.  The rates keep away from
+        the regime boundaries, where the cycle multiplier nears -1 and the
+        closure needs smaller half-widths than these."""
+        rep, _ = mean_comparison(lambda_bar, delta, MonteCarloConfig(2000, 1000, 500, seed))
+        gap = small_noise_gap(lambda_bar, delta)
+        if abs(gap) >= 5 * rep.stochastic_se:
+            assert np.sign(rep.difference) == np.sign(gap)
+
     @pytest.mark.parametrize("delta", [3.75e-4, 1.875e-4])
     def test_period16_window_meets_the_oracle_at_small_delta(self, delta):
         # at the rho = 4 flipflop half-width 1.5e-3 the O(delta**2) closure

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import os
 from dataclasses import replace
 from unittest import mock
@@ -642,15 +643,19 @@ class TestHistogram:
         widths = np.diff(h.edges)
         assert float((h.density() * widths).sum()) == pytest.approx(1.0, abs=1e-12)
 
-    def test_csv_rows(self):
-        h = Histogram.from_samples(np.array([0.1, 0.2, 0.9]), n_bins=10)
-        rows = h.csv_rows()
-        assert len(rows) == 10
-        assert sum(r[2] for r in rows) == 3
-
-    def test_bad_edges(self):
-        with pytest.raises(DomainError):
-            Histogram(edges=np.array([0.0, 0.0, 1.0]), counts=np.array([1, 2]))
+    @pytest.mark.parametrize("n_bins", [1, 2, 3, 7, 10, 40, 50, 100, 200, 201, 333, 1000])
+    def test_bins_are_closed_on_the_left(self, n_bins):
+        """A value on an edge, or one ulp either side of it, lands in the
+        bin [edges[i], edges[i + 1]) that holds it; 1.0 lands in the last."""
+        edges = np.linspace(0.0, 1.0, n_bins + 1)
+        v = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)])
+        expected = np.zeros(n_bins, dtype=int)
+        bounds = edges.tolist()
+        for x in v.tolist():
+            expected[min(bisect.bisect_right(bounds, x) - 1, n_bins - 1)] += 1
+        h = Histogram.from_samples(v, n_bins)
+        np.testing.assert_array_equal(h.edges, edges)
+        np.testing.assert_array_equal(h.counts, expected)
 
 
 class TestEnsembleValidation:
