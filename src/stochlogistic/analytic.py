@@ -262,8 +262,8 @@ def convexity_on_interval(lambda_bar: float, interval: tuple[float, float]) -> b
 
 
 def _H_value(lam: float, eps: float, x: np.ndarray | float):
-    u = lam * x * (1.0 - x)
-    return lam * (u - u * u + eps) - x
+    t, d = lam * x - 2.0, lam - 3.0
+    return lam * eps - x * (t - d) * (t * t - d * (t + 1.0))
 
 
 def h_function_roots(
@@ -272,10 +272,10 @@ def h_function_roots(
     """The four zeros of H(x) = lam*(u - u^2 + epsilon) - x, u = lam*x*(1-x),
     sorted ascending: the real roots of the quartic
     -lam^3 x^4 + 2 lam^3 x^3 - (lam^2 + lam^3) x^2 + (lam^2 - 1) x + lam*epsilon,
-    each polished by one Newton step with H'(x) = lam^2 (1 - 2x)(1 - 2u) - 1,
-    since the companion-matrix roots lose digits next to lam = 3, where p,
-    x* and q nearly meet.  At epsilon = 0 the zeros are exactly {0, p, x*, q};
-    for small epsilon > 0 they shift to z_H < 0 < p < p_H < x*_H < x* < q < q_H.
+    each polished by one Newton step on H = lam*epsilon - x (t - d)(t^2 - d (t + 1)),
+    t = lam*x - 2, d = lam - 3, which keeps its digits next to lam = 3, where p,
+    x* and q nearly meet and the companion-matrix roots do not.  At epsilon = 0
+    the zeros are {0, p, x*, q}; for small epsilon > 0, z_H < 0 < p < p_H < x*_H < x* < q < q_H.
     RootCountError unless all four are real and lie in [-0.5, 1.2].
     """
     lam = lambda_bar

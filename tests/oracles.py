@@ -12,6 +12,7 @@ here from the theory.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -196,13 +197,22 @@ def scan_h_roots(lam: float, eps: float) -> list[float]:
     """Zeros of H(x) = lam*(u - u^2 + eps) - x, u = lam*x*(1-x), on
     [-0.5, 1.2], sorted, however many there are: the exact zeros of a
     uniform 10^4-cell grid and each sign-change cell bisected to 1e-12,
-    one cell at a time in a Python loop.  The reference for the
-    polished quartic roots of analytic.h_function_roots, which must
+    one cell at a time in a Python loop, on exact rational signs of H:
+    next to lam = 3, where x*, p and q nearly meet, the floating-point
+    sign of H is rounding noise up to ~1e-11 either side of each root.  The reference for
+    the polished quartic roots of analytic.h_function_roots, which must
     agree to the scan's 1e-12 when there are four and raise otherwise."""
 
     def H(x):
         u = lam * x * (1.0 - x)
         return lam * (u - u * u + eps) - x
+
+    lam_q, eps_q = Fraction(lam), Fraction(eps)
+
+    def H_exact(x: float) -> Fraction:
+        xq = Fraction(x)
+        u = lam_q * xq * (1 - xq)
+        return lam_q * (u - u * u + eps_q) - xq
 
     n = 10_000
     xs = np.linspace(-0.5, 1.2, n + 1)
@@ -215,10 +225,10 @@ def scan_h_roots(lam: float, eps: float) -> list[float]:
             continue
         if va * vb < 0.0:
             lo, hi = float(xs[i]), float(xs[i + 1])
-            flo = H(lo)
+            flo = H_exact(lo)
             while hi - lo > 1e-12:
                 mid = 0.5 * (lo + hi)
-                fmid = H(mid)
+                fmid = H_exact(mid)
                 if fmid == 0.0:
                     lo = hi = mid
                     break

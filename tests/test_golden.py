@@ -55,7 +55,7 @@ CASES = {
         ["verify", "--lambda-bar", "3.2", "--delta", "0.05", *SMALL, "--format", "csv,json"],
         {
             "verify-3.2-0.05-3.csv": "6880b97371203d5cb064b37e0dde04b8b6e233d02d6cae2241fd736edd347342",
-            "verify-3.2-0.05-3.json": "14b9b5bf3d93cd135e7a1e3486fdd9a711a07b3002de176cd431b6f53fb6c7bd",
+            "verify-3.2-0.05-3.json": "5f27e012c32220e04acf1bfe51ad5bfc95e5e878ead1ab61cbe9fce4a428024c",
         },
     ),
     "flipflop": (
