@@ -11,16 +11,15 @@ Subcommands map one-to-one onto the experiment operations:
 Artifacts are written as CSV/JSON/SVG, in that order, under the output
 directory (--outdir, else $STOCHLOGISTIC_OUTDIR, else the working
 directory) with names <subcommand>-<lambda_bar>-<delta>-<seed>.<ext>;
-verify and flipflop have no drawing and reject --format svg.  --scale
-(compare, verify and flipflop only) picks a row of the one size table
-_SCALES; a default window is clipped to the generations.  Settings come
-from defaults, then an optional flat key=value config file (--config),
-then explicit flags, in increasing precedence.  OPTIONS defines every
-flag and config key, and a config file may set only the keys that its
-subcommand has flags for.  A default fills a setting only when it is
-missing, so an explicit zero is validated, never replaced.  The seed,
-an integer in [0, 2**64), defaults to the fixed constant 12345, never
-the clock.
+verify and flipflop have no drawing and reject --format svg.  Settings
+come from defaults, then an optional flat key=value config file
+(--config), then explicit flags, in increasing precedence, all filled
+in _resolve; --scale (compare, verify and flipflop) picks the row of
+_SCALES that sizes what no flag or key sets, its window clipped to the
+generations.  OPTIONS defines every flag and config key, and a config
+file may set only its subcommand's flags.  A default fills a setting
+only when it is missing, so an explicit zero is validated, never
+replaced.  The seed, in [0, 2**64), defaults to 12345, never the clock.
 
 Importing this module loads no numpy: --help, argparse rejections,
 config-file errors and _resolve's checks return before _mc_config or a
@@ -77,9 +76,9 @@ _SCALES = {"desk": (2000, 2000, 1000), "paper": (20_000, 10_000, 5000)}
 _SEED = 12345
 
 #: Every setting: key -> (flag, converter from the raw string, default,
-#: further add_argument keywords).  A default of None is filled from the
-#: --scale row of _SCALES (particles, generations, window) or per
-#: subcommand (format).
+#: further add_argument keywords).  A default of None is filled by
+#: _resolve from the --scale row of _SCALES (particles, generations,
+#: window) or per subcommand (format).
 OPTIONS = {
     "lambda_bar": ("--lambda-bar", _finite, None, {}),
     "delta": ("--delta", _finite, 0.0, {"help": "noise half-width of the growth rate"}),
@@ -166,12 +165,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _resolve(ns: argparse.Namespace) -> None:
     """Fill each setting no flag gave from the config file, else the
-    subcommand's default, else the option table's; create the outdir."""
+    subcommand's default, the option table's or the --scale row; make the outdir."""
     _, _, keys, defaults = _SUBCOMMANDS[ns.subcommand]
     config = load_config(ns.config, keys) if ns.config else {}
     for key in keys:
         if getattr(ns, key) is None:
             setattr(ns, key, config.get(key, defaults.get(key, OPTIONS[key][2])))
+    if "scale" in keys:
+        particles, generations, window = _SCALES[ns.scale]
+        ns.particles = particles if ns.particles is None else ns.particles
+        ns.generations = generations if ns.generations is None else ns.generations
+        ns.window = min(window, ns.generations) if ns.window is None else ns.window
     if "lambda_bar" in keys and ns.lambda_bar is None:
         raise DomainError(f"{ns.subcommand} requires --lambda-bar")
     if "svg" in ns.format and ns.subcommand in _NO_SVG:
@@ -186,14 +190,7 @@ def _resolve(ns: argparse.Namespace) -> None:
 def _mc_config(ns):
     from .measure import MonteCarloConfig
 
-    particles, generations, window = _SCALES[ns.scale]
-    generations = generations if ns.generations is None else ns.generations
-    return MonteCarloConfig(
-        n_particles=particles if ns.particles is None else ns.particles,
-        generations=generations,
-        window=min(window, generations) if ns.window is None else ns.window,
-        seed=ns.seed,
-    )
+    return MonteCarloConfig(ns.particles, ns.generations, ns.window, ns.seed)
 
 
 #: Rows per formatted chunk of the bifurcation CSV.

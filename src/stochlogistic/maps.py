@@ -37,8 +37,6 @@ import numpy as np
 
 from .errors import DomainError
 
-_MASK64 = (1 << 64) - 1
-
 #: Stream used to draw initial conditions for ensembles and sweeps.
 INIT_STREAM = 0
 
@@ -57,12 +55,12 @@ def stream_rng(seed: int, stream: int) -> np.random.Generator:
     """The counter-based generator keyed by (seed, stream), at the start
     of its stream; valid until the next call (see the module docstring).
 
-    Its draws equal those of ``Generator(Philox(key=seed | stream << 64))``
-    (both taken modulo 2**64): the key, the counter, the output buffer and
-    the buffered 32-bit half are all reset.
+    Its draws equal those of ``Generator(Philox(key=seed | stream << 64))``:
+    the key, the counter, the output buffer and the buffered 32-bit half are
+    all reset.  OverflowError outside [0, 2**64), so no key aliases another.
     """
     rng = _generator()
-    key = np.array([int(seed) & _MASK64, int(stream) & _MASK64], dtype=np.uint64)
+    key = np.array([int(seed), int(stream)], dtype=np.uint64)  # int(): np.int64(-1) would wrap
     rng.bit_generator.state = {
         "bit_generator": "Philox",
         "state": {"counter": _ZEROS, "key": key},

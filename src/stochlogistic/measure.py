@@ -140,7 +140,7 @@ class MonteCarloConfig:
     ``window`` is the number of trailing generations pooled into time
     averages; it is clipped to a multiple of the cycle length where
     parity matters.  No field has a default.  Seeds outside [0, 2**64)
-    are rejected: the streams would wrap them onto another.
+    are rejected up front; the streams would refuse them only at a draw.
     """
 
     n_particles: int

@@ -291,6 +291,31 @@ class TestExplicitValues:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestInputRejected:
+    """Each boundary check reports its message after ``error:``, exits 2
+    and leaves no artifact."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["evolve", "--lambda-bar", "3.2", "--bins", "0"], "n_bins must be >= 1"),
+            (["bifurcation", "--n-init", "0"], "need n_init >= 1 and n_iter >= 0"),
+            (["bifurcation", "--n-iter", "-1"], "need n_init >= 1 and n_iter >= 0"),
+            (["compare", "--lambda-bar", "3.2", "--config", "{tmp}/missing.cfg"], "cannot read config file"),
+            (["compare", "--lambda-bar", "3.2", "--outdir", "{tmp}/afile/sub"], "is not writable"),
+        ],
+        ids=["bins-0", "n-init-0", "n-iter-minus-1", "missing-config", "outdir-under-a-file"],
+    )
+    def test_exit_2_with_message(self, argv, message, tmp_path, capsys):
+        (tmp_path / "afile").write_text("")
+        argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+        out = tmp_path / "out"
+        assert parse_and_dispatch([*argv, *(() if "--outdir" in argv else ("--outdir", str(out)))]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert sorted(p.name for p in tmp_path.rglob("*") if p.is_file()) == ["afile"]
+
+
 class TestFiniteFloats:
     """The float options take finite numbers only, from a flag or from a
     config file; nothing is written for a rejected value."""
@@ -564,6 +589,23 @@ class TestScaleSizes:
         # a default window is clipped to the generations; a given one is kept
         assert self.sizes(argv, tmp_path, monkeypatch, config)[:3] == expected
 
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["compare", "--lambda-bar", "3.2"], (2000, 2000, 1000)),
+            (["verify", "--lambda-bar", "3.2", "--scale", "paper", "--generations", "300"], (20_000, 300, 300)),
+            (["flipflop", "--particles", "0", "--window", "7"], (0, 2000, 7)),
+            (["evolve", "--lambda-bar", "3.2"], (1000, None, None)),
+        ],
+        ids=["compare-desk", "verify-paper", "flipflop-explicit", "evolve-no-scale"],
+    )
+    def test_resolve_fills_the_sizes(self, argv, expected, tmp_path):
+        # every size is decided in _resolve, so the namespace a runner gets
+        # already holds it; a subcommand without --scale has no scale row
+        ns = cli._build_parser().parse_args([*argv, "--outdir", str(tmp_path)])
+        cli._resolve(ns)
+        assert tuple(getattr(ns, k, None) for k in ("particles", "generations", "window")) == expected
+
     def test_help_lists_the_table(self, capsys):
         assert parse_and_dispatch(["compare", "--help"]) == 0
         text = " ".join(capsys.readouterr().out.split())
@@ -604,16 +646,6 @@ class TestContradictionsRefused:
         lam = float(lambda_bar)
         closed = (lam - 1.0) / lam if period == 1 else (lam + 1.0) / (2.0 * lam)
         assert report["deterministic_mean"] == pytest.approx(closed, abs=1e-15)
-
-    def test_flipflop_row_whose_center_has_another_period(self, tmp_path, capsys, monkeypatch):
-        # real detection cannot reach this guard (the period is monotone
-        # along the cascade and both window ends are checked), so a wrong
-        # table center is planted and the end checks are told it holds
-        monkeypatch.setitem(experiments._RHO_CENTERS, 3, experiments._RHO_CENTERS[4])
-        monkeypatch.setattr(experiments, "detect_period", lambda lam: 8)
-        assert run(["flipflop", "--rho", "3", "--delta", "0.001", *FAST_COMPARE], tmp_path) == 2
-        assert "requested period 8 but the orbit" in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == []
 
     def test_deterministic_sweep_at_zero_delta_unchanged(self, tmp_path, capsys):
         sweep = ["bifurcation", "--from", "2.8", "--to", "3", "--step", "0.1", "--n-init", "3",

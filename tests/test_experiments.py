@@ -28,6 +28,7 @@ from stochlogistic.errors import (
     ConvergenceError,
     DomainError,
     RegimeError,
+    RootCountError,
 )
 
 from stochlogistic import analytic, cli, experiments
@@ -477,6 +478,32 @@ class TestLemmaSuite:
         if hs[0] < 0.05:
             with pytest.raises(RegimeError):
                 support_intervals(lambda_bar, 2 * hs[0])
+
+    @pytest.mark.parametrize(
+        "lambda_bar, quarterings",
+        [(3.000001, 12), (3.0001, 7), (3.001, 5), (3.003, 4), (3.005, 3), (3.01, 2), (3.2, 0)],
+    )
+    def test_root_ordering_holds_next_to_the_first_doubling(self, lambda_bar, quarterings):
+        # epsilon is quartered until the four roots are real; a fixed four
+        # tries stopped at 1.5625e-5 and failed the check for lam <~ 3.004
+        check = experiments._root_chain_check(lambda_bar)
+        assert check.passed is True
+        assert check.details["epsilon"] == 1e-3 / 4**quarterings
+        d = check.details
+        z_h, p_h, xs_h, q_h = d["roots"]
+        assert z_h < 0.0 < d["p"] < p_h < xs_h < d["x_star"] < d["q"] < q_h
+
+    def test_root_ordering_fails_when_no_shift_gives_four_roots(self, monkeypatch):
+        tried = []
+
+        def never_four(lambda_bar, epsilon):
+            tried.append(epsilon)
+            raise RootCountError("two real zeros")
+
+        monkeypatch.setattr(analytic, "h_function_roots", never_four)
+        check = experiments._root_chain_check(3.2)
+        assert (check.passed, check.details) == (False, {"error": "no four roots"})
+        assert tried == [1e-3 / 4**k for k in range(20)] and 1e-15 < tried[-1] < 4e-15
 
     def test_json_serializable(self):
         cfg = MonteCarloConfig(n_particles=300, generations=600, window=300, seed=24)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from stochlogistic import measure
 from stochlogistic.errors import DomainError
-from stochlogistic.experiments import lemma_suite
+from stochlogistic.experiments import deterministic_bifurcation, lemma_suite
 from stochlogistic.maps import INIT_STREAM, ParameterDistribution, stream_rng
 from stochlogistic.measure import Ensemble, MonteCarloConfig, pf_iterate, pf_step, uniform_ensemble
 
@@ -265,6 +265,24 @@ class TestStreamGenerator:
         assert first is second
         fresh = np.random.Generator(np.random.Philox(key=5 | 2 << 64))
         assert first.random(8).tobytes() == fresh.random(8).tobytes()
+
+    @pytest.mark.parametrize(
+        "seed, stream",
+        [(-1, 0), (2**64, 0), (np.int64(-1), 0), (0, 2**64)],
+        ids=["seed-minus-1", "seed-2-64", "seed-int64-minus-1", "stream-2-64"],
+    )
+    def test_key_outside_64_bits_refused(self, seed, stream):
+        # a key word outside [0, 2**64) would alias another seed's draws:
+        # -1 those of 2**64 - 1, and 2**64 + 7 those of 7
+        with pytest.raises(OverflowError):
+            stream_rng(seed, stream)
+
+    def test_library_callers_no_longer_alias_seeds(self):
+        # these equalled seeds 2**64 - 1 and 7 while the key was masked
+        with pytest.raises(OverflowError):
+            uniform_ensemble(5, -1)
+        with pytest.raises(OverflowError):
+            deterministic_bifurcation(3.0, 3.2, 0.1, 4, 10, 2**64 + 7)
 
     def test_import_does_not_load_numpy_random(self):
         src = str(Path(__file__).resolve().parents[1] / "src")

@@ -734,8 +734,8 @@ class TestMonteCarloConfig:
 
     @pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
     def test_seed_outside_64_bits_rejected(self, seed):
-        # the streams key the seed modulo 2**64, so a wider one would alias
-        # another seed's draws
+        # the streams refuse such a seed only at the first draw, with
+        # OverflowError; the configuration refuses it up front
         with pytest.raises(DomainError):
             MonteCarloConfig(**{**self.SIZES, "seed": seed})
 
