@@ -28,8 +28,8 @@ LAMBDA_C4_END = 3.54409
 LAMBDA_C2_OMEGA = 3.56995
 LAMBDA_C3 = 1.0 + math.sqrt(8.0)
 
-#: Burn-in before cycle detection; the critical point x = 0.5 is in the
-#: attracting basin throughout the stable-periodic range.
+#: Burn-in before cycle detection above 1 + sqrt(6); the critical point
+#: x = 0.5 is in the attracting basin throughout the stable-periodic range.
 PERIOD_BURN_IN = 10_000
 _MAX_PERIOD = 64
 _NEWTON_STEPS = 8
@@ -143,24 +143,26 @@ def detect_period(lam: float) -> int:
     """Length of the attracting cycle (see periodic_orbit).
 
     ConvergenceError if there is no attracting cycle of length <= 64
-    (a chaotic rate, a doubling point such as lam = 3, or lam = 4, where
-    x0 = 0.5 lands on the repelling fixed point 0).
+    (a chaotic rate, a doubling point from 1 + sqrt(6) on, or lam = 4,
+    where x0 = 0.5 lands on the repelling fixed point 0).
     """
     return len(_attracting_cycle(lam))
 
 
 def _attracting_cycle(lam: float) -> list[float]:
-    """The attracting cycle in orbit order.  From the orbit of x0 = 0.5
-    after PERIOD_BURN_IN steps, Newton on f^k(x) - x (the slope by the
-    chain rule along the orbit) is run for k = 1..64, and the first root
-    whose least period is k and whose multiplier prod lam(1 - 2 x_j) lies
-    inside (-1, 1) is the cycle.  The map has negative Schwarzian
-    derivative, so it has at most one attracting cycle (Singer 1978):
-    every other root Newton finds repels and is passed over."""
+    """The attracting cycle in orbit order: 0, x* or {p, q} in closed form
+    up to 1 + sqrt(6).  Above, Newton on f^k(x) - x (slope by the chain
+    rule) runs from the orbit of x0 = 0.5 after PERIOD_BURN_IN steps for
+    k = 1..64; the first root of least period k whose multiplier
+    prod lam(1 - 2 x_j) lies inside (-1, 1) is the cycle.  The map has
+    negative Schwarzian derivative, so it has at most one attracting cycle
+    (Singer 1978): every other root Newton finds repels and is passed over."""
     if not 0.0 <= lam <= 4.0:
         raise DomainError(f"growth rate must lie in [0, 4], got {lam}")
-    if lam <= 1.0:  # 0 attracts; at 1, Newton on f(x) - x = -x**2 would only halve the error
-        return [0.0]
+    if lam <= LAMBDA_C2:
+        return [fixed_point(lam) if lam > 1.0 else 0.0]
+    if lam <= LAMBDA_C4:
+        return [(pair := period2_points(lam)).p, pair.q]
     start = 0.5
     for _ in range(PERIOD_BURN_IN):
         start = lam * start * (1.0 - start)
@@ -190,9 +192,9 @@ def periodic_orbit(lam: float) -> list[float]:
     """The attracting cycle at the given rate, sorted ascending; its
     length is the period.
 
-    Newton-polished from the orbit of x0 = 0.5, so the mean of the
-    returned points is the long-term orbit average of the fixed-rate
-    map to rounding.
+    The closed forms through period two, Newton-polished from the orbit
+    of x0 = 0.5 above, so the mean of the returned points is the
+    long-term orbit average of the fixed-rate map to rounding.
     """
     return sorted(_attracting_cycle(lam))
 

@@ -10,10 +10,10 @@ Subcommands map one-to-one onto the experiment operations:
 
 Artifacts are written as CSV/JSON/SVG, in that order, under the output
 directory (--outdir, else $STOCHLOGISTIC_OUTDIR, else the working
-directory) with names <subcommand>-<lambda_bar>-<delta>-<seed>.<ext>;
-verify and flipflop have no drawing and reject --format svg.  Settings
-come from defaults, then an optional flat key=value config file
-(--config), then explicit flags, in increasing precedence, all filled
+directory) with names <subcommand>-<lambda_bar>-<delta>-<seed>.<ext>,
+every digit kept; verify and flipflop have no drawing and reject --format
+svg.  Settings come from defaults, then an optional flat key=value config
+file (--config), then explicit flags, in increasing precedence, all filled
 in _resolve; --scale (compare, verify and flipflop) picks the row of
 _SCALES that sizes what no flag or key sets, its window clipped to the
 generations.  OPTIONS defines every flag and config key, and a config
@@ -202,6 +202,11 @@ def _json_default(obj):
     return obj.tolist() if hasattr(obj, "tolist") else obj.to_dict()
 
 
+def _num(v: float) -> str:
+    """v's shortest round-trip text less a trailing ".0", so nearby rates name different files."""
+    return repr(float(v)).removesuffix(".0")
+
+
 def _write(ns, mid: str, delta: float, payload, rows, svg=None) -> int:
     """Write <outdir>/<subcommand>-<mid>-<delta>-<seed>.<ext> for every
     requested format, in the order csv, json, svg, and print each path.
@@ -216,7 +221,7 @@ def _write(ns, mid: str, delta: float, payload, rows, svg=None) -> int:
     for ext in _FORMATS:
         if ext not in ns.format:
             continue
-        path = ns.outdir / f"{ns.subcommand}-{mid}-{delta:g}-{ns.seed}.{ext}"
+        path = ns.outdir / f"{ns.subcommand}-{mid}-{_num(delta)}-{ns.seed}.{ext}"
         if ext == "csv":
             with open(path, "w", newline="", encoding="utf-8") as fh:
                 if callable(rows):
@@ -266,7 +271,7 @@ def _run_bifurcation(ns) -> int:
 
     return _write(
         ns,
-        f"{ns.kind}-{ns.lam_from:g}to{ns.lam_to:g}",
+        f"{ns.kind}-{_num(ns.lam_from)}to{_num(ns.lam_to)}",
         data.delta_lambda,
         data.to_dict,
         sweep_csv,
@@ -305,7 +310,7 @@ def _run_evolve(ns) -> int:
 
     return _write(
         ns,
-        f"{ns.lambda_bar:g}",
+        _num(ns.lambda_bar),
         ns.delta,
         payload,
         chain([("generation", "bin_lo", "bin_hi", "count", "density")], rows()),
@@ -339,7 +344,7 @@ def _run_compare(ns) -> int:
         )
 
     return _write(
-        ns, f"{ns.lambda_bar:g}", ns.delta, report.to_dict, [list(fields), list(fields.values())], svg
+        ns, _num(ns.lambda_bar), ns.delta, report.to_dict, [list(fields), list(fields.values())], svg
     )
 
 
@@ -350,7 +355,7 @@ def _run_verify(ns) -> int:
     for check in report.checks:
         print(f"{check.name}: {'PASS' if check.passed else 'FAIL'}")
     rows = [("check", "passed"), *((check.name, check.passed) for check in report.checks)]
-    return _write(ns, f"{ns.lambda_bar:g}", ns.delta, report.to_dict, rows)
+    return _write(ns, _num(ns.lambda_bar), ns.delta, report.to_dict, rows)
 
 
 def _run_flipflop(ns) -> int:

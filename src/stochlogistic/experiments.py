@@ -4,8 +4,8 @@ deterministic mean comparisons with z-scored verdicts, the lemma
 verification suite for the two-cycle regime, and the sign scanner for
 the alternation of the mean inequality across period-2^rho regimes.
 
-Both bifurcation sweeps share one in-place map step; at zero half-width
-the stochastic sweep draws nothing after the initial states.
+Both bifurcation sweeps share one in-place map step that draws as the
+ensembles do; at zero half-width it draws nothing after the initial states.
 
 Every experiment is a pure function of its configuration and seed;
 reruns produce identical artifacts byte for byte.  The ensemble
@@ -25,7 +25,7 @@ import numpy as np
 from . import analytic
 from .analytic import Regime, classify_regime, detect_period, periodic_orbit
 from .errors import ConvergenceError, DomainError, RegimeError, RootCountError, WindowNotFoundError
-from .maps import INIT_STREAM, ParameterDistribution, stream_rng
+from .maps import ParameterDistribution, stream_rng
 from .measure import (
     Ensemble,
     Histogram,
@@ -78,10 +78,11 @@ def _sweep(
     kind: str, lam_lo: float, lam_hi: float, step: float, delta_lambda: float,
     n_init: int, n_iter: int, seed: int,
 ) -> BifurcationDataset:
-    """Iterate n_init uniform initial conditions n_iter times at every
-    rate on the grid and record the final state of each; with
-    delta_lambda > 0 every path redraws its rate each step, uniform in
-    [rate - delta_lambda, rate + delta_lambda], from stream g+1."""
+    """Iterate n_init initial conditions n_iter times at every rate on the
+    grid and record the final state of each.  The rows are one ensemble,
+    drawn as ensembles are: ``uniform_ensemble`` starts and, for
+    delta_lambda > 0, pf_step's rate rule each step, so a one-rate sweep
+    is ``pf_iterate`` bit for bit."""
     grid = _rate_grid(lam_lo, lam_hi, step)
     ParameterDistribution(grid[0], delta_lambda)  # the rate law's check: delta >= 0, windows in [0, 4]
     ParameterDistribution(grid[-1], delta_lambda)
@@ -89,16 +90,16 @@ def _sweep(
         raise DomainError("need n_init >= 1 and n_iter >= 0")
     # one block, so the arrays' placement (and speed) is the same every call; x is copied out
     x, lam, t = np.empty((3, len(grid), n_init))
-    stream_rng(seed, INIT_STREAM).random(out=x)
+    x.flat = uniform_ensemble(x.size, seed).particles
+    low = (grid - delta_lambda)[:, None]
+    width = (grid + delta_lambda)[:, None] - low
     lam[...] = grid[:, None]
     for g in range(n_iter):
         if delta_lambda > 0:
-            # 2u - 1 has the bits of uniform(-1, 1), delta*v + rate those of rate + delta*v
+            # u*w + low: the bits of uniform(low, high), as in pf_step
             stream_rng(seed, g + 1).random(out=lam)
-            lam *= 2.0
-            lam -= 1.0
-            lam *= delta_lambda
-            lam += grid[:, None]
+            lam *= width
+            lam += low
         # (lam*x)*(1-x) in place: the rounding of lam*x*(1-x), no new arrays
         np.multiply(lam, x, out=t)
         np.subtract(1.0, x, out=x)
@@ -141,12 +142,7 @@ def distribution_evolution(
     out = []
     for target in cps:
         ens = pf_iterate(ens, dist, target - ens.generation)
-        out.append(
-            EvolutionSnapshot(
-                generation=ens.generation,
-                histogram=Histogram.from_samples(ens.particles, n_bins=n_bins),
-            )
-        )
+        out.append(EvolutionSnapshot(ens.generation, Histogram.from_samples(ens.particles, n_bins)))
     return out
 
 
@@ -192,12 +188,7 @@ def _z_score(diff: float, se: float) -> float:
 
 
 def _parity_window(window: int, period: int) -> int:
-    w = window - (window % period)
-    return max(w, period)
-
-
-#: Cycle length of each stable regime; a detected orbit must agree.
-_REGIME_CYCLE = {Regime.PERIOD1: 1, Regime.PERIOD2: 2, Regime.PERIOD4: 4}
+    return max(window - window % period, period)
 
 
 def mean_comparison(
@@ -208,7 +199,7 @@ def mean_comparison(
     report and the ensemble's final snapshot, at cfg.generations.
 
     The window of the rates must sit strictly inside one regime; in the
-    period 1, 2 and 4 regimes the cycle at lambda_bar must have that length.  The
+    period-4 regime the detected cycle at lambda_bar must have length 4.  The
     stochastic mean pools the trailing window of generations (clipped to
     a multiple of the cycle length so both cycle phases contribute
     equally); its standard error comes from the spread of per-particle
@@ -217,7 +208,7 @@ def mean_comparison(
     regime = classify_regime(lambda_bar - delta_lambda, lambda_bar + delta_lambda)
     orbit = periodic_orbit(lambda_bar)
     period, det_mean = len(orbit), float(np.mean(orbit))
-    if _REGIME_CYCLE.get(regime, period) != period:
+    if regime is Regime.PERIOD4 and period != 4:  # through period two the cycle is a closed form
         raise RegimeError(f"{regime.value} window, but the cycle at lam={lambda_bar} has length {period}")
     cfg = replace(cfg, window=_parity_window(cfg.window, period))
     stoch_mean, se, final = ensemble_time_mean(ParameterDistribution(lambda_bar, delta_lambda), cfg)

@@ -75,7 +75,8 @@ def stream_rng(seed: int, stream: int) -> np.random.Generator:
 @dataclass(frozen=True)
 class ParameterDistribution:
     """Law of the growth rate: uniform on [lambda_bar - delta_lambda,
-    lambda_bar + delta_lambda].
+    lambda_bar + delta_lambda], drawn everywhere (pf_step, the sweeps) as
+    u*(high - low) + low from a variate u in [0, 1), uniform(low, high)'s bits.
 
     delta_lambda = 0 is the legal degenerate case of a point mass at
     lambda_bar, so deterministic runs share the stochastic code path.

@@ -7,12 +7,11 @@ application converges (in the stable regimes) to the unique invariant
 measure, whose mean, peak decomposition around (lam-1)/lam, and
 variance response to the noise half-width are estimated here.
 
-Per-particle rate draws for the step leaving generation g come from a
-counter-based stream keyed by (base_seed, g+1), with the i-th variate
-assigned to particle i, so results are bit-identical however the work
-is scheduled.  Ensembles of one size that share a seed therefore consume
-the same variates each generation, whatever their rate law, and a
-one-slot memo holds the last generation's variates.
+The step leaving generation g draws its rates by ParameterDistribution's
+rule from stream (base_seed, g+1), variate i for particle i (see ``maps``),
+so results are bit-identical however the work is scheduled, and same-seed
+ensembles of one size consume the same variates each generation, whatever
+their rate law; a one-slot memo holds the last generation's variates.
 
 One private driver runs the loops of ``pf_iterate``, ``ensemble_time_mean``
 and ``stationary_stats``: it steps same-seed ensembles, one per rate law,
@@ -193,9 +192,9 @@ def pf_step(ensemble: Ensemble, dist: ParameterDistribution) -> Ensemble:
 
     Every particle advances with its own independent rate draw; the
     point-mass case reduces to the plain fixed-rate map.  The rate is
-    formed as low + (high - low)*u, the way Generator.uniform maps a
-    variate, and the products keep the order of lam*x*(1 - x), so the
-    in-place update is bit-identical to drawing uniform(low, high).
+    ParameterDistribution's u*(high - low) + low, and the products keep
+    the order of lam*x*(1 - x), so the in-place update is bit-identical
+    to drawing uniform(low, high).
 
     The result stays in [0, 1] by the argument in the module docstring,
     so it is returned without a range scan.

@@ -3,9 +3,11 @@ geometry, and the comparison function H."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
@@ -203,12 +205,9 @@ class TestDetectPeriod:
         )
     )
     def test_length_is_the_regime_cycle_length(self, case):
-        """Inside each stable regime the length is the regime's; where
-        the closed forms x* and {p, q} apply, the polished cycle and its
-        mean match them to rounding.  The two-cycle starts at 3.0001: closer
-        to lam = 3 it is a near-triple root of f^2(x) - x, whose slope
-        there is about -4(lam - 3), so Newton resolves it only to rounding
-        over that slope (4e-12 at 3.00001)."""
+        """Inside each stable regime the length is the regime's, and
+        through period two the cycle and its mean are the closed forms
+        x* and {p, q}."""
         lam, length = case
         assert detect_period(lam) == length
         orbit = periodic_orbit(lam)
@@ -218,6 +217,35 @@ class TestDetectPeriod:
             pair = period2_points(lam)
             assert orbit == pytest.approx([pair.p, pair.q], abs=1e-12)
             assert float(np.mean(orbit)) == pytest.approx((lam + 1.0) / (2.0 * lam), abs=1e-12)
+
+    @pytest.mark.parametrize("k", range(7, 16))
+    def test_two_cycle_just_past_the_first_doubling(self, k):
+        # f^2(x) - x has a near-triple root there, so Newton from the
+        # burned-in orbit used to stall and raise ConvergenceError
+        assert detect_period(3 + 10**-k) == 2
+
+    def test_first_doubling_point_is_period_one(self):
+        # at lam = 3 the fixed point 2/3 is neutral (multiplier -1), and
+        # every orbit in (0, 1) converges to it
+        assert detect_period(3.0) == 1
+        assert periodic_orbit(3.0) == [fixed_point(3.0)]
+
+    @settings(max_examples=100, deadline=None)
+    @example(math.nextafter(1.0, 2.0))
+    @example(3.0)
+    @example(math.nextafter(3.0, 4.0))
+    @example(3.0000001)
+    @example(3.05)
+    @example(LAMBDA_C4)
+    @given(st.floats(1.0, LAMBDA_C4, exclude_min=True))
+    def test_cycle_is_the_closed_form_through_period_two(self, lam):
+        # bit for bit: on (1, 3] the fixed point, on (3, 1 + sqrt(6)] the two-cycle
+        if lam <= 3.0:
+            expected = [fixed_point(lam)]
+        else:
+            pair = period2_points(lam)
+            expected = [pair.p, pair.q]
+        assert periodic_orbit(lam) == expected
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -247,7 +275,7 @@ class TestPeriodicOrbit:
 
     @pytest.mark.parametrize("lam, limit", [(0.999, 0.0), (1.0, 0.0), (1.001, 1.0 - 1.0 / 1.001)])
     def test_neutral_rate_reaches_its_limit(self, lam, limit):
-        # at lam = 1, f(x) - x = -x**2: Newton from the burn-in only halves
+        # at lam = 1, f(x) - x = -x**2: Newton from the burn-in only halved
         # the error each step, so the orbit used to stop at 3.9e-7
         orbit = periodic_orbit(lam)
         assert len(orbit) == 1 and abs(orbit[0] - limit) <= 1e-12
@@ -275,7 +303,7 @@ class TestPeriodicOrbit:
 
     def test_slow_cycle_recorded_where_detection_converged(self):
         # just past the first doubling the two-cycle attracts slowly: the
-        # returned cycle is the Newton-polished one, not the orbit after
+        # returned cycle is the closed form, not the orbit after a
         # burn-in (which sits ~3e-4 off the pair)
         lam = 3.0001
         pair = period2_points(lam)

@@ -61,6 +61,16 @@ class TestCompare:
         assert code == 1
         assert list(tmp_path.iterdir()) == []
 
+    def test_just_past_the_first_doubling(self, tmp_path):
+        # the two-cycle at 3 + 1e-7 is the closed form; cycle detection used
+        # to raise ConvergenceError there, and the run exited 1
+        argv = ["compare", "--lambda-bar", "3.0000001", "--delta", "1e-8", "--particles", "50",
+                "--generations", "100", "--window", "50"]
+        assert run(argv, tmp_path) == 0
+        report = json.loads((tmp_path / "compare-3.0000001-1e-08-12345.json").read_text())
+        assert report["period"] == 2
+        assert report["deterministic_mean"] == pytest.approx(4.0000001 / 6.0000002, abs=1e-15)
+
     def test_svg_artifact(self, tmp_path):
         code = run(
             ["compare", "--lambda-bar", "3.208", "--delta", "0.024",
@@ -433,6 +443,28 @@ class TestArtifactWriter:
 
     def test_unknown_format_exit_2(self, tmp_path):
         assert run(["compare", "--lambda-bar", "3.2", "--format", "pdf"], tmp_path) == 2
+
+    def test_nearby_rates_write_two_files(self, tmp_path, capsys):
+        # names keep every digit: with ":g" both runs wrote compare-3-1e-08-12345.*
+        sizes = ["--particles", "50", "--generations", "100", "--window", "50", "--format", "json,svg"]
+        for lam in ("3.0000001", "3.0000002"):
+            assert run(["compare", "--lambda-bar", lam, "--delta", "1e-8", *sizes], tmp_path) == 0
+        stems = ["compare-3.0000001-1e-08-12345", "compare-3.0000002-1e-08-12345"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [f"{s}.{e}" for s in stems for e in ("json", "svg")]
+        # the drawing's title keeps the short form
+        assert "invariant distribution at 3 +/- 1e-08" in (tmp_path / f"{stems[0]}.svg").read_text()
+
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    def test_name_numbers_round_trip(self, v):
+        assert float(cli._num(v)) == v and math.copysign(1.0, float(cli._num(v))) == math.copysign(1.0, v)
+
+    @pytest.mark.parametrize(
+        "v", [0.0, 0.0001, 0.00075, 0.0015, 0.003, 0.006, 0.01, 0.012, 0.02, 0.024, 0.05, 0.1, 0.3, 1.5,
+              2.0, 2.4, 2.5, 2.8, 2.9, 3.0, 3.2, 3.208, 3.5, 3.508, 3.6, 4.0, 1e-05, 1e-08],
+    )
+    def test_short_values_keep_their_g_text(self, v):
+        # the names of the goldens and the benchmark's artifacts keep their bytes
+        assert cli._num(v) == f"{v:g}"
 
 
 class TestConfigFile:

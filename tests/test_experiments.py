@@ -31,7 +31,7 @@ from stochlogistic.errors import (
     RootCountError,
 )
 
-from stochlogistic import analytic, cli, experiments
+from stochlogistic import analytic, cli, experiments, measure
 from stochlogistic.maps import INIT_STREAM, stream_rng
 from stochlogistic.cli import _SUBCOMMANDS, OPTIONS
 from stochlogistic.measure import MonteCarloConfig, pf_iterate, uniform_ensemble, variance_of_right_peak
@@ -95,7 +95,7 @@ class TestDeterministicBifurcation:
     def test_in_place_step_equals_allocating_loop(self, lo, width, n_init, n_iter, seed):
         hi = min(lo + width, 4.0)
         data = deterministic_bifurcation(lo, hi, step=0.25, n_init=n_init, n_iter=n_iter, seed=seed)
-        x = stream_rng(seed, INIT_STREAM).random(data.terminal_states.shape)
+        x = uniform_ensemble(data.terminal_states.size, seed).particles.reshape(data.terminal_states.shape)
         lam = data.parameters[:, None]
         for _ in range(n_iter):
             x = lam * x * (1.0 - x)
@@ -188,13 +188,33 @@ class TestStochasticBifurcation:
         data = stochastic_bifurcation(
             lo, hi, step=step, delta_lambda=delta, n_init=n_init, n_iter=n_iter, seed=seed
         )
-        grid = data.parameters
+        grid = data.parameters[:, None]
         shape = data.terminal_states.shape
-        x = stream_rng(seed, INIT_STREAM).random(shape)
+        # the rows are one ensemble: its initial states, and each step's rates drawn by Generator.uniform
+        x = uniform_ensemble(data.terminal_states.size, seed).particles.reshape(shape)
         for g in range(n_iter):
-            lam = grid[:, None] + delta * stream_rng(seed, g + 1).uniform(-1.0, 1.0, shape)
+            lam = stream_rng(seed, g + 1).uniform(grid - delta, grid + delta, shape)
             x = lam * x * (1.0 - x)
         assert data.terminal_states.tobytes() == x.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @example(rate=3.2, delta=0.05, n_init=5, n_iter=30, seed=12345)
+    @example(rate=4.0, delta=0.0, n_init=3, n_iter=5, seed=2**64 - 1)
+    @given(
+        rate=st.floats(0.0, 4.0),
+        delta=st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+        n_init=st.integers(1, 9),
+        n_iter=st.integers(0, 40),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_one_rate_sweep_is_pf_iterate(self, rate, delta, n_init, n_iter, seed):
+        # the sweep and the ensemble step share one rate law and one start
+        delta = min(delta, rate, 4.0 - rate)
+        data = stochastic_bifurcation(
+            rate, rate, step=1.0, delta_lambda=delta, n_init=n_init, n_iter=n_iter, seed=seed
+        )
+        ens = pf_iterate(uniform_ensemble(n_init, seed), ParameterDistribution(rate, delta), n_iter)
+        assert data.terminal_states.tobytes() == ens.particles.tobytes()
 
     def test_zero_noise_draws_only_initial_states(self, monkeypatch):
         keys = []
@@ -203,7 +223,9 @@ class TestStochasticBifurcation:
             keys.append((seed, stream))
             return stream_rng(seed, stream)
 
+        # the initial states come through uniform_ensemble, the rates from experiments' own import
         monkeypatch.setattr(experiments, "stream_rng", recording)
+        monkeypatch.setattr(measure, "stream_rng", recording)
         stochastic_bifurcation(2.8, 3.6, step=0.1, delta_lambda=0.0, n_init=5, n_iter=30, seed=9)
         assert keys == [(9, INIT_STREAM)]
         keys.clear()
@@ -315,17 +337,16 @@ class TestMeanComparison:
         rep, _ = mean_comparison(lambda_bar, delta, FAST)
         assert (rep.regime, rep.period) == (regime, length)
 
-    @pytest.mark.parametrize(
-        "lambda_bar, delta, regime, orbit",
-        [(2.8, 0.1, "period1", [0.6, 0.7]), (3.2, 0.05, "period2", [0.5, 0.6, 0.7, 0.8])],
-    )
-    def test_cycle_length_must_match_the_regime(self, lambda_bar, delta, regime, orbit, monkeypatch):
-        # a detected cycle of another length than the regime's is refused
-        # before any ensemble runs, so no report names one period and the other
+    @pytest.mark.parametrize("orbit", [[0.5, 0.8], [0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.85, 0.9]])
+    def test_period4_cycle_length_must_match_the_regime(self, orbit, monkeypatch):
+        # a detected cycle of another length than 4 in a period-4 window is
+        # refused before any ensemble runs, so no report names one period
+        # and the other; through period two the cycle is a closed form
         monkeypatch.setattr(experiments, "periodic_orbit", lambda lam: orbit)
         monkeypatch.setattr(experiments, "ensemble_time_mean", None)
-        with pytest.raises(RegimeError, match=rf"^{regime} window, .* length {len(orbit)}$"):
-            mean_comparison(lambda_bar, delta, FAST)
+        assert classify_regime(3.5 - 0.01, 3.5 + 0.01).value == "period4"
+        with pytest.raises(RegimeError, match=rf"^period4 window, .* length {len(orbit)}$"):
+            mean_comparison(3.5, 0.01, FAST)
 
     def test_reproducible(self):
         a, _ = mean_comparison(3.208, 0.024, FAST)

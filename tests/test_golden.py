@@ -29,8 +29,8 @@ CASES = {
         ["bifurcation", "--kind", "stochastic", "--from", "2.9", "--to", "3.5", "--step", "0.2",
          "--delta", "0.02", "--n-init", "8", "--n-iter", "300", "--format", "csv,json,svg"],
         {
-            "bifurcation-stochastic-2.9to3.5-0.02-3.csv": "9b7306849690748d9314b5f0b1cb63719b46af5f1797bf398c96ec93e7f2589e",
-            "bifurcation-stochastic-2.9to3.5-0.02-3.json": "583cbb562f8797ccf75d15385cc67085704d475705fe045ba8028b98186f5b12",
+            "bifurcation-stochastic-2.9to3.5-0.02-3.csv": "1091c2009f2070b7423eabcfce24c07aecf0b55c5917fef3bd881ad851cb055d",
+            "bifurcation-stochastic-2.9to3.5-0.02-3.json": "a27b44a7c1aef782bd56b8e6fb2a124aedf9615ede7b95c6952365c3d87037a6",
             "bifurcation-stochastic-2.9to3.5-0.02-3.svg": "1a94cf89ef38ee2ce0f3c6bd30081223cf133315f7492d5600575aa79e7c7c65",
         },
     ),
