@@ -32,7 +32,8 @@ LAMBDA_C3 = 1.0 + math.sqrt(8.0)
 #: x = 0.5 is in the attracting basin throughout the stable-periodic range.
 PERIOD_BURN_IN = 10_000
 _MAX_PERIOD = 64
-_NEWTON_STEPS = 8
+#: Newton steps on f^k(x) - x: 8, and on to 32 only where 8 leave it unclosed.
+_NEWTON_STEPS = (8, 32)
 #: Images support_intervals takes before it gives up.
 _MAX_IMAGES = 200_000
 
@@ -153,7 +154,9 @@ def _attracting_cycle(lam: float) -> list[float]:
     """The attracting cycle in orbit order: 0, x* or {p, q} in closed form
     up to 1 + sqrt(6).  Above, Newton on f^k(x) - x (slope by the chain
     rule) runs from the orbit of x0 = 0.5 after PERIOD_BURN_IN steps for
-    k = 1..64; the first root of least period k whose multiplier
+    k = 1..64, for 8 steps, or 32 where 8 leave |f^k(x) - x| >= 1e-12 (just
+    past a doubling the root is near-triple and Newton converges only
+    linearly); the first root of least period k whose multiplier
     prod lam(1 - 2 x_j) lies inside (-1, 1) is the cycle.  The map has
     negative Schwarzian derivative, so it has at most one attracting cycle
     (Singer 1978): every other root Newton finds repels and is passed over."""
@@ -168,12 +171,12 @@ def _attracting_cycle(lam: float) -> list[float]:
         start = lam * start * (1.0 - start)
     for k in range(1, _MAX_PERIOD + 1):
         x = start
-        for _ in range(_NEWTON_STEPS):
+        for step in range(_NEWTON_STEPS[1]):
             y, slope = x, 1.0
             for _ in range(k):
                 slope *= lam * (1.0 - 2.0 * y)
                 y = lam * y * (1.0 - y)
-            if slope == 1.0:
+            if slope == 1.0 or step == _NEWTON_STEPS[0] and abs(y - x) < 1e-12:
                 break
             x -= (y - x) / (slope - 1.0)
         cycle, y, multiplier = [], x, 1.0
@@ -272,23 +275,22 @@ def h_function_roots(
     lambda_bar: float, epsilon: float
 ) -> tuple[float, float, float, float]:
     """The four zeros of H(x) = lam*(u - u^2 + epsilon) - x, u = lam*x*(1-x),
-    sorted ascending: the real roots of the quartic
-    -lam^3 x^4 + 2 lam^3 x^3 - (lam^2 + lam^3) x^2 + (lam^2 - 1) x + lam*epsilon,
-    each polished by one Newton step on H = lam*epsilon - x (t - d)(t^2 - d (t + 1)),
-    t = lam*x - 2, d = lam - 3, which keeps its digits next to lam = 3, where p,
-    x* and q nearly meet and the companion-matrix roots do not.  At epsilon = 0
-    the zeros are {0, p, x*, q}; for small epsilon > 0, z_H < 0 < p < p_H < x*_H < x* < q < q_H.
+    sorted ascending: x = (t + 2)/lam at the real roots of the quartic
+    -lam*H = (t + 2)(t - d)(t^2 - d t - d) - lam^2 epsilon in
+    t = lam*x - 2, d = lam - 3, each polished by one Newton step on H.  Its
+    coefficients carry d itself, so the roots keep their digits next to
+    lam = 3, where p, x* and q nearly meet.  At epsilon = 0 the zeros are
+    {0, p, x*, q}; for small epsilon > 0, z_H < 0 < p < p_H < x*_H < x* < q < q_H.
     RootCountError unless all four are real and lie in [-0.5, 1.2].
     """
-    lam = lambda_bar
-    l2, l3 = lam * lam, lam * lam * lam
-    z = np.roots([-l3, 2.0 * l3, -(l2 + l3), l2 - 1.0, lam * epsilon])
-    x = z[z.imag == 0.0].real
+    lam, d = lambda_bar, lambda_bar - 3.0
+    dd = d * d
+    t = np.roots([1.0, 2.0 - 2.0 * d, dd - 5.0 * d, 3.0 * dd - 2.0 * d, 2.0 * dd - lam * lam * epsilon])
+    x = (t[t.imag == 0.0].real + 2.0) / lam
     if len(x) != 4 or x.min() < -0.5 or x.max() > 1.2:
         raise RootCountError(
             f"H has real zeros {sorted(x.tolist())}, not four in [-0.5, 1.2] (lam={lam}, epsilon={epsilon})"
         )
     u = lam * x * (1.0 - x)
-    x = x - _H_value(lam, epsilon, x) / (l2 * (1.0 - 2.0 * x) * (1.0 - 2.0 * u) - 1.0)
+    x = x - _H_value(lam, epsilon, x) / (lam * lam * (1.0 - 2.0 * x) * (1.0 - 2.0 * u) - 1.0)
     return tuple(sorted(x.tolist()))  # type: ignore[return-value]
-

@@ -193,10 +193,6 @@ def _mc_config(ns):
     return MonteCarloConfig(ns.particles, ns.generations, ns.window, ns.seed)
 
 
-#: Rows per formatted chunk of the bifurcation CSV.
-_CSV_BLOCK = 4096
-
-
 def _json_default(obj):
     """JSON form of a numpy array or scalar (tolist) or of a report (to_dict)."""
     return obj.tolist() if hasattr(obj, "tolist") else obj.to_dict()
@@ -212,7 +208,7 @@ def _write(ns, mid: str, delta: float, payload, rows, svg=None) -> int:
     requested format, in the order csv, json, svg, and print each path.
 
     ``rows`` is an iterable of CSV rows, header first, streamed to disk,
-    or a function that returns the CSV text already formatted, in chunks;
+    or a function that yields the CSV text already formatted, a piece at a time;
     ``payload`` returns the JSON object (arrays and reports encoded by
     _json_default) and ``svg`` the drawing (None for the subcommands in
     _NO_SVG, which reject --format svg up front).
@@ -259,15 +255,11 @@ def _run_bifurcation(ns) -> int:
     )
 
     def sweep_csv():
-        # long format in csv.writer's bytes, a block of rows at a time; each
-        # rate is formatted once and joined between the states of its grid row
-        states, n = data.terminal_states.ravel(), data.terminal_states.shape[1]
-        rates = ["%.17g," % lam for lam in data.parameters.tolist()]
+        # long format in csv.writer's bytes, streamed one grid row at a time:
+        # the row's rate is formatted once into a pattern with a slot per state
         yield "parameter,terminal_state\r\n"
-        for i in range(0, len(states), _CSV_BLOCK):
-            cells = ["%.17g\r\n" % x for x in states[i : i + _CSV_BLOCK].tolist()]
-            rows = range(i // n, (i + len(cells) - 1) // n + 1)
-            yield "".join(rates[r] + rates[r].join(cells[max(r * n - i, 0) : (r + 1) * n - i]) for r in rows)
+        for lam, row in zip(data.parameters.tolist(), data.terminal_states):
+            yield ("%.17g,%%.17g\r\n" % lam) * len(row) % tuple(row.tolist())
 
     return _write(
         ns,
@@ -282,30 +274,27 @@ def _run_bifurcation(ns) -> int:
 def _run_evolve(ns) -> int:
     from . import experiments, maps, svgplot
 
-    snaps = experiments.distribution_evolution(
+    hists = experiments.distribution_evolution(
         maps.ParameterDistribution(ns.lambda_bar, ns.delta),
         n_particles=ns.particles,
         checkpoints=ns.checkpoints,
         seed=ns.seed,
         n_bins=ns.bins,
     )
+    snaps = list(zip(ns.checkpoints, hists))
 
     def rows():
-        for s in snaps:
-            h = s.histogram
+        for g, h in snaps:
             edges = h.edges.tolist()
             for lo, hi, count, dens in zip(edges, edges[1:], h.counts.tolist(), h.density().tolist()):
-                yield s.generation, f"{lo:.17g}", f"{hi:.17g}", count, f"{dens:.17g}"
+                yield g, f"{lo:.17g}", f"{hi:.17g}", count, f"{dens:.17g}"
 
     def payload() -> dict:
         return {
             "lambda_bar": ns.lambda_bar,
             "delta_lambda": ns.delta,
             "seed": ns.seed,
-            "snapshots": [
-                {"generation": s.generation, "edges": s.histogram.edges, "counts": s.histogram.counts}
-                for s in snaps
-            ],
+            "snapshots": [{"generation": g, "edges": h.edges, "counts": h.counts} for g, h in snaps],
         }
 
     return _write(
@@ -315,8 +304,8 @@ def _run_evolve(ns) -> int:
         payload,
         chain([("generation", "bin_lo", "bin_hi", "count", "density")], rows()),
         lambda: svgplot.render_histograms(
-            [s.histogram for s in snaps],
-            labels=tuple(f"generation {s.generation}" for s in snaps),
+            hists,
+            labels=tuple(f"generation {g}" for g in ns.checkpoints),
             title=f"distribution evolution at {ns.lambda_bar:g} +/- {ns.delta:g}",
         ),
     )

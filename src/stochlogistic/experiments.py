@@ -123,18 +123,12 @@ def stochastic_bifurcation(
     return _sweep("stochastic", lam_lo, lam_hi, step, delta_lambda, n_init, n_iter, seed)
 
 
-@dataclass(frozen=True, eq=False)
-class EvolutionSnapshot:
-    generation: int
-    histogram: Histogram
-
-
 def distribution_evolution(
     dist: ParameterDistribution, n_particles: int, checkpoints: tuple[int, ...],
     seed: int, n_bins: int,
-) -> list[EvolutionSnapshot]:
-    """Histogram snapshots of a uniform initial ensemble pushed through
-    the transfer operator, taken at the checkpoint generations."""
+) -> list[Histogram]:
+    """Histograms of a uniform initial ensemble pushed through the
+    transfer operator, one per checkpoint generation, in checkpoint order."""
     cps = list(checkpoints)
     if not cps or any(b <= a for a, b in zip(cps, cps[1:])) or cps[0] < 0:
         raise DomainError("checkpoints must be non-negative and strictly ascending")
@@ -142,7 +136,7 @@ def distribution_evolution(
     out = []
     for target in cps:
         ens = pf_iterate(ens, dist, target - ens.generation)
-        out.append(EvolutionSnapshot(ens.generation, Histogram.from_samples(ens.particles, n_bins)))
+        out.append(Histogram.from_samples(ens.particles, n_bins))
     return out
 
 

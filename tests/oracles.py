@@ -195,13 +195,17 @@ def comparison_h(lam: float, eps: float, x: float) -> float:
 
 def scan_h_roots(lam: float, eps: float) -> list[float]:
     """Zeros of H(x) = lam*(u - u^2 + eps) - x, u = lam*x*(1-x), on
-    [-0.5, 1.2], sorted, however many there are: the exact zeros of a
-    uniform 10^4-cell grid and each sign-change cell bisected to 1e-12,
-    one cell at a time in a Python loop, on exact rational signs of H:
-    next to lam = 3, where x*, p and q nearly meet, the floating-point
-    sign of H is rounding noise up to ~1e-11 either side of each root.  The reference for
-    the polished quartic roots of analytic.h_function_roots, which must
-    agree to the scan's 1e-12 when there are four and raise otherwise."""
+    [-0.5, 1.2], sorted, however many there are: the exact zeros among
+    the grid points and each sign-change cell bisected to 1e-12, one cell
+    at a time in a Python loop.  The grid is uniform with 10^4 cells plus
+    the points 2/3 +/- 2e-4 * 0.8^k down to 1e-14, so the cluster that
+    x*, p and q form next to lam = 3 (all within sqrt(lam - 3) of 2/3)
+    falls into separate cells down to lam = 3 + 1 ulp.  Signs are exact
+    rational ones wherever the float value of H is within 1e-9 of zero:
+    there the floating-point sign is rounding noise up to ~1e-11 either
+    side of each root.  The reference for the polished quartic roots of
+    analytic.h_function_roots, which must agree to the scan's 1e-12 when
+    there are four and raise otherwise."""
 
     def H(x):
         u = lam * x * (1.0 - x)
@@ -214,29 +218,27 @@ def scan_h_roots(lam: float, eps: float) -> list[float]:
         u = lam_q * xq * (1 - xq)
         return lam_q * (u - u * u + eps_q) - xq
 
-    n = 10_000
-    xs = np.linspace(-0.5, 1.2, n + 1)
-    vals = H(xs)
-    roots = []
-    for i in range(n):
-        va, vb = vals[i], vals[i + 1]
-        if va == 0.0:
-            roots.append(float(xs[i]))
-            continue
-        if va * vb < 0.0:
+    offsets = 2e-4 * 0.8 ** np.arange(200)
+    offsets = offsets[offsets >= 1e-14]
+    xs = np.unique(np.concatenate([np.linspace(-0.5, 1.2, 10_001), 2.0 / 3.0 - offsets, 2.0 / 3.0 + offsets]))
+    signs = [
+        int(np.sign(v)) if abs(v) > 1e-9 else (H_exact(x) > 0) - (H_exact(x) < 0)
+        for x, v in zip(xs.tolist(), H(xs).tolist())
+    ]
+    roots = [x for x, sx in zip(xs.tolist(), signs) if sx == 0]
+    for i in range(len(xs) - 1):
+        if signs[i] * signs[i + 1] < 0:
             lo, hi = float(xs[i]), float(xs[i + 1])
-            flo = H_exact(lo)
+            slo = signs[i]
             while hi - lo > 1e-12:
                 mid = 0.5 * (lo + hi)
                 fmid = H_exact(mid)
-                if fmid == 0.0:
+                if fmid == 0:
                     lo = hi = mid
                     break
-                if flo * fmid < 0.0:
+                if (fmid > 0) != (slo > 0):
                     hi = mid
                 else:
-                    lo, flo = mid, fmid
+                    lo = mid
             roots.append(0.5 * (lo + hi))
-    if vals[-1] == 0.0:
-        roots.append(float(xs[-1]))
     return sorted(roots)

@@ -230,6 +230,17 @@ class TestDetectPeriod:
         assert detect_period(3.0) == 1
         assert periodic_orbit(3.0) == [fixed_point(3.0)]
 
+    @pytest.mark.parametrize(
+        "lam,period",
+        [*((LAMBDA_C4 + 10.0**-k, 4) for k in range(7, 16)), (math.nextafter(LAMBDA_C4, 4.0), 4),
+         (3.5440903595519229 + 6e-8, 8)],
+    )
+    def test_cycle_just_past_a_later_doubling(self, lam, period):
+        # past 1 + sqrt(6) and the period-8 onset f^k(x) - x has a near-triple
+        # root as well; 8 Newton steps leave it unclosed, and used to raise
+        # ConvergenceError, so the search goes on to 32 before trying k + 1
+        assert detect_period(lam) == period
+
     @settings(max_examples=100, deadline=None)
     @example(math.nextafter(1.0, 2.0))
     @example(3.0)
@@ -485,14 +496,15 @@ class TestConvexity:
 
 
 class TestHFunctionRoots:
-    @pytest.mark.parametrize("lam", [3.0001, 3.2, 3.449])
+    @pytest.mark.parametrize(
+        "lam", [math.nextafter(3.0, 4.0), 3 + 1e-15, 3 + 1e-12, 3 + 1e-10, 3 + 1e-9, 3 + 1e-7, 3.0001, 3.2, 3.449]
+    )
     def test_unshifted_roots(self, lam):
-        # at epsilon = 0 the zeros are {0, p, x*, q}; next to lam = 3 the
-        # companion-matrix roots alone are 3.2e-12 off, so this pins the
-        # Newton step
+        # at epsilon = 0 the zeros are {0, p, x*, q}, to rounding down to
+        # lam = 3 + 1 ulp, where p, x* and q lie within 1e-8 of each other
         pair = period2_points(lam)
         want = (0.0, pair.p, fixed_point(lam), pair.q)
-        assert h_function_roots(lam, 0.0) == pytest.approx(want, abs=1e-12)
+        assert h_function_roots(lam, 0.0) == pytest.approx(want, abs=1e-15, rel=0)
 
     def test_shifted_root_chain(self):
         pair = period2_points(3.2)
@@ -529,10 +541,13 @@ class TestHFunctionRoots:
         lam=st.floats(3.0, LAMBDA_C4, exclude_min=True, exclude_max=True),
         eps=st.floats(0.0, 1e-2),
     )
+    @example(lam=math.nextafter(3.0, 4.0), eps=0.0)
+    @example(lam=3 + 1e-7, eps=0.0)
+    @example(lam=3 + 2e-7, eps=0.0)
     def test_matches_scalar_scan(self, lam, eps):
         # the polished quartic roots agree with the bracket scan to its
         # own bisection tolerance, and fail exactly where the scan does
-        # not find four
+        # not find four, down to lam = 3 + 1 ulp
         want = scan_h_roots(lam, eps)
         if len(want) == 4:
             assert h_function_roots(lam, eps) == pytest.approx(want, abs=1e-12)

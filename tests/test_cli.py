@@ -3,15 +3,17 @@
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stochlogistic import cli, experiments, measure
@@ -122,8 +124,8 @@ class TestBifurcation:
         ids=["41x101-boundary-inside-a-rate", "2x4500-rate-spans-blocks"],
     )
     def test_csv_bytes_across_row_blocks(self, to, step, n_init, tmp_path, capsys):
-        # more rows than one 4,096-row block; the file must be the per-row
-        # "{:.17g},{:.17g}" text of the sweep
+        # more than 4,096 rows, and grid rows of 101 and of 4,500 states; the
+        # file must be the per-row "{:.17g},{:.17g}" text of the sweep
         argv = ["bifurcation", "--from", "3.0", "--to", to, "--step", step,
                 "--n-init", str(n_init), "--n-iter", "20", "--seed", "5"]
         assert run(argv, tmp_path) == 0
@@ -136,6 +138,39 @@ class TestBifurcation:
         )
         path = tmp_path / f"bifurcation-deterministic-3to{to}-0-5.csv"
         assert path.read_bytes() == expected.encode()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rows=st.integers(1, 9),
+        n_init=st.integers(1, 7),
+        n_iter=st.integers(0, 30),
+        lam_from=st.floats(0.5, 3.5),
+        step=st.sampled_from([0.001, 0.01, 0.05]),
+        law=st.sampled_from([("deterministic", 0.0), ("stochastic", 0.0)])
+        | st.tuples(st.just("stochastic"), st.floats(1e-6, 0.05)),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_csv_is_csv_writer_rows(self, rows, n_init, n_iter, lam_from, step, law, seed):
+        # one grid row, one state per row and every size in between: the
+        # file is csv.writer's text of the ("%.17g" rate, "%.17g" state) rows
+        kind, delta = law
+        lam_to = lam_from + (rows - 1) * step
+        sizes = {"n_init": n_init, "n_iter": n_iter, "seed": seed}
+        if kind == "deterministic":
+            data = deterministic_bifurcation(lam_from, lam_to, step, **sizes)
+        else:
+            data = experiments.stochastic_bifurcation(lam_from, lam_to, step, delta_lambda=delta, **sizes)
+        expected = io.StringIO()
+        csv.writer(expected).writerows(
+            [("parameter", "terminal_state"),
+             *(("%.17g" % lam, "%.17g" % x) for lam, row in zip(data.parameters, data.terminal_states) for x in row)]
+        )
+        argv = ["bifurcation", "--kind", kind, "--from", repr(lam_from), "--to", repr(lam_to), "--step", repr(step),
+                "--delta", repr(delta), "--n-init", str(n_init), "--n-iter", str(n_iter), "--seed", str(seed)]
+        with tempfile.TemporaryDirectory() as out:
+            assert run(argv, out) == 0
+            (path,) = Path(out).iterdir()
+            assert path.read_bytes() == expected.getvalue().encode()
 
     @given(st.floats())
     @example(math.nan)

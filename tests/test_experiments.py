@@ -240,20 +240,22 @@ class TestStochasticBifurcation:
 class TestDistributionEvolution:
     def test_checkpoints_and_flat_start(self):
         dist = ParameterDistribution(1.508, 0.024)
-        snaps = distribution_evolution(
+        hists = distribution_evolution(
             dist, n_particles=4000, checkpoints=(0, 1, 10, 50), seed=8, n_bins=40
         )
-        assert [s.generation for s in snaps] == [0, 1, 10, 50]
-        first = snaps[0].histogram
+        # one histogram per checkpoint, in checkpoint order
+        assert len(hists) == 4 and all(h.total == 4000 for h in hists)
+        at10 = measure.Histogram.from_samples(pf_iterate(uniform_ensemble(4000, 8), dist, 10).particles, 40)
+        assert hists[2].counts.tobytes() == at10.counts.tobytes()
+        first = hists[0]
         # uniform start: all 40 bins near 100 counts (multinomial noise)
         assert first.counts.min() > 50 and first.counts.max() < 170
 
     def test_period1_final_localized(self):
         dist = ParameterDistribution(1.508, 0.024)
-        snaps = distribution_evolution(
+        final = distribution_evolution(
             dist, n_particles=2000, checkpoints=(0, 500), seed=9, n_bins=200
-        )
-        final = snaps[-1].histogram
+        )[-1]
         lo, hi = fixed_point(1.484), fixed_point(1.532)
         width = final.edges[1] - final.edges[0]
         centers = 0.5 * (final.edges[:-1] + final.edges[1:])
@@ -262,10 +264,9 @@ class TestDistributionEvolution:
 
     def test_period2_final_bimodal(self):
         dist = ParameterDistribution(3.208, 0.024)
-        snaps = distribution_evolution(
+        final = distribution_evolution(
             dist, n_particles=2000, checkpoints=(0, 500), seed=10, n_bins=200
-        )
-        final = snaps[-1].histogram
+        )[-1]
         sup = support_intervals(3.208, 0.024)
         width = final.edges[1] - final.edges[0]
         centers = 0.5 * (final.edges[:-1] + final.edges[1:])

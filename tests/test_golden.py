@@ -55,7 +55,7 @@ CASES = {
         ["verify", "--lambda-bar", "3.2", "--delta", "0.05", *SMALL, "--format", "csv,json"],
         {
             "verify-3.2-0.05-3.csv": "6880b97371203d5cb064b37e0dde04b8b6e233d02d6cae2241fd736edd347342",
-            "verify-3.2-0.05-3.json": "5f27e012c32220e04acf1bfe51ad5bfc95e5e878ead1ab61cbe9fce4a428024c",
+            "verify-3.2-0.05-3.json": "d46cc100b1056763038d03989989b8e4ce7268d05639c9101f9fd20146700b5b",
         },
     ),
     "flipflop": (
