@@ -17,14 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, RegimeError, RootCountError
+from .errors import ConvergenceError, DomainError, RootCountError
 
-# Bifurcation boundaries of the cascade and the period-3 onset.  C2, C4
-# and C3 are exact; C4_END and C2_OMEGA are standard numerical values
-# kept to the precision we rely on.
+# Bifurcation boundaries of the cascade and the period-3 onset.  C2, C4 and C3
+# are exact; C4_END is the double nearest the period-8 onset, where detect_period
+# turns from 4 to 8; C2_OMEGA is kept to the precision we rely on.
 LAMBDA_C2 = 3.0
 LAMBDA_C4 = 1.0 + math.sqrt(6.0)
-LAMBDA_C4_END = 3.54409
+LAMBDA_C4_END = 3.5440903595519226
 LAMBDA_C2_OMEGA = 3.56995
 LAMBDA_C3 = 1.0 + math.sqrt(8.0)
 
@@ -116,7 +116,7 @@ _BOUNDARIES = (
 def classify_regime(lambda_lo: float, lambda_hi: float) -> Regime:
     """Classify a growth-rate interval into a single stability regime.
 
-    Raises RegimeError if the interval touches or crosses a bifurcation
+    Raises DomainError if the interval touches or crosses a bifurcation
     boundary; the mean comparisons assume the whole window sits strictly
     inside one regime.
     """
@@ -133,7 +133,7 @@ def classify_regime(lambda_lo: float, lambda_hi: float) -> Regime:
                 lambda_hi < bound or regime is Regime.CASCADE
             ):
                 return regime
-            raise RegimeError(
+            raise DomainError(
                 f"window [{lambda_lo}, {lambda_hi}] touches the bifurcation "
                 f"boundary at {prev if lambda_lo <= prev else bound:g}"
             )
@@ -217,14 +217,14 @@ def support_intervals(lambda_bar: float, delta_lambda: float) -> SupportInterval
     the sides swapped: the interval hulls are grown by their images
     until they stop changing.
 
-    RegimeError once the two intervals meet (the support is one band, so
+    DomainError once the two intervals meet (the support is one band, so
     the two-interval hypothesis of the two-cycle lemma fails);
     ConvergenceError past 200,000 images.  The window must lie
-    strictly inside the two-cycle regime (RegimeError otherwise).
+    strictly inside the two-cycle regime (DomainError otherwise).
     """
     a, b = lambda_bar - delta_lambda, lambda_bar + delta_lambda
     if classify_regime(a, b) is not Regime.PERIOD2:
-        raise RegimeError(f"window [{a}, {b}] must lie strictly inside ({LAMBDA_C2:g}, {LAMBDA_C4:g})")
+        raise DomainError(f"window [{a}, {b}] must lie strictly inside ({LAMBDA_C2:g}, {LAMBDA_C4:g})")
     pair = period2_points(lambda_bar)
     cur = (pair.p, pair.p, pair.q, pair.q)
     for _ in range(_MAX_IMAGES):
@@ -232,7 +232,7 @@ def support_intervals(lambda_bar: float, delta_lambda: float) -> SupportInterval
         (ip_lo, ip_hi), (iq_lo, iq_hi) = _image(a, b, q_lo, q_hi), _image(a, b, p_lo, p_hi)
         new = (min(p_lo, ip_lo), max(p_hi, ip_hi), min(q_lo, iq_lo), max(q_hi, iq_hi))
         if new[1] >= new[2]:
-            raise RegimeError(
+            raise DomainError(
                 f"window [{a}, {b}]: I_p and I_q merge into one band (I_p reaches "
                 f"{new[1]!r}, I_q starts at {new[2]!r}), so the two-cycle lemma does not apply"
             )

@@ -25,8 +25,8 @@ Importing this module loads no numpy: --help, argparse rejections,
 config-file errors and _resolve's checks return before _mc_config or a
 _run_* function imports the computing modules it needs.
 
-Exit codes: 0 success, 2 validation error (bad flag, malformed config,
-window in the wrong regime), 1 runtime failure during computation.
+Exit codes: 0 success, 2 for bad input (an argparse rejection or a
+DomainError), 1 for any other failure, a ConvergenceError among them.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ import sys
 from itertools import chain
 from pathlib import Path
 
-from .errors import ConfigError, DomainError, RegimeError
+from .errors import DomainError
 
 ENV_OUTDIR = "STOCHLOGISTIC_OUTDIR"
 
@@ -118,7 +118,7 @@ def load_config(path: str | Path, keys) -> dict:
     """Parse a flat key = value config file into typed settings.
 
     Lines are ``key = value``; blank lines and ``#`` comments are
-    ignored.  ConfigError (with the line number) on malformed lines, keys
+    ignored.  DomainError (with the line number) on malformed lines, keys
     not in ``keys`` (the subcommand's), unparseable values, or values
     outside an option's choices; also when the file cannot be read.
     """
@@ -126,7 +126,7 @@ def load_config(path: str | Path, keys) -> dict:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise ConfigError(f"cannot read config file: {exc}") from exc
+        raise DomainError(f"cannot read config file: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -134,17 +134,17 @@ def load_config(path: str | Path, keys) -> dict:
         key, eq, value = line.partition("=")
         key = key.strip()
         if not eq:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+            raise DomainError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         if key not in keys:
-            raise ConfigError(f"{path}:{lineno}: key {key!r} is not one of this subcommand's {keys}")
+            raise DomainError(f"{path}:{lineno}: key {key!r} is not one of this subcommand's {keys}")
         _, convert, _, extras = OPTIONS[key]
         try:
             settings[key] = convert(value.strip())
         except (ValueError, argparse.ArgumentTypeError) as exc:
-            raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
+            raise DomainError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
         choices = extras.get("choices")
         if choices and settings[key] not in choices:
-            raise ConfigError(f"{path}:{lineno}: {key!r} must be one of {choices}")
+            raise DomainError(f"{path}:{lineno}: {key!r} must be one of {choices}")
     return settings
 
 
@@ -411,8 +411,8 @@ def parse_and_dispatch(argv: list[str]) -> int:
     """Parse arguments, run the requested experiment, write artifacts.
 
     Returns the process exit code instead of raising: 0 success, 2 for
-    validation problems (including argparse rejections), 1 for runtime
-    failures inside a computation.
+    bad input (argparse rejections and DomainError), 1 for any other
+    exception.
     """
     parser = _build_parser()
     try:
@@ -423,7 +423,7 @@ def parse_and_dispatch(argv: list[str]) -> int:
     try:
         _resolve(ns)
         return _SUBCOMMANDS[ns.subcommand][0](ns)
-    except (DomainError, RegimeError, ConfigError) as exc:
+    except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - CLI boundary

@@ -1,40 +1,21 @@
-"""Exception hierarchy shared across the package.
+"""The package's exceptions, one per way a caller handles a failure.
 
-Validation-type errors (bad arguments, windows in the wrong parameter
-regime, malformed config files) derive from ``ValueError`` so callers can
-treat them uniformly; computation-type failures (no detectable period,
-an empty peak, an H without four real zeros) derive from ``RuntimeError``.
-The CLI maps the first family to exit code 2 and the second to exit 1.
+DomainError, a ValueError, is bad input: an argument out of range, a rate
+window not strictly inside one regime, a malformed config file.  The CLI
+reports it and exits 2.  ConvergenceError, a RuntimeError, is valid input
+with no answer within budget: no attracting cycle, an empty peak, no clean
+window; the CLI exits 1, as on any other failure.  RootCountError is the
+one failure the package retries on its own, with a smaller epsilon.
 """
 
 
 class DomainError(ValueError):
-    """An argument is outside the domain an operation is defined on."""
-
-
-class RegimeError(ValueError):
-    """A growth-rate window straddles a bifurcation boundary or lies in
-    the wrong regime for the requested computation."""
-
-
-class ConfigError(ValueError):
-    """A config file is malformed or contains an unknown key."""
+    """The input lies outside what an operation is defined on."""
 
 
 class ConvergenceError(RuntimeError):
-    """An orbit did not settle onto a detectable cycle within budget."""
+    """No answer within the computation's budget."""
 
 
 class RootCountError(RuntimeError):
-    """The comparison function H does not have four real zeros in
-    [-0.5, 1.2]."""
-
-
-class EmptyPeakError(RuntimeError):
-    """A peak split produced an empty side; the ensemble has not
-    converged or the window is in the wrong regime."""
-
-
-class WindowNotFoundError(RuntimeError):
-    """No clean parameter window with the requested cycle length could
-    be located."""
+    """The comparison function H lacks four real zeros in [-0.5, 1.2]."""

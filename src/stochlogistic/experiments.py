@@ -24,7 +24,7 @@ import numpy as np
 
 from . import analytic
 from .analytic import Regime, classify_regime, detect_period, periodic_orbit
-from .errors import ConvergenceError, DomainError, RegimeError, RootCountError, WindowNotFoundError
+from .errors import ConvergenceError, DomainError, RootCountError
 from .maps import ParameterDistribution, stream_rng
 from .measure import (
     Ensemble,
@@ -203,7 +203,7 @@ def mean_comparison(
     orbit = periodic_orbit(lambda_bar)
     period, det_mean = len(orbit), float(np.mean(orbit))
     if regime is Regime.PERIOD4 and period != 4:  # through period two the cycle is a closed form
-        raise RegimeError(f"{regime.value} window, but the cycle at lam={lambda_bar} has length {period}")
+        raise DomainError(f"{regime.value} window, but the cycle at lam={lambda_bar} has length {period}")
     cfg = replace(cfg, window=_parity_window(cfg.window, period))
     stoch_mean, se, final = ensemble_time_mean(ParameterDistribution(lambda_bar, delta_lambda), cfg)
     diff = stoch_mean - det_mean
@@ -249,7 +249,7 @@ def _variance_ladder(lambda_bar: float) -> list[tuple[float, analytic.SupportInt
     while True:
         try:
             return [(h, analytic.support_intervals(lambda_bar, h)) for h in (h0, h0 / 2, h0 / 4, h0 / 8)]
-        except (RegimeError, DomainError):
+        except DomainError:
             h0 /= 2
             if h0 < 1e-6:
                 raise
@@ -432,9 +432,9 @@ def _window_for_rho(rho: int, delta_lambda: float) -> tuple[float, float]:
     """(lambda_bar, usable half-width) inside the stable period-2^rho
     regime: the tabulated center, with the requested half-width halved,
     while it stays >= 1e-6, until both ends carry the cycle length.  The
-    rho >= 3 centers are the mean of the longest run of period-2^rho rates
-    on linspace(LAMBDA_C4_END, LAMBDA_C2_OMEGA, 257)[1:-1] under the
-    tolerance scan frozen as ``tests/oracles.py::cascade_scan_period``,
+    rho >= 3 centers are the mean of the longest run of period-2^rho rates on
+    linspace(3.54409, LAMBDA_C2_OMEGA, 257)[1:-1], the grid they were made on,
+    under the tolerance scan frozen as ``tests/oracles.py::cascade_scan_period``,
     which a test reruns; it finds no period 128."""
     target, center, delta = 2**rho, _RHO_CENTERS[rho], delta_lambda
     while True:
@@ -445,7 +445,7 @@ def _window_for_rho(rho: int, delta_lambda: float) -> tuple[float, float]:
             pass
         delta /= 2.0
         if delta < 1e-6:
-            raise WindowNotFoundError(
+            raise ConvergenceError(
                 f"could not shrink a window at {center} onto the period-{target} regime"
             )
 

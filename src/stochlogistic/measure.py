@@ -68,7 +68,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .errors import DomainError, EmptyPeakError
+from .errors import ConvergenceError, DomainError
 from .maps import INIT_STREAM, ParameterDistribution, stream_rng
 
 
@@ -293,6 +293,12 @@ def standard_error(values: np.ndarray) -> float:
     return float(values.std(ddof=1) / np.sqrt(n))
 
 
+def _peak_threshold(lambda_bar: float) -> float:
+    if not lambda_bar > 1.0:
+        raise DomainError("peak threshold needs lambda_bar > 1")
+    return (lambda_bar - 1.0) / lambda_bar  # the fixed point, between the two peaks
+
+
 def stationary_stats(
     dist: ParameterDistribution,
     cfg: MonteCarloConfig,
@@ -305,13 +311,11 @@ def stationary_stats(
     Each companion rate law runs its own ensemble from the same seed in
     lockstep with the main one, and only its final snapshot is kept.
 
-    EmptyPeakError if some particle never visits one of the sides during
+    ConvergenceError if some particle never visits one of the sides during
     the window (expected in the two-cycle regime, where every particle
     alternates sides each generation).
     """
-    if dist.lambda_bar <= 1.0:
-        raise DomainError("peak threshold needs lambda_bar > 1")
-    threshold = (dist.lambda_bar - 1.0) / dist.lambda_bar
+    threshold = _peak_threshold(dist.lambda_bar)
 
     def split(sums: np.ndarray, x: np.ndarray) -> None:
         lsum, lsq, rsum, lcnt = sums  # the count is a float: exact below 2**53
@@ -326,7 +330,7 @@ def stationary_stats(
     (lsum, lsq, rsum, lcnt), (ens, *others) = _windowed((dist, *companions), cfg, 4, split)
     rcnt = cfg.window - lcnt
     if np.any(lcnt == 0) or np.any(rcnt == 0):
-        raise EmptyPeakError(
+        raise ConvergenceError(
             "some particle never visited one side of the threshold during "
             "the averaging window"
         )
@@ -362,11 +366,11 @@ def variance_of_right_peak(lambda_bar: float, final: Ensemble) -> tuple[float, f
     sqrt((m4 - m2**2)/m) in the centered moments; m4 - m2**2 is the
     variance of the squared deviations.
     """
-    threshold = (lambda_bar - 1.0) / lambda_bar
+    threshold = _peak_threshold(lambda_bar)
     x = final.particles
     right = x[x > threshold]
     if len(right) in (0, len(x)):
-        raise EmptyPeakError(
+        raise ConvergenceError(
             f"peak split at {threshold:.6f} left {len(x) - len(right)}/{len(right)} "
             f"particles on the left/right; ensemble not converged to a "
             f"two-peak distribution"

@@ -203,7 +203,11 @@ def scan_h_roots(lam: float, eps: float) -> list[float]:
     falls into separate cells down to lam = 3 + 1 ulp.  Signs are exact
     rational ones wherever the float value of H is within 1e-9 of zero:
     there the floating-point sign is rounding noise up to ~1e-11 either
-    side of each root.  The reference for the polished quartic roots of
+    side of each root.  Two roots that share a cell leave the grid signs
+    alike, so where |H| dips at a grid point between two points of its
+    sign, the extremum of H between them (the exact sign change of H') is
+    signed exactly, and if it has the other sign both brackets it makes
+    are bisected.  The reference for the polished quartic roots of
     analytic.h_function_roots, which must agree to the scan's 1e-12 when
     there are four and raise otherwise."""
 
@@ -218,27 +222,43 @@ def scan_h_roots(lam: float, eps: float) -> list[float]:
         u = lam_q * xq * (1 - xq)
         return lam_q * (u - u * u + eps_q) - xq
 
+    def slope_exact(x: float) -> Fraction:
+        xq = Fraction(x)
+        return lam_q * lam_q * (1 - 2 * xq) * (1 - 2 * lam_q * xq * (1 - xq)) - 1
+
+    def bisect(f, lo: float, hi: float) -> float:
+        """The sign change of f in [lo, hi], to 1e-12."""
+        flo = f(lo) > 0
+        while hi - lo > 1e-12:
+            mid = 0.5 * (lo + hi)
+            fmid = f(mid)
+            if fmid == 0:
+                return mid
+            if (fmid > 0) != flo:
+                hi = mid
+            else:
+                lo = mid
+        return 0.5 * (lo + hi)
+
     offsets = 2e-4 * 0.8 ** np.arange(200)
     offsets = offsets[offsets >= 1e-14]
     xs = np.unique(np.concatenate([np.linspace(-0.5, 1.2, 10_001), 2.0 / 3.0 - offsets, 2.0 / 3.0 + offsets]))
+    values = H(xs)
     signs = [
         int(np.sign(v)) if abs(v) > 1e-9 else (H_exact(x) > 0) - (H_exact(x) < 0)
-        for x, v in zip(xs.tolist(), H(xs).tolist())
+        for x, v in zip(xs.tolist(), values.tolist())
     ]
     roots = [x for x, sx in zip(xs.tolist(), signs) if sx == 0]
     for i in range(len(xs) - 1):
         if signs[i] * signs[i + 1] < 0:
-            lo, hi = float(xs[i]), float(xs[i + 1])
-            slo = signs[i]
-            while hi - lo > 1e-12:
-                mid = 0.5 * (lo + hi)
-                fmid = H_exact(mid)
-                if fmid == 0:
-                    lo = hi = mid
-                    break
-                if (fmid > 0) != (slo > 0):
-                    hi = mid
-                else:
-                    lo = mid
-            roots.append(0.5 * (lo + hi))
+            roots.append(bisect(H_exact, float(xs[i]), float(xs[i + 1])))
+    s, size = np.array(signs), np.abs(values)
+    dips = (s[:-2] == s[1:-1]) & (s[1:-1] == s[2:]) & (size[1:-1] <= size[:-2]) & (size[1:-1] <= size[2:])
+    for i in np.flatnonzero(dips & (s[1:-1] != 0)) + 1:
+        lo, hi = float(xs[i - 1]), float(xs[i + 1])
+        if (slope_exact(lo) > 0) == (slope_exact(hi) > 0):
+            continue
+        top = bisect(slope_exact, lo, hi)
+        if H_exact(top) * signs[i] < 0:
+            roots += [bisect(H_exact, lo, top), bisect(H_exact, top, hi)]
     return sorted(roots)

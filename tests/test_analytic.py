@@ -4,6 +4,7 @@ geometry, and the comparison function H."""
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from scipy import optimize
 from stochlogistic.analytic import (
     LAMBDA_C3,
     LAMBDA_C4,
+    LAMBDA_C4_END,
     Regime,
     _H_value,
     classify_regime,
@@ -31,7 +33,6 @@ from stochlogistic.measure import Ensemble, pf_step
 from stochlogistic.errors import (
     ConvergenceError,
     DomainError,
-    RegimeError,
     RootCountError,
 )
 
@@ -71,7 +72,7 @@ class TestFixedPoints:
         assert fixed_point(3.2) == pytest.approx(0.6875, abs=1e-15)
 
     def test_domain(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"growth rate must lie in \[0, 4\]"):
             periodic_orbit(4.2)
 
 
@@ -92,7 +93,7 @@ class TestPeriod2Points:
         assert pair.p + pair.q == pytest.approx(4.4 / 3.4, abs=1e-14)
 
     def test_below_three_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="two-cycle requires lam >= 3"):
             period2_points(2.99)
 
     def test_vieta_property(self):
@@ -135,11 +136,11 @@ class TestClassifyRegime:
         assert classify_regime(3.184, 3.232) is Regime.PERIOD2
 
     def test_straddle_rejected(self):
-        with pytest.raises(RegimeError):
+        with pytest.raises(DomainError, match="touches the bifurcation boundary at 3$"):
             classify_regime(2.9, 3.1)
 
     def test_boundary_touch_rejected(self):
-        with pytest.raises(RegimeError):
+        with pytest.raises(DomainError, match="touches the bifurcation boundary at 3$"):
             classify_regime(3.0, 3.2)
 
     @pytest.mark.parametrize(
@@ -155,10 +156,19 @@ class TestClassifyRegime:
     def test_labels(self, lo, hi, regime):
         assert classify_regime(lo, hi) is regime
 
+    def test_period4_ends_where_the_cycle_turns_to_period_8(self):
+        # the regime table and the cycle finder agree at every float there
+        below = math.nextafter(LAMBDA_C4_END, 0.0)
+        assert detect_period(below) == 4 and detect_period(LAMBDA_C4_END) == 8
+        assert classify_regime(3.5, below) is Regime.PERIOD4
+        assert classify_regime(3.54409005, 3.54409015) is Regime.PERIOD4
+        with pytest.raises(DomainError, match="touches the bifurcation boundary at 3.54409$"):
+            classify_regime(3.5, LAMBDA_C4_END)
+
     def test_domain(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="need 0 <= lo <= hi <= 4"):
             classify_regime(-0.1, 2.0)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="need 0 <= lo <= hi <= 4"):
             classify_regime(2.0, 1.0)
 
 
@@ -174,17 +184,17 @@ class TestDetectPeriod:
     def test_period3_window_opens_at_lambda_c3(self):
         # the tangent bifurcation at 1 + 2*sqrt(2): no cycle attracts just below it
         assert detect_period(LAMBDA_C3 + 1e-9) == 3
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(ConvergenceError, match="no attracting cycle"):
             detect_period(LAMBDA_C3 - 1e-9)
 
     def test_chaotic_rate_fails(self):
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(ConvergenceError, match="no attracting cycle"):
             detect_period(3.9)
 
     def test_preperiodic_critical_point_at_four_fails(self):
         # x0 = 0.5 maps onto the fixed point 0 in two steps at lam = 4, but
         # 0 repels (multiplier 4): almost every orbit averages 1/2, not 0
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(ConvergenceError, match="no attracting cycle"):
             detect_period(4.0)
 
     @pytest.mark.parametrize(
@@ -357,7 +367,7 @@ class TestSupportIntervals:
         assert sup.q_hi == pytest.approx(b * sup.p_hi * (1.0 - sup.p_hi), abs=1e-15)
 
     def test_regime_error(self):
-        with pytest.raises(RegimeError):
+        with pytest.raises(DomainError, match="touches the bifurcation boundary at 3.44949$"):
             support_intervals(3.3, 0.2)
 
     @pytest.mark.parametrize(
@@ -366,7 +376,7 @@ class TestSupportIntervals:
     def test_merged_window_is_refused(self, lb, dl):
         # windows inside the two-cycle regime whose support is one band:
         # the two-interval hypothesis fails, and the brute-force pair meets too
-        with pytest.raises(RegimeError, match="merge into one band"):
+        with pytest.raises(DomainError, match="merge into one band"):
             support_intervals(lb, dl)
         (_, p_hi), (q_lo, _) = grid_invariant_pair(lb, dl, n=50)
         assert p_hi >= q_lo
@@ -392,7 +402,9 @@ class TestSupportIntervals:
         1.5 ulps each."""
         try:
             sup = support_intervals(lb, dl)
-        except RegimeError:
+        except DomainError as exc:
+            if not re.search("touches the bifurcation boundary|merge into one band", str(exc)):
+                raise
             return
         a, b = lb - dl, lb + dl
         p, q = quartic_two_cycle(lb)
@@ -491,7 +503,7 @@ class TestConvexity:
         assert convexity_on_interval(3.2, (0.5, 0.5)) is True
 
     def test_validation(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="interval must satisfy"):
             convexity_on_interval(3.2, (0.5, 0.2))
 
 
@@ -544,6 +556,8 @@ class TestHFunctionRoots:
     @example(lam=math.nextafter(3.0, 4.0), eps=0.0)
     @example(lam=3 + 1e-7, eps=0.0)
     @example(lam=3 + 2e-7, eps=0.0)
+    # p_H and x*_H 3e-6 apart, in one scan cell, next to where they merge
+    @example(lam=3.0404545454545455, eps=0.0007745305530561034 * (1 - 1e-9))
     def test_matches_scalar_scan(self, lam, eps):
         # the polished quartic roots agree with the bracket scan to its
         # own bisection tolerance, and fail exactly where the scan does

@@ -27,7 +27,6 @@ from stochlogistic.maps import ParameterDistribution
 from stochlogistic.errors import (
     ConvergenceError,
     DomainError,
-    RegimeError,
     RootCountError,
 )
 
@@ -76,11 +75,11 @@ class TestDeterministicBifurcation:
 
     def test_domain_errors(self):
         sizes = {"n_init": 2, "n_iter": 3, "seed": 1}
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"must lie within \[0, 4\]"):
             deterministic_bifurcation(3.0, 4.5, step=0.5, **sizes)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="need lam_lo <= lam_hi"):
             deterministic_bifurcation(2.0, 1.0, step=0.1, **sizes)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="step must be > 0"):
             deterministic_bifurcation(1.0, 2.0, step=-0.1, **sizes)
 
     @settings(max_examples=40, deadline=None)
@@ -233,7 +232,7 @@ class TestStochasticBifurcation:
         assert keys == [(9, INIT_STREAM), *((9, g) for g in range(1, 31))]
 
     def test_window_domain_error(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"must lie within \[0, 4\]"):
             stochastic_bifurcation(0.05, 3.0, step=0.5, delta_lambda=0.1, n_init=2, n_iter=3, seed=1)
 
 
@@ -279,11 +278,11 @@ class TestDistributionEvolution:
     def test_checkpoint_validation(self):
         dist = ParameterDistribution(2.0, 0.0)
         sizes = {"n_particles": 10, "seed": 1, "n_bins": 5}
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="strictly ascending"):
             distribution_evolution(dist, checkpoints=(5, 5), **sizes)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="strictly ascending"):
             distribution_evolution(dist, checkpoints=(10, 2), **sizes)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="strictly ascending"):
             distribution_evolution(dist, checkpoints=(), **sizes)
 
 
@@ -319,11 +318,11 @@ class TestMeanComparison:
         assert rep.z_score == 0.0
 
     def test_straddle_error(self):
-        with pytest.raises(RegimeError):
+        with pytest.raises(DomainError, match="touches the bifurcation boundary at 3$"):
             mean_comparison(2.95, 0.1, FAST)
 
     def test_chaotic_center_fails(self):
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(ConvergenceError, match="no attracting cycle"):
             mean_comparison(3.9, 0.005, FAST)
 
     @pytest.mark.parametrize(
@@ -346,7 +345,7 @@ class TestMeanComparison:
         monkeypatch.setattr(experiments, "periodic_orbit", lambda lam: orbit)
         monkeypatch.setattr(experiments, "ensemble_time_mean", None)
         assert classify_regime(3.5 - 0.01, 3.5 + 0.01).value == "period4"
-        with pytest.raises(RegimeError, match=rf"^period4 window, .* length {len(orbit)}$"):
+        with pytest.raises(DomainError, match=rf"^period4 window, .* length {len(orbit)}$"):
             mean_comparison(3.5, 0.01, FAST)
 
     def test_reproducible(self):
@@ -484,10 +483,10 @@ class TestLemmaSuite:
         assert all(c.passed for c in report.checks)
 
     def test_regime_error(self):
-        with pytest.raises(RegimeError):
+        with pytest.raises(DomainError, match="touches the bifurcation boundary at 3.44949$"):
             lemma_suite(3.3, 0.2, FAST)
         # inside the two-cycle regime, but the support is one band
-        with pytest.raises(RegimeError, match="merge into one band"):
+        with pytest.raises(DomainError, match="merge into one band"):
             lemma_suite(3.2, 0.1, FAST)
 
     @pytest.mark.parametrize("lambda_bar", [3.02, 3.05, 3.2, 3.44])
@@ -498,7 +497,7 @@ class TestLemmaSuite:
         for h, pair in ladder:
             assert pair == support_intervals(lambda_bar, h)
         if hs[0] < 0.05:
-            with pytest.raises(RegimeError):
+            with pytest.raises(DomainError, match="merge into one band|touches the bifurcation boundary"):
                 support_intervals(lambda_bar, 2 * hs[0])
 
     @pytest.mark.parametrize(
@@ -608,8 +607,9 @@ class TestFlipFlopScan:
         # the scan the rho >= 3 centers were taken from: the longest run of
         # period-2^rho rates on the interior of the cascade grid.  Regenerated
         # from detect_period instead, the centers would move: it finds 8 at
-        # 3.564394140625 (scan: -1) and 16 at 3.5687378125 (scan: 32)
-        grid = np.linspace(analytic.LAMBDA_C4_END, analytic.LAMBDA_C2_OMEGA, 257)[1:-1]
+        # 3.564394140625 (scan: -1) and 16 at 3.5687378125 (scan: 32).  The
+        # grid starts at 3.54409, where it was made, not at the regime boundary
+        grid = np.linspace(3.54409, analytic.LAMBDA_C2_OMEGA, 257)[1:-1]
         periods = np.array([cascade_scan_period(lam) for lam in grid.tolist()])
         for rho in range(3, 7):
             hits = np.flatnonzero(periods == 2**rho)
@@ -624,16 +624,16 @@ class TestFlipFlopScan:
             assert len(periodic_orbit(center)) == detect_period(center) == 2**rho
 
     def test_validation(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="must be finite and > 0"):
             flipflop_scan((1,), 0.0, FAST)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="rho must be one of"):
             flipflop_scan((0,), 0.01, FAST)
 
     @pytest.mark.parametrize("delta", [math.inf, -math.inf, math.nan])
     def test_non_finite_delta_rejected(self, delta):
         # an infinite half-width used to be halved forever while the
         # window search looked for a usable one
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="must be finite and > 0"):
             flipflop_scan((1,), delta, FAST)
 
     def test_rows_are_mean_comparison_reports(self):

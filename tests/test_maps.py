@@ -52,7 +52,7 @@ class TestParameterDistribution:
         [(3.9, 0.2), (0.05, 0.1), (-0.5, 0.0), (4.5, 0.0), (2.0, -0.1)],
     )
     def test_invalid_support_rejected(self, lb, dl):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"must be >= 0|must lie within \[0, 4\]"):
             ParameterDistribution(lb, dl)
 
 
@@ -72,7 +72,7 @@ class TestLogisticStep:
     @pytest.mark.parametrize("lam,x", [(-0.1, 0.5), (4.1, 0.5), (2.0, -0.01), (2.0, 1.01)])
     def test_domain_errors(self, lam, x):
         # rates are checked by the distribution, states by the ensemble
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"all particles must lie in \[0, 1\]|must lie within \[0, 4\]"):
             step(lam, x)
 
     def test_unit_interval_invariance(self):
@@ -117,7 +117,7 @@ class TestIterateDeterministic:
         assert orbit[0] == 0.3
 
     def test_negative_n(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="n must be >= 0"):
             pf_iterate(Ensemble(np.array([0.5]), 0, 0), ParameterDistribution(2.0, 0.0), -1)
 
 

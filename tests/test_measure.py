@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from stochlogistic import measure
 from stochlogistic.analytic import fixed_point, period2_points, support_intervals
-from stochlogistic.errors import DomainError, EmptyPeakError
+from stochlogistic.errors import ConvergenceError, DomainError
 from stochlogistic.experiments import lemma_suite
 from stochlogistic.maps import ParameterDistribution, stream_rng
 from stochlogistic.measure import (
@@ -33,6 +33,10 @@ from stochlogistic.measure import (
 from oracles import bootstrap_variance_se, quartic_two_cycle
 
 
+#: The message of stationary_stats' ConvergenceError for an empty peak.
+_EMPTY_PEAK = "never visited one side of the threshold"
+
+
 class TestUniformEnsemble:
     def test_deterministic(self):
         a = uniform_ensemble(4, seed=11)
@@ -45,7 +49,7 @@ class TestUniformEnsemble:
         assert np.all(e.particles > 0.0) and np.all(e.particles < 1.0)
 
     def test_size_error(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="ensemble size must be >= 1"):
             uniform_ensemble(0, seed=1)
 
     def test_law_of_large_numbers(self):
@@ -95,7 +99,7 @@ class TestPfIterate:
         assert once.generation == twice.generation == 12
 
     def test_negative_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="n must be >= 0"):
             pf_iterate(uniform_ensemble(2, seed=1), ParameterDistribution(2.0, 0.0), -1)
 
 
@@ -311,7 +315,9 @@ class TestDriverFinals:
         cfg = MonteCarloConfig(n_particles=n, generations=generations, window=window, seed=seed)
         try:
             stats = stationary_stats(dist, cfg, companions=tuple(companions))
-        except EmptyPeakError:
+        except ConvergenceError as exc:
+            if _EMPTY_PEAK not in str(exc):
+                raise
             assume(False)
         finals = (stats.final, *stats.companion_finals)
         assert len(finals) == 1 + len(companions)
@@ -336,10 +342,12 @@ def _counting_fork():
 
 def _outcome(run):
     """The bytes of every array and float a windowed run returns, or the
-    type of the error it raises."""
+    type of the empty-peak error it raises."""
     try:
         out = run()
-    except EmptyPeakError as exc:
+    except ConvergenceError as exc:
+        if _EMPTY_PEAK not in str(exc):
+            raise
         return type(exc)
     if isinstance(out, measure.StationaryStats):
         arrays = (out.left_mean_pp, out.left_sq_pp, out.right_mean_pp)
@@ -397,7 +405,7 @@ class TestParticleSplit:
         split, whole, pids = _split_and_whole(run, split_min)
         assert split == whole
         assert len(pids) == (n >= split_min)
-        assume(split is not EmptyPeakError)
+        assume(split is not ConvergenceError)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -421,7 +429,7 @@ class TestParticleSplit:
         ladder = tuple(ParameterDistribution(3.2, h) for h in (0.05, 0.025, 0.0125, 0.00625))
         run = lambda: stationary_stats(ParameterDistribution(3.2, 0.05), cfg, ladder)  # noqa: E731
         split, whole, pids = _split_and_whole(run, measure._SPLIT_MIN)
-        assert split != EmptyPeakError and len(split) == 8
+        assert split != ConvergenceError and len(split) == 8
         assert split == whole and len(pids) == 1
 
     @settings(max_examples=60, deadline=None)
@@ -504,7 +512,7 @@ class TestStationaryStats:
     def test_window_validation(self):
         dist = ParameterDistribution(3.208, 0.024)
         cfg = MonteCarloConfig(n_particles=10, generations=100, window=50, seed=1)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="need 0 < window <= generations"):
             stationary_stats(dist, replace(cfg, window=200))
 
 
@@ -549,8 +557,19 @@ class TestVarianceOfRightPeak:
         # all left of the threshold 0.6875, then all right of it
         for particles in ([0.1, 0.2, 0.3], [0.7, 0.8, 0.9]):
             e = Ensemble(np.array(particles), generation=0, base_seed=0)
-            with pytest.raises(EmptyPeakError):
+            with pytest.raises(ConvergenceError, match="not converged to a two-peak distribution"):
                 variance_of_right_peak(3.2, e)
+
+    @pytest.mark.parametrize("lambda_bar", [0.9, 1.0])
+    def test_threshold_needs_lambda_bar_above_one(self, lambda_bar):
+        # (lambda_bar - 1)/lambda_bar is no split point there: a bad argument,
+        # refused as stationary_stats refuses it, not an unconverged ensemble
+        e = Ensemble(np.array([0.1, 0.5, 0.9]), generation=0, base_seed=0)
+        with pytest.raises(DomainError, match="^peak threshold needs lambda_bar > 1$"):
+            variance_of_right_peak(lambda_bar, e)
+        cfg = MonteCarloConfig(n_particles=2, generations=2, window=1, seed=0)
+        with pytest.raises(DomainError, match="^peak threshold needs lambda_bar > 1$"):
+            stationary_stats(ParameterDistribution(lambda_bar, 0.0), cfg)
 
 
 class TestRightDerivativeProfile:
@@ -590,9 +609,9 @@ class TestTimeAverages:
         assert mean == pytest.approx(0.6, abs=1e-9)
 
     def test_length_error(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="need 0 < window <= generations"):
             ensemble_time_mean(ParameterDistribution(2.0, 0.0), replace(self.CFG, window=2001))
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="need 0 < window <= generations"):
             ensemble_time_mean(ParameterDistribution(2.0, 0.0), replace(self.CFG, window=0))
 
     def test_batch_se_positive(self):
@@ -660,15 +679,15 @@ class TestHistogram:
 
 class TestEnsembleValidation:
     def test_bounds(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"all particles must lie in \[0, 1\]"):
             Ensemble(np.array([0.5, 1.5]), generation=0, base_seed=0)
 
     def test_empty(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="at least one particle"):
             Ensemble(np.array([]), generation=0, base_seed=0)
 
     def test_nan_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"all particles must lie in \[0, 1\]"):
             Ensemble(np.array([np.nan, 0.5]), 0, 0)
 
 
@@ -736,19 +755,19 @@ class TestMonteCarloConfig:
     def test_seed_outside_64_bits_rejected(self, seed):
         # the streams refuse such a seed only at the first draw, with
         # OverflowError; the configuration refuses it up front
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="seed must be an integer"):
             MonteCarloConfig(**{**self.SIZES, "seed": seed})
 
     def test_derived_seed_past_the_top_rejected(self):
         assert MonteCarloConfig(**{**self.SIZES, "seed": 0}).seed == 0
         top = MonteCarloConfig(**{**self.SIZES, "seed": 2**64 - 1})
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="seed must be an integer"):
             replace(top, seed=top.seed + 1)
 
     def test_validation(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="n_particles must be >= 2"):
             MonteCarloConfig(**{**self.SIZES, "n_particles": 0})
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="n_particles must be >= 2"):
             MonteCarloConfig(**{**self.SIZES, "n_particles": 1})  # no standard error from one particle
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="need 0 < window <= generations"):
             MonteCarloConfig(**{**self.SIZES, "window": 5000, "generations": 2000})

@@ -128,7 +128,7 @@ def test_every_traced_metric_is_present():
 
 
 #: Standing budget of non-blank lines in src/stochlogistic/*.py.
-LOC_BUDGET = 1634
+LOC_BUDGET = 1625
 
 
 def test_src_stays_within_the_line_budget():
