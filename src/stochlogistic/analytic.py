@@ -32,7 +32,8 @@ LAMBDA_C3 = 1.0 + math.sqrt(8.0)
 #: x = 0.5 is in the attracting basin throughout the stable-periodic range.
 PERIOD_BURN_IN = 10_000
 _MAX_PERIOD = 64
-#: Newton steps on f^k(x) - x: 8, and on to 32 only where 8 leave it unclosed.
+#: Newton steps on f^k(x) - x: at least 8, and from the 8th on it stops at the
+#: first step that finds it closed, by 32 at the latest.
 _NEWTON_STEPS = (8, 32)
 #: Images support_intervals takes before it gives up.
 _MAX_IMAGES = 200_000
@@ -46,14 +47,6 @@ class Regime(enum.Enum):
     PERIOD2 = "period2"
     PERIOD4 = "period4"
     CASCADE = "cascade_or_beyond"
-
-
-@dataclass(frozen=True)
-class Period2Pair:
-    """The attracting two-cycle {p, q} of the fixed-rate map, p <= q."""
-
-    p: float
-    q: float
 
 
 @dataclass(frozen=True)
@@ -88,8 +81,8 @@ def fixed_point(lam: float) -> float:
     return (lam - 1.0) / lam
 
 
-def period2_points(lam: float) -> Period2Pair:
-    """The two-cycle points, the non-fixed-point roots of the quartic
+def period2_points(lam: float) -> tuple[float, float]:
+    """The two-cycle (p, q), p <= q, the non-fixed-point roots of the quartic
     lam^2 x(1-x)(1 - lam x(1-x)) = x:
 
         p, q = ((lam + 1) -/+ sqrt((lam - 3)(lam + 1))) / (2 lam)
@@ -99,9 +92,7 @@ def period2_points(lam: float) -> Period2Pair:
             f"two-cycle requires lam >= 3 (discriminant is negative at {lam})"
         )
     root = math.sqrt((lam - 3.0) * (lam + 1.0))
-    p = (lam + 1.0 - root) / (2.0 * lam)
-    q = (lam + 1.0 + root) / (2.0 * lam)
-    return Period2Pair(p=p, q=q)
+    return (lam + 1.0 - root) / (2.0 * lam), (lam + 1.0 + root) / (2.0 * lam)
 
 
 _BOUNDARIES = (
@@ -154,18 +145,19 @@ def _attracting_cycle(lam: float) -> list[float]:
     """The attracting cycle in orbit order: 0, x* or {p, q} in closed form
     up to 1 + sqrt(6).  Above, Newton on f^k(x) - x (slope by the chain
     rule) runs from the orbit of x0 = 0.5 after PERIOD_BURN_IN steps for
-    k = 1..64, for 8 steps, or 32 where 8 leave |f^k(x) - x| >= 1e-12 (just
-    past a doubling the root is near-triple and Newton converges only
-    linearly); the first root of least period k whose multiplier
-    prod lam(1 - 2 x_j) lies inside (-1, 1) is the cycle.  The map has
+    k = 1..64: 8 steps, then on to 32 until one finds |f^k(x) - x| < 1e-12
+    (just past a doubling the root is near-triple, so Newton converges only
+    linearly, and steps past closure drift once slope - 1 is lost in
+    rounding).  The first root of least period k whose multiplier
+    prod lam(1 - 2 x_j) lies inside (-1, 1) is the cycle: the map has
     negative Schwarzian derivative, so it has at most one attracting cycle
-    (Singer 1978): every other root Newton finds repels and is passed over."""
+    (Singer 1978), and every other root Newton finds repels."""
     if not 0.0 <= lam <= 4.0:
         raise DomainError(f"growth rate must lie in [0, 4], got {lam}")
     if lam <= LAMBDA_C2:
         return [fixed_point(lam) if lam > 1.0 else 0.0]
     if lam <= LAMBDA_C4:
-        return [(pair := period2_points(lam)).p, pair.q]
+        return list(period2_points(lam))
     start = 0.5
     for _ in range(PERIOD_BURN_IN):
         start = lam * start * (1.0 - start)
@@ -176,7 +168,7 @@ def _attracting_cycle(lam: float) -> list[float]:
             for _ in range(k):
                 slope *= lam * (1.0 - 2.0 * y)
                 y = lam * y * (1.0 - y)
-            if slope == 1.0 or step == _NEWTON_STEPS[0] and abs(y - x) < 1e-12:
+            if slope == 1.0 or step >= _NEWTON_STEPS[0] and abs(y - x) < 1e-12:
                 break
             x -= (y - x) / (slope - 1.0)
         cycle, y, multiplier = [], x, 1.0
@@ -225,8 +217,8 @@ def support_intervals(lambda_bar: float, delta_lambda: float) -> SupportInterval
     a, b = lambda_bar - delta_lambda, lambda_bar + delta_lambda
     if classify_regime(a, b) is not Regime.PERIOD2:
         raise DomainError(f"window [{a}, {b}] must lie strictly inside ({LAMBDA_C2:g}, {LAMBDA_C4:g})")
-    pair = period2_points(lambda_bar)
-    cur = (pair.p, pair.p, pair.q, pair.q)
+    p, q = period2_points(lambda_bar)
+    cur = (p, p, q, q)
     for _ in range(_MAX_IMAGES):
         p_lo, p_hi, q_lo, q_hi = cur
         (ip_lo, ip_hi), (iq_lo, iq_hi) = _image(a, b, q_lo, q_hi), _image(a, b, p_lo, p_hi)

@@ -12,11 +12,13 @@ Artifacts are written as CSV/JSON/SVG, in that order, under the output
 directory (--outdir, else $STOCHLOGISTIC_OUTDIR, else the working
 directory) with names <subcommand>-<lambda_bar>-<delta>-<seed>.<ext>,
 every digit kept; verify and flipflop have no drawing and reject --format
-svg.  Settings come from defaults, then an optional flat key=value config
-file (--config), then explicit flags, in increasing precedence, all filled
-in _resolve; --scale (compare, verify and flipflop) picks the row of
-_SCALES that sizes what no flag or key sets, its window clipped to the
-generations.  OPTIONS defines every flag and config key, and a config
+svg.  Each run formats its own CSV lines, header first: the cells
+joined by "," and each line ended by CRLF, which are csv.writer's bytes
+since no cell holds a comma, quote or line break.  Settings come from
+defaults, then an optional flat key=value config file (--config), then
+explicit flags, in increasing precedence, all filled in _resolve;
+--scale (compare, verify and flipflop) picks the row of _SCALES that
+sizes what no flag or key sets, its window clipped to the generations.  OPTIONS defines every flag and config key, and a config
 file may set only its subcommand's flags.  A default fills a setting
 only when it is missing, so an explicit zero is validated, never
 replaced.  The seed, in [0, 2**64), defaults to 12345, never the clock.
@@ -32,12 +34,10 @@ DomainError), 1 for any other failure, a ConvergenceError among them.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
 import sys
-from itertools import chain
 from pathlib import Path
 
 from .errors import DomainError
@@ -203,15 +203,20 @@ def _num(v: float) -> str:
     return repr(float(v)).removesuffix(".0")
 
 
+def _csv_row(cells) -> str:
+    """One CSV line: the cells' str joined by "," and ended by CRLF."""
+    return ",".join(map(str, cells)) + "\r\n"
+
+
 def _write(ns, mid: str, delta: float, payload, rows, svg=None) -> int:
     """Write <outdir>/<subcommand>-<mid>-<delta>-<seed>.<ext> for every
     requested format, in the order csv, json, svg, and print each path.
 
-    ``rows`` is an iterable of CSV rows, header first, streamed to disk,
-    or a function that yields the CSV text already formatted, a piece at a time;
-    ``payload`` returns the JSON object (arrays and reports encoded by
-    _json_default) and ``svg`` the drawing (None for the subcommands in
-    _NO_SVG, which reject --format svg up front).
+    ``rows`` yields the CSV text, formatted by the run a line at a time,
+    header first, and streamed to disk; ``payload`` returns the JSON
+    object (arrays and reports encoded by _json_default) and ``svg`` the
+    drawing (None for the subcommands in _NO_SVG, which reject --format
+    svg up front).
     Nothing is produced for a format that was not requested.
     """
     for ext in _FORMATS:
@@ -220,10 +225,7 @@ def _write(ns, mid: str, delta: float, payload, rows, svg=None) -> int:
         path = ns.outdir / f"{ns.subcommand}-{mid}-{_num(delta)}-{ns.seed}.{ext}"
         if ext == "csv":
             with open(path, "w", newline="", encoding="utf-8") as fh:
-                if callable(rows):
-                    fh.writelines(rows())
-                else:
-                    csv.writer(fh).writerows(rows)
+                fh.writelines(rows())
         else:
             text = svg() if ext == "svg" else json.dumps(
                 payload(), default=_json_default, indent=2, sort_keys=True) + "\n"
@@ -255,8 +257,7 @@ def _run_bifurcation(ns) -> int:
     )
 
     def sweep_csv():
-        # long format in csv.writer's bytes, streamed one grid row at a time:
-        # the row's rate is formatted once into a pattern with a slot per state
+        # one grid row at a time: its rate is formatted once into a pattern with a slot per state
         yield "parameter,terminal_state\r\n"
         for lam, row in zip(data.parameters.tolist(), data.terminal_states):
             yield ("%.17g,%%.17g\r\n" % lam) * len(row) % tuple(row.tolist())
@@ -284,10 +285,11 @@ def _run_evolve(ns) -> int:
     snaps = list(zip(ns.checkpoints, hists))
 
     def rows():
+        yield "generation,bin_lo,bin_hi,count,density\r\n"
         for g, h in snaps:
             edges = h.edges.tolist()
             for lo, hi, count, dens in zip(edges, edges[1:], h.counts.tolist(), h.density().tolist()):
-                yield g, f"{lo:.17g}", f"{hi:.17g}", count, f"{dens:.17g}"
+                yield f"{g},{lo:.17g},{hi:.17g},{count},{dens:.17g}\r\n"
 
     def payload() -> dict:
         return {
@@ -302,7 +304,7 @@ def _run_evolve(ns) -> int:
         _num(ns.lambda_bar),
         ns.delta,
         payload,
-        chain([("generation", "bin_lo", "bin_hi", "count", "density")], rows()),
+        rows,
         lambda: svgplot.render_histograms(
             hists,
             labels=tuple(f"generation {g}" for g in ns.checkpoints),
@@ -332,9 +334,8 @@ def _run_compare(ns) -> int:
             title=f"invariant distribution at {ns.lambda_bar:g} +/- {ns.delta:g}",
         )
 
-    return _write(
-        ns, _num(ns.lambda_bar), ns.delta, report.to_dict, [list(fields), list(fields.values())], svg
-    )
+    rows = (fields, fields.values())
+    return _write(ns, _num(ns.lambda_bar), ns.delta, report.to_dict, lambda: map(_csv_row, rows), svg)
 
 
 def _run_verify(ns) -> int:
@@ -344,7 +345,7 @@ def _run_verify(ns) -> int:
     for check in report.checks:
         print(f"{check.name}: {'PASS' if check.passed else 'FAIL'}")
     rows = [("check", "passed"), *((check.name, check.passed) for check in report.checks)]
-    return _write(ns, _num(ns.lambda_bar), ns.delta, report.to_dict, rows)
+    return _write(ns, _num(ns.lambda_bar), ns.delta, report.to_dict, lambda: map(_csv_row, rows))
 
 
 def _run_flipflop(ns) -> int:
@@ -357,9 +358,9 @@ def _run_flipflop(ns) -> int:
             f"+/- {row.delta_lambda:g}: sign {row.sign} z={row.z_score:+.2f} "
             f"[{row.verdict}]"
         )
-    rows = [list(report.rows[0].to_dict()), *(list(r.to_dict().values()) for r in report.rows)]
+    rows = [report.rows[0].to_dict(), *(r.to_dict().values() for r in report.rows)]
     mid = "-".join(str(r.rho) for r in report.rows)
-    return _write(ns, mid, ns.delta, report.to_dict, rows)
+    return _write(ns, mid, ns.delta, report.to_dict, lambda: map(_csv_row, rows))
 
 
 #: subcommand -> (runner, help, its option keys, which are also the keys
@@ -398,7 +399,7 @@ _SUBCOMMANDS = {
 }
 
 
-# shim: stochbench/test_bench.py asserts cli holds these two; ROADMAP item 3 deletes it with those asserts
+# shim: stochbench/test_bench.py asserts cli holds these two; ROADMAP item 5 deletes it with those asserts
 def __getattr__(name: str):
     if name not in ("pf_iterate", "uniform_ensemble"):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

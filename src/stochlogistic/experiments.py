@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import analytic
-from .analytic import Regime, classify_regime, detect_period, periodic_orbit
+from .analytic import classify_regime, detect_period, periodic_orbit
 from .errors import ConvergenceError, DomainError, RootCountError
 from .maps import ParameterDistribution, stream_rng
 from .measure import (
@@ -192,8 +192,7 @@ def mean_comparison(
     attracting cycle of the fixed-rate map at lambda_bar; returns the
     report and the ensemble's final snapshot, at cfg.generations.
 
-    The window of the rates must sit strictly inside one regime; in the
-    period-4 regime the detected cycle at lambda_bar must have length 4.  The
+    The window of the rates must sit strictly inside one regime.  The
     stochastic mean pools the trailing window of generations (clipped to
     a multiple of the cycle length so both cycle phases contribute
     equally); its standard error comes from the spread of per-particle
@@ -202,8 +201,6 @@ def mean_comparison(
     regime = classify_regime(lambda_bar - delta_lambda, lambda_bar + delta_lambda)
     orbit = periodic_orbit(lambda_bar)
     period, det_mean = len(orbit), float(np.mean(orbit))
-    if regime is Regime.PERIOD4 and period != 4:  # through period two the cycle is a closed form
-        raise DomainError(f"{regime.value} window, but the cycle at lam={lambda_bar} has length {period}")
     cfg = replace(cfg, window=_parity_window(cfg.window, period))
     stoch_mean, se, final = ensemble_time_mean(ParameterDistribution(lambda_bar, delta_lambda), cfg)
     diff = stoch_mean - det_mean
@@ -256,7 +253,7 @@ def _variance_ladder(lambda_bar: float) -> list[tuple[float, analytic.SupportInt
 
 
 def _root_chain_check(lambda_bar: float) -> LemmaCheck:
-    pair = analytic.period2_points(lambda_bar)
+    p, q = analytic.period2_points(lambda_bar)
     x_star = analytic.fixed_point(lambda_bar)
     # quarter epsilon, to 3.6e-15, until H has four real zeros: next to lam = 3 only a tiny one does
     for eps in (1e-3 / 4**k for k in range(20)):
@@ -268,11 +265,11 @@ def _root_chain_check(lambda_bar: float) -> LemmaCheck:
     else:
         return LemmaCheck("shifted_root_ordering", False, {"error": "no four roots"})
     z_h, p_h, xs_h, q_h = roots
-    ok = z_h < 0.0 < pair.p < p_h < xs_h < x_star < pair.q < q_h
+    ok = z_h < 0.0 < p < p_h < xs_h < x_star < q < q_h
     return LemmaCheck(
         "shifted_root_ordering",
         bool(ok),
-        {"epsilon": eps, "roots": list(roots), "p": pair.p, "x_star": x_star, "q": pair.q},
+        {"epsilon": eps, "roots": list(roots), "p": p, "x_star": x_star, "q": q},
     )
 
 
@@ -331,7 +328,7 @@ def lemma_suite(
     )
 
     # (iii) left-peak shift above p(lambda_bar)
-    p_center = analytic.period2_points(lambda_bar).p
+    p_center, _ = analytic.period2_points(lambda_bar)
     gap_pp = stats.left_mean_pp - p_center
     gap = float(gap_pp.mean())
     gap_se = standard_error(gap_pp)

@@ -78,19 +78,19 @@ class TestFixedPoints:
 
 class TestPeriod2Points:
     def test_degenerate_at_first_doubling(self):
-        pair = period2_points(3.0)
-        assert pair.p == pair.q == pytest.approx(2.0 / 3.0, abs=1e-15)
+        p, q = period2_points(3.0)
+        assert p == q == pytest.approx(2.0 / 3.0, abs=1e-15)
 
     @pytest.mark.parametrize("lam", [3.0001, 3.001, 3.01, 3.2, 3.449])
     def test_against_quartic_roots(self, lam):
-        pair = period2_points(lam)
-        p, q = quartic_two_cycle(lam)
-        assert pair.p == pytest.approx(p, abs=1e-12)
-        assert pair.q == pytest.approx(q, abs=1e-12)
+        p, q = period2_points(lam)
+        want_p, want_q = quartic_two_cycle(lam)
+        assert p == pytest.approx(want_p, abs=1e-12)
+        assert q == pytest.approx(want_q, abs=1e-12)
 
     def test_sum_rule(self):
-        pair = period2_points(3.4)
-        assert pair.p + pair.q == pytest.approx(4.4 / 3.4, abs=1e-14)
+        p, q = period2_points(3.4)
+        assert p + q == pytest.approx(4.4 / 3.4, abs=1e-14)
 
     def test_below_three_rejected(self):
         with pytest.raises(DomainError, match="two-cycle requires lam >= 3"):
@@ -99,16 +99,16 @@ class TestPeriod2Points:
     def test_vieta_property(self):
         rng = np.random.default_rng(2)
         for lam in rng.uniform(3.0 + 1e-9, LAMBDA_C4 - 1e-9, 1000):
-            pair = period2_points(lam)
-            assert abs(pair.p + pair.q - (lam + 1.0) / lam) < 1e-12
-            assert abs(pair.p * pair.q - (lam + 1.0) / lam**2) < 1e-12
+            p, q = period2_points(lam)
+            assert abs(p + q - (lam + 1.0) / lam) < 1e-12
+            assert abs(p * q - (lam + 1.0) / lam**2) < 1e-12
 
     def test_swap_property(self):
         rng = np.random.default_rng(3)
         for lam in rng.uniform(3.0 + 1e-9, LAMBDA_C4 - 1e-9, 1000):
-            pair = period2_points(lam)
-            assert abs(lam * pair.p * (1 - pair.p) - pair.q) < 1e-12
-            assert abs(lam * pair.q * (1 - pair.q) - pair.p) < 1e-12
+            p, q = period2_points(lam)
+            assert abs(lam * p * (1 - p) - q) < 1e-12
+            assert abs(lam * q * (1 - q) - p) < 1e-12
 
 
 class TestPeriod2Average:
@@ -117,14 +117,14 @@ class TestPeriod2Average:
 
     def test_values(self):
         for lam, want in ((3.0, 2.0 / 3.0), (3.2, 0.65625), (3.208, 4.208 / 6.416)):
-            pair = period2_points(lam)
-            assert 0.5 * (pair.p + pair.q) == pytest.approx(want, abs=1e-15)
+            p, q = period2_points(lam)
+            assert 0.5 * (p + q) == pytest.approx(want, abs=1e-15)
         assert float(np.mean(periodic_orbit(3.2))) == pytest.approx(0.65625, abs=1e-15)
 
     def test_matches_pair_mean(self):
-        pair = period2_points(3.3)
+        p, q = period2_points(3.3)
         avg = two_cycle_mean(3.3)
-        assert abs(0.5 * (pair.p + pair.q) - avg) <= 2 * np.spacing(avg)
+        assert abs(0.5 * (p + q) - avg) <= 2 * np.spacing(avg)
         assert abs(float(np.mean(periodic_orbit(3.3))) - avg) <= 2 * np.spacing(avg)
 
 
@@ -224,8 +224,7 @@ class TestDetectPeriod:
         if length == 1:
             assert orbit == pytest.approx([fixed_point(lam)], abs=1e-12)
         elif length == 2:
-            pair = period2_points(lam)
-            assert orbit == pytest.approx([pair.p, pair.q], abs=1e-12)
+            assert orbit == pytest.approx(list(period2_points(lam)), abs=1e-12)
             assert float(np.mean(orbit)) == pytest.approx((lam + 1.0) / (2.0 * lam), abs=1e-12)
 
     @pytest.mark.parametrize("k", range(7, 16))
@@ -243,12 +242,17 @@ class TestDetectPeriod:
     @pytest.mark.parametrize(
         "lam,period",
         [*((LAMBDA_C4 + 10.0**-k, 4) for k in range(7, 16)), (math.nextafter(LAMBDA_C4, 4.0), 4),
-         (3.5440903595519229 + 6e-8, 8)],
+         (3.5440903595519229 + 6e-8, 8),
+         *((LAMBDA_C4 + n * math.ulp(LAMBDA_C4), 4) for n in (22, 25, 26, 38, 42, 59)),
+         *((LAMBDA_C4_END + n * math.ulp(LAMBDA_C4_END), 8) for n in (5, 10, 12, 13, 23, 36, 40, 44, 51, 57))],
     )
     def test_cycle_just_past_a_later_doubling(self, lam, period):
         # past 1 + sqrt(6) and the period-8 onset f^k(x) - x has a near-triple
         # root as well; 8 Newton steps leave it unclosed, and used to raise
-        # ConvergenceError, so the search goes on to 32 before trying k + 1
+        # ConvergenceError, so the search goes on to 32 before trying k + 1.
+        # The rates n ulps up, every one within 64 ulps that raised, did so
+        # because Newton ran on past the step that closed f^k(x) - x and
+        # drifted off; so the search stops at the first closed step
         assert detect_period(lam) == period
 
     @settings(max_examples=100, deadline=None)
@@ -264,8 +268,7 @@ class TestDetectPeriod:
         if lam <= 3.0:
             expected = [fixed_point(lam)]
         else:
-            pair = period2_points(lam)
-            expected = [pair.p, pair.q]
+            expected = list(period2_points(lam))
         assert periodic_orbit(lam) == expected
 
     @settings(max_examples=60, deadline=None)
@@ -327,8 +330,7 @@ class TestPeriodicOrbit:
         # returned cycle is the closed form, not the orbit after a
         # burn-in (which sits ~3e-4 off the pair)
         lam = 3.0001
-        pair = period2_points(lam)
-        assert periodic_orbit(lam) == pytest.approx([pair.p, pair.q], abs=1e-12)
+        assert periodic_orbit(lam) == pytest.approx(list(period2_points(lam)), abs=1e-12)
 
 
 class TestSupportIntervals:
@@ -343,12 +345,12 @@ class TestSupportIntervals:
         assert sup.q_hi == (3.2 + 0.05) / 4.0
 
     def test_degenerate_window(self):
-        pair = period2_points(3.2)
+        p, q = period2_points(3.2)
         sup = support_intervals(3.2, 0.0)
-        assert sup.p_lo == pytest.approx(pair.p, abs=1e-14)
-        assert sup.p_hi == pytest.approx(pair.p, abs=1e-14)
-        assert sup.q_lo == pytest.approx(pair.q, abs=1e-14)
-        assert sup.q_hi == pytest.approx(pair.q, abs=1e-14)
+        assert sup.p_lo == pytest.approx(p, abs=1e-14)
+        assert sup.p_hi == pytest.approx(p, abs=1e-14)
+        assert sup.q_lo == pytest.approx(q, abs=1e-14)
+        assert sup.q_hi == pytest.approx(q, abs=1e-14)
 
     def test_window_below_vertex(self):
         # I_p sits right of the vertex, where the map decreases: the
@@ -514,15 +516,15 @@ class TestHFunctionRoots:
     def test_unshifted_roots(self, lam):
         # at epsilon = 0 the zeros are {0, p, x*, q}, to rounding down to
         # lam = 3 + 1 ulp, where p, x* and q lie within 1e-8 of each other
-        pair = period2_points(lam)
-        want = (0.0, pair.p, fixed_point(lam), pair.q)
+        p, q = period2_points(lam)
+        want = (0.0, p, fixed_point(lam), q)
         assert h_function_roots(lam, 0.0) == pytest.approx(want, abs=1e-15, rel=0)
 
     def test_shifted_root_chain(self):
-        pair = period2_points(3.2)
+        p, q = period2_points(3.2)
         x_star = fixed_point(3.2)
         z_h, p_h, xs_h, q_h = h_function_roots(3.2, 0.001)
-        assert z_h < 0.0 < pair.p < p_h < xs_h < x_star < pair.q < q_h
+        assert z_h < 0.0 < p < p_h < xs_h < x_star < q < q_h
 
     def test_excessive_shift(self):
         with pytest.raises(RootCountError):
@@ -572,11 +574,11 @@ class TestHFunctionRoots:
     def test_ordering_property_across_rates(self):
         rng = np.random.default_rng(7)
         for lam in rng.uniform(3.05, 3.4, 1000):
-            pair = period2_points(lam)
+            p, q = period2_points(lam)
             x_star = fixed_point(lam)
             eps = 1e-4
             z_h, p_h, xs_h, q_h = h_function_roots(lam, eps)
-            assert z_h < 0.0 < pair.p < p_h < xs_h < x_star < pair.q < q_h
+            assert z_h < 0.0 < p < p_h < xs_h < x_star < q < q_h
 
 
 class TestBandGeometry:

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -199,6 +200,16 @@ class TestBifurcation:
         )
         assert code == 0
         assert (tmp_path / "bifurcation-stochastic-1.5to2.5-0.1-12345.svg").exists()
+
+    def test_single_rate_svg(self, tmp_path):
+        # a one-rate grid has a zero-width x range, which the canvas widens
+        argv = ["bifurcation", "--from", "3", "--to", "3", "--step", "0.1", "--n-init", "5",
+                "--n-iter", "50", "--format", "svg"]
+        assert run(argv, tmp_path) == 0
+        root = ElementTree.parse(tmp_path / "bifurcation-deterministic-3to3-0-12345.svg").getroot()
+        dots = root.findall(".//{http://www.w3.org/2000/svg}circle")
+        assert len(dots) == 5
+        assert len({dot.get("cx") for dot in dots}) == 1 and math.isfinite(float(dots[0].get("cx")))
 
 
 class TestEvolve:
@@ -500,6 +511,59 @@ class TestArtifactWriter:
     def test_short_values_keep_their_g_text(self, v):
         # the names of the goldens and the benchmark's artifacts keep their bytes
         assert cli._num(v) == f"{v:g}"
+
+
+def _same_value(text: str, value) -> bool:
+    """A CSV cell and the JSON value of the same field agree."""
+    if isinstance(value, (str, bool)):
+        return text == str(value)
+    return float(text) == float(value)
+
+
+class TestCsvReadsBackToJson:
+    """Every run's CSV, read by csv.reader, holds its JSON's fields and values."""
+
+    @staticmethod
+    def both(argv, tmp_path):
+        assert run([*argv, "--format", "csv,json"], tmp_path) == 0
+        (csv_path,) = tmp_path.glob("*.csv")
+        with open(csv_path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        return rows, json.loads(csv_path.with_suffix(".json").read_text(encoding="utf-8"))
+
+    # the extinction window's mean decays to about 1e-94, written with an exponent
+    @pytest.mark.parametrize("lambda_bar, delta", [("3.208", "0.024"), ("0.5", "0")])
+    def test_compare(self, lambda_bar, delta, tmp_path):
+        rows, payload = self.both(["compare", "--lambda-bar", lambda_bar, "--delta", delta, *FAST_COMPARE], tmp_path)
+        header, values = rows
+        assert sorted(header) == sorted(payload)
+        assert all(_same_value(cell, payload[k]) for k, cell in zip(header, values))
+
+    def test_verify(self, tmp_path):
+        rows, payload = self.both(["verify", "--lambda-bar", "3.2", "--delta", "0.05", "--particles", "400",
+                                   "--generations", "400", "--window", "200"], tmp_path)
+        assert rows == [["check", "passed"], *([c["name"], str(c["passed"])] for c in payload["checks"])]
+
+    def test_flipflop(self, tmp_path):
+        rows, payload = self.both(["flipflop", "--rho", "1,2", *FAST_COMPARE], tmp_path)
+        header, *cells = rows
+        assert sorted(header) == sorted(payload["rows"][0]) and len(cells) == len(payload["rows"]) == 2
+        for row, want in zip(cells, payload["rows"]):
+            assert all(_same_value(cell, want[k]) for k, cell in zip(header, row))
+
+    def test_evolve(self, tmp_path):
+        rows, payload = self.both(["evolve", "--lambda-bar", "3.208", "--delta", "0.024", "--particles", "300",
+                                   "--checkpoints", "0,5", "--bins", "7"], tmp_path)
+        assert rows[0] == ["generation", "bin_lo", "bin_hi", "count", "density"]
+        want = []
+        for snap in payload["snapshots"]:
+            edges, counts = snap["edges"], snap["counts"]
+            for lo, hi, count in zip(edges, edges[1:], counts):
+                want.append([snap["generation"], lo, hi, count, count / (sum(counts) * (hi - lo))])
+        assert len(rows) == 1 + len(want) == 1 + 2 * 7
+        for row, values in zip(rows[1:], want):
+            assert all(_same_value(cell, v) for cell, v in zip(row[:4], values[:4]))
+            assert float(row[4]) == pytest.approx(values[4], rel=1e-15)
 
 
 class TestConfigFile:

@@ -337,16 +337,19 @@ class TestMeanComparison:
         rep, _ = mean_comparison(lambda_bar, delta, FAST)
         assert (rep.regime, rep.period) == (regime, length)
 
-    @pytest.mark.parametrize("orbit", [[0.5, 0.8], [0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.85, 0.9]])
-    def test_period4_cycle_length_must_match_the_regime(self, orbit, monkeypatch):
-        # a detected cycle of another length than 4 in a period-4 window is
-        # refused before any ensemble runs, so no report names one period
-        # and the other; through period two the cycle is a closed form
-        monkeypatch.setattr(experiments, "periodic_orbit", lambda lam: orbit)
-        monkeypatch.setattr(experiments, "ensemble_time_mean", None)
-        assert classify_regime(3.5 - 0.01, 3.5 + 0.01).value == "period4"
-        with pytest.raises(DomainError, match=rf"^period4 window, .* length {len(orbit)}$"):
-            mean_comparison(3.5, 0.01, FAST)
+    def test_period4_regime_bounds_are_where_the_cycle_length_changes(self):
+        # mean_comparison takes the period from the cycle and the regime from
+        # the table: they agree because the cycle has length 4 at the 64
+        # floats inside each end of the period-4 regime, and not at its ends
+        inside = []
+        for end, toward in ((analytic.LAMBDA_C4, 4.0), (analytic.LAMBDA_C4_END, 0.0)):
+            lam = end
+            for _ in range(64):
+                lam = math.nextafter(lam, toward)
+                inside.append(lam)
+        assert {classify_regime(lam, lam).value for lam in inside} == {"period4"}
+        assert {detect_period(lam) for lam in inside} == {4}
+        assert detect_period(analytic.LAMBDA_C4) == 2 and detect_period(analytic.LAMBDA_C4_END) == 8
 
     def test_reproducible(self):
         a, _ = mean_comparison(3.208, 0.024, FAST)

@@ -118,9 +118,9 @@ class TestMoments:
         assert standard_error(x) ** 2 * len(x) == pytest.approx(1.0 / 12.0, abs=5e-4)
 
     def test_two_mass_mean(self):
-        pair = period2_points(3.2)
-        se = standard_error(np.array([pair.p, pair.q]))
-        assert se == pytest.approx((pair.q - pair.p) / 2.0, abs=1e-12)
+        p, q = period2_points(3.2)
+        se = standard_error(np.array([p, q]))
+        assert se == pytest.approx((q - p) / 2.0, abs=1e-12)
 
 
 def _split(x: np.ndarray, lambda_bar: float) -> tuple[np.ndarray, np.ndarray, float]:
@@ -139,12 +139,12 @@ class TestSplitPeaks:
         assert abs(len(left) / 2000 - 0.5) < 0.05
 
     def test_degenerate_point_masses(self):
-        pair = period2_points(3.2)
+        p, q = period2_points(3.2)
         dist = ParameterDistribution(3.2, 0.0)
         e = pf_iterate(uniform_ensemble(512, seed=10), dist, 2000)
         left, right, _ = _split(e.particles, 3.2)
-        assert np.allclose(left, pair.p, atol=1e-9)
-        assert np.allclose(right, pair.q, atol=1e-9)
+        assert np.allclose(left, p, atol=1e-9)
+        assert np.allclose(right, q, atol=1e-9)
 
     def test_alternation(self):
         # one step maps the left peak entirely across the threshold and
