@@ -11,9 +11,7 @@ the shifted peaks of that distribution.
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,43 +37,6 @@ _NEWTON_STEPS = (8, 32)
 _MAX_IMAGES = 200_000
 
 
-class Regime(enum.Enum):
-    """Stability regime of a growth-rate interval."""
-
-    EXTINCTION = "extinction"
-    PERIOD1 = "period1"
-    PERIOD2 = "period2"
-    PERIOD4 = "period4"
-    CASCADE = "cascade_or_beyond"
-
-
-@dataclass(frozen=True)
-class SupportIntervals:
-    """Disjoint intervals I_p = [p_lo, p_hi] and I_q = [q_lo, q_hi]
-    containing the two peaks of the invariant distribution: every rate
-    in the window maps each one into the other."""
-
-    p_lo: float
-    p_hi: float
-    q_lo: float
-    q_hi: float
-
-    @property
-    def I_p(self) -> tuple[float, float]:
-        return (self.p_lo, self.p_hi)
-
-    @property
-    def I_q(self) -> tuple[float, float]:
-        return (self.q_lo, self.q_hi)
-
-    def contains(self, x, inflate: float = 0.0):
-        """Whether x lies in I_p or I_q widened by ``inflate``;
-        elementwise for an array."""
-        return ((self.p_lo - inflate <= x) & (x <= self.p_hi + inflate)) | (
-            (self.q_lo - inflate <= x) & (x <= self.q_hi + inflate)
-        )
-
-
 def fixed_point(lam: float) -> float:
     """The non-zero fixed point (lam - 1)/lam (valid for lam > 1)."""
     return (lam - 1.0) / lam
@@ -96,16 +57,18 @@ def period2_points(lam: float) -> tuple[float, float]:
 
 
 _BOUNDARIES = (
-    (1.0, Regime.EXTINCTION),
-    (LAMBDA_C2, Regime.PERIOD1),
-    (LAMBDA_C4, Regime.PERIOD2),
-    (LAMBDA_C4_END, Regime.PERIOD4),
-    (4.0, Regime.CASCADE),
+    (1.0, "extinction"),
+    (LAMBDA_C2, "period1"),
+    (LAMBDA_C4, "period2"),
+    (LAMBDA_C4_END, "period4"),
+    (4.0, "cascade_or_beyond"),
 )
 
 
-def classify_regime(lambda_lo: float, lambda_hi: float) -> Regime:
-    """Classify a growth-rate interval into a single stability regime.
+def classify_regime(lambda_lo: float, lambda_hi: float) -> str:
+    """The name of the single stability regime that holds a growth-rate
+    interval: "extinction", "period1", "period2", "period4" or
+    "cascade_or_beyond".
 
     Raises DomainError if the interval touches or crosses a bifurcation
     boundary; the mean comparisons assume the whole window sits strictly
@@ -120,8 +83,8 @@ def classify_regime(lambda_lo: float, lambda_hi: float) -> Regime:
         if lambda_hi <= bound:
             # extinction includes its upper endpoint (0 attracts for lam <= 1);
             # the other regimes must not touch a boundary inside [0, 4]
-            if regime is Regime.EXTINCTION or lambda_lo > prev and (
-                lambda_hi < bound or regime is Regime.CASCADE
+            if regime == "extinction" or lambda_lo > prev and (
+                lambda_hi < bound or regime == "cascade_or_beyond"
             ):
                 return regime
             raise DomainError(
@@ -203,11 +166,13 @@ def _image(a: float, b: float, lo: float, hi: float) -> tuple[float, float]:
     return min(a * lo * (1.0 - lo), a * hi * (1.0 - hi)), b * top * (1.0 - top)
 
 
-def support_intervals(lambda_bar: float, delta_lambda: float) -> SupportIntervals:
+def support_intervals(
+    lambda_bar: float, delta_lambda: float
+) -> tuple[tuple[float, float], tuple[float, float]]:
     """The smallest pair I_p, I_q that holds the two-cycle {p, q} at
     lambda_bar and that every rate in the window maps into itself with
-    the sides swapped: the interval hulls are grown by their images
-    until they stop changing.
+    the sides swapped, as ((p_lo, p_hi), (q_lo, q_hi)): the interval
+    hulls are grown by their images until they stop changing.
 
     DomainError once the two intervals meet (the support is one band, so
     the two-interval hypothesis of the two-cycle lemma fails);
@@ -215,7 +180,7 @@ def support_intervals(lambda_bar: float, delta_lambda: float) -> SupportInterval
     strictly inside the two-cycle regime (DomainError otherwise).
     """
     a, b = lambda_bar - delta_lambda, lambda_bar + delta_lambda
-    if classify_regime(a, b) is not Regime.PERIOD2:
+    if classify_regime(a, b) != "period2":
         raise DomainError(f"window [{a}, {b}] must lie strictly inside ({LAMBDA_C2:g}, {LAMBDA_C4:g})")
     p, q = period2_points(lambda_bar)
     cur = (p, p, q, q)
@@ -229,7 +194,7 @@ def support_intervals(lambda_bar: float, delta_lambda: float) -> SupportInterval
                 f"{new[1]!r}, I_q starts at {new[2]!r}), so the two-cycle lemma does not apply"
             )
         if new == cur:
-            return SupportIntervals(*cur)
+            return (p_lo, p_hi), (q_lo, q_hi)
         cur = new
     raise ConvergenceError(
         f"support intervals of window [{a}, {b}] still growing after {_MAX_IMAGES} images"

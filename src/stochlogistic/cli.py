@@ -9,18 +9,18 @@ Subcommands map one-to-one onto the experiment operations:
   flipflop      sign table of the mean inequality across 2^rho regimes
 
 Artifacts are written as CSV/JSON/SVG, in that order, under the output
-directory (--outdir, else $STOCHLOGISTIC_OUTDIR, else the working
-directory) with names <subcommand>-<lambda_bar>-<delta>-<seed>.<ext>,
-every digit kept; verify and flipflop have no drawing and reject --format
-svg.  Each run formats its own CSV lines, header first: the cells
-joined by "," and each line ended by CRLF, which are csv.writer's bytes
-since no cell holds a comma, quote or line break.  Settings come from
-defaults, then an optional flat key=value config file (--config), then
-explicit flags, in increasing precedence, all filled in _resolve;
---scale (compare, verify and flipflop) picks the row of _SCALES that
-sizes what no flag or key sets, its window clipped to the generations.  OPTIONS defines every flag and config key, and a config
-file may set only its subcommand's flags.  A default fills a setting
-only when it is missing, so an explicit zero is validated, never
+directory (--outdir, else $STOCHLOGISTIC_OUTDIR, else the working directory)
+with names <subcommand>-<lambda_bar>-<delta>-<seed>.<ext>, every digit kept;
+verify and flipflop have no drawing and reject --format svg.  Each run
+formats its own CSV lines, header first: the cells joined by "," and each
+line ended by CRLF, which are csv.writer's bytes since no cell holds a
+comma, quote or line break.  Settings come from defaults, then an optional
+flat key=value config file (--config), then explicit flags, in increasing
+precedence, all filled in _resolve; --scale (compare, verify and flipflop)
+picks the row of _SCALES that sizes what no flag or key sets, its window
+clipped to the generations.  OPTIONS defines every flag and config key, and
+a config file may set only its subcommand's flags.  A default fills a
+setting only when it is missing, so an explicit zero is validated, never
 replaced.  The seed, in [0, 2**64), defaults to 12345, never the clock.
 
 Importing this module loads no numpy: --help, argparse rejections,
@@ -247,7 +247,7 @@ def _run_bifurcation(ns) -> int:
             ns.lam_from, ns.lam_to, ns.step, delta_lambda=ns.delta, **sizes
         )
     vlines = tuple(
-        svgplot.Marker(x, "#555555", label)
+        (x, "#555555", label)
         for x, label in (
             (analytic.LAMBDA_C2, "first doubling"),
             (analytic.LAMBDA_C4, "second doubling"),
@@ -325,8 +325,8 @@ def _run_compare(ns) -> int:
 
     def svg() -> str:
         markers = (
-            svgplot.Marker(report.stochastic_mean, "#008837", "stochastic mean"),
-            svgplot.Marker(report.deterministic_mean, "#e66101", "deterministic mean"),
+            (report.stochastic_mean, "#008837", "stochastic mean"),
+            (report.deterministic_mean, "#e66101", "deterministic mean"),
         )
         return svgplot.render_histograms(
             [measure.Histogram.from_samples(final.particles, OPTIONS["bins"][2])],
@@ -354,12 +354,12 @@ def _run_flipflop(ns) -> int:
     report = experiments.flipflop_scan(ns.rho, ns.delta, _mc_config(ns))
     for row in report.rows:
         print(
-            f"rho={row.rho} (period {row.period}) at {row.lambda_bar:.6g} "
-            f"+/- {row.delta_lambda:g}: sign {row.sign} z={row.z_score:+.2f} "
-            f"[{row.verdict}]"
+            f"rho={row['rho']} (period {row['period']}) at {row['lambda_bar']:.6g} "
+            f"+/- {row['delta_lambda']:g}: sign {row['sign']} z={row['z_score']:+.2f} "
+            f"[{row['verdict']}]"
         )
-    rows = [report.rows[0].to_dict(), *(r.to_dict().values() for r in report.rows)]
-    mid = "-".join(str(r.rho) for r in report.rows)
+    rows = [report.rows[0].keys(), *(r.values() for r in report.rows)]
+    mid = "-".join(str(r["rho"]) for r in report.rows)
     return _write(ns, mid, ns.delta, report.to_dict, lambda: map(_csv_row, rows))
 
 

@@ -208,7 +208,7 @@ def mean_comparison(
     return ComparisonReport(
         lambda_bar=lambda_bar,
         delta_lambda=delta_lambda,
-        regime=regime.value,
+        regime=regime,
         period=period,
         stochastic_mean=stoch_mean,
         stochastic_se=se,
@@ -241,15 +241,16 @@ class LemmaSuiteReport(_Record):
     checks: tuple[LemmaCheck, ...]
 
 
-def _variance_ladder(lambda_bar: float) -> list[tuple[float, analytic.SupportIntervals]]:
+def _variance_ladder(lambda_bar: float) -> list[tuple[float, tuple]]:
     h0 = 0.05
     while True:
         try:
             return [(h, analytic.support_intervals(lambda_bar, h)) for h in (h0, h0 / 2, h0 / 4, h0 / 8)]
-        except DomainError:
+        except DomainError as exc:
             h0 /= 2
             if h0 < 1e-6:
-                raise
+                raise DomainError(f"no variance ladder h, h/2, h/4, h/8 with 1e-06 <= h <= 0.05 fits "
+                                  f"the two-cycle regime at lambda_bar={lambda_bar}: {exc}") from exc
 
 
 def _root_chain_check(lambda_bar: float) -> LemmaCheck:
@@ -286,12 +287,12 @@ def lemma_suite(
     ratio V(h)/h together with its analytic bound, (v) the ordering of
     the shifted comparison-function roots, (vi) convexity of h on I_p.
     """
-    sup = analytic.support_intervals(lambda_bar, delta_lambda)
+    i_p, i_q = analytic.support_intervals(lambda_bar, delta_lambda)
     dist = ParameterDistribution(lambda_bar, delta_lambda)
     checks: list[LemmaCheck] = []
 
     # (i) the fixed point between the intervals + containment of a converged snapshot
-    ordering_ok = sup.p_hi < analytic.fixed_point(dist.low) <= analytic.fixed_point(dist.high) < sup.q_lo
+    ordering_ok = i_p[1] < analytic.fixed_point(dist.low) <= analytic.fixed_point(dist.high) < i_q[0]
     # the variance ladder's ensembles share the seed, so they advance in
     # lockstep with the stationary run and reuse its variates
     ladder = _variance_ladder(lambda_bar)
@@ -299,7 +300,8 @@ def lemma_suite(
         dist, replace(cfg, window=_parity_window(cfg.window, 2)),
         companions=tuple(ParameterDistribution(lambda_bar, h) for h, _ in ladder),
     )
-    inside = sup.contains(stats.final.particles, inflate=1e-9)
+    x = stats.final.particles
+    inside = ((i_p[0] - 1e-9 <= x) & (x <= i_p[1] + 1e-9)) | ((i_q[0] - 1e-9 <= x) & (x <= i_q[1] + 1e-9))
     fraction = float(inside.mean())
     checks.append(
         LemmaCheck(
@@ -309,8 +311,8 @@ def lemma_suite(
                 "ordering_ok": ordering_ok,
                 "containment_fraction": fraction,
                 "n_outside": int((~inside).sum()),
-                "I_p": list(sup.I_p),
-                "I_q": list(sup.I_q),
+                "I_p": list(i_p),
+                "I_q": list(i_q),
             },
         )
     )
@@ -356,7 +358,7 @@ def lemma_suite(
         ratios[i + 1] <= ratios[i] + Z_THRESHOLD * math.hypot(ses[i], ses[i + 1])
         for i in range(len(ratios) - 1)
     )
-    bounds = [(s.q_hi - s.q_lo) ** 2 / h for h, s in ladder]
+    bounds = [(i_q[1] - i_q[0]) ** 2 / h for h, (_, i_q) in ladder]
     bound_decreasing = all(b2 < b1 for b1, b2 in zip(bounds, bounds[1:]))
     checks.append(
         LemmaCheck(
@@ -375,9 +377,9 @@ def lemma_suite(
     checks.append(_root_chain_check(lambda_bar))
 
     # (vi) convexity of h on I_p
-    convex = analytic.convexity_on_interval(lambda_bar, sup.I_p)
+    convex = analytic.convexity_on_interval(lambda_bar, i_p)
     checks.append(
-        LemmaCheck("left_interval_convexity", bool(convex), {"I_p": list(sup.I_p)})
+        LemmaCheck("left_interval_convexity", bool(convex), {"I_p": list(i_p)})
     )
 
     return LemmaSuiteReport(
@@ -389,7 +391,7 @@ def lemma_suite(
     )
 
 
-#: FlipFlopRow fields copied from the row's ComparisonReport.
+#: Flipflop row columns copied from the row's ComparisonReport, after "rho".
 _FROM_COMPARISON = (
     "period", "lambda_bar", "delta_lambda", "stochastic_mean", "stochastic_se",
     "deterministic_mean", "difference", "z_score",
@@ -397,27 +399,13 @@ _FROM_COMPARISON = (
 
 
 @dataclass(frozen=True)
-class FlipFlopRow(_Record):
-    rho: int
-    period: int
-    lambda_bar: float
-    delta_lambda: float
-    stochastic_mean: float
-    stochastic_se: float
-    deterministic_mean: float
-    difference: float
-    z_score: float
-    sign: str
-    verdict: str
-    ci_low: float
-    ci_high: float
-
-
-@dataclass(frozen=True)
 class FlipFlopReport(_Record):
+    """The flipflop table: one dict per rho, keyed by its columns in order
+    ("rho", _FROM_COMPARISON, "sign", "verdict", "ci_low", "ci_high")."""
+
     delta_lambda: float
     seed: int
-    rows: tuple[FlipFlopRow, ...]
+    rows: tuple[dict, ...]
 
 
 #: Window center per doubling level (see _window_for_rho).
@@ -453,13 +441,14 @@ def flipflop_scan(
     """Sign table of (stochastic mean - deterministic cycle mean) across
     period-2^rho regimes.
 
-    Each row is the ``mean_comparison`` report of the rho window, run
-    at seed cfg.seed + rho.  rho = 1 and 2 keep its verdict at the usual
-    z threshold; rows with rho >= 3 are exploratory (conjectured
-    alternation) and carry a 3-sigma confidence interval instead of a
-    pass/fail claim.  Every rho is checked before any row runs:
-    DomainError for a level without a tabulated window, or for a row
-    seed past 2**64 - 1.
+    Each row is a dict of plain values (columns as in FlipFlopReport.rows)
+    taken from the ``mean_comparison`` report of the rho window, run at
+    seed cfg.seed + rho, plus the sign of its difference and a 3-sigma
+    confidence interval.  rho = 1 and 2 keep the report's verdict at the
+    usual z threshold; rows with rho >= 3 are exploratory (conjectured
+    alternation) and carry the interval instead of a pass/fail claim.
+    Every rho is checked before any row runs: DomainError for a level
+    without a tabulated window, or for a row seed past 2**64 - 1.
     """
     if not (math.isfinite(delta_lambda) and delta_lambda > 0):
         raise DomainError(f"delta_lambda must be finite and > 0 for the scan, got {delta_lambda}")
@@ -474,14 +463,12 @@ def flipflop_scan(
         center, delta = _window_for_rho(rho, delta_lambda)
         rep, _ = mean_comparison(center, delta, replace(cfg, seed=cfg.seed + rho))
         diff, half = rep.difference, Z_THRESHOLD * rep.stochastic_se
-        rows.append(
-            FlipFlopRow(
-                rho=rho,
-                sign="+" if diff > 0 else ("-" if diff < 0 else "0"),
-                verdict="exploratory" if rho >= 3 else rep.verdict,
-                ci_low=diff - half,
-                ci_high=diff + half,
-                **{k: getattr(rep, k) for k in _FROM_COMPARISON},
-            )
-        )
+        rows.append({
+            "rho": rho,
+            **{k: getattr(rep, k) for k in _FROM_COMPARISON},
+            "sign": "+" if diff > 0 else ("-" if diff < 0 else "0"),
+            "verdict": "exploratory" if rho >= 3 else rep.verdict,
+            "ci_low": diff - half,
+            "ci_high": diff + half,
+        })
     return FlipFlopReport(delta_lambda=delta_lambda, seed=cfg.seed, rows=tuple(rows))

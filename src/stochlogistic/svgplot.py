@@ -9,7 +9,6 @@ values); scatter plots mirror the bifurcation diagrams.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError
 
@@ -25,15 +24,6 @@ _PALETTE = (
     "#e66101",  # orange
     "#ca0020",  # red
 )
-
-
-@dataclass(frozen=True)
-class Marker:
-    """Vertical reference line at x with a color and legend label."""
-
-    x: float
-    color: str
-    label: str
 
 
 def _fmt(v: float) -> str:
@@ -143,10 +133,11 @@ def render_histograms(
     histograms,
     title: str,
     labels: tuple[str, ...] | None = None,
-    markers: tuple[Marker, ...] = (),
+    markers: tuple[tuple[float, str, str], ...] = (),
 ) -> str:
     """Overlaid step plots of one or more histograms, with optional
-    vertical marker lines.  DomainError on empty input."""
+    vertical marker lines, each an (x, color, label) tuple drawn dashed
+    at x and named in the legend.  DomainError on empty input."""
     hists = list(histograms)
     if not hists or any(h.total == 0 for h in hists):
         raise DomainError("cannot render an empty histogram")
@@ -172,14 +163,15 @@ def render_histograms(
             canvas.legend(color, labels[idx], slot)
             slot += 1
     for m in markers:
-        canvas.vline(m.x, m.color, m.label, slot)
+        canvas.vline(*m, slot)
         slot += 1
     return canvas.finish()
 
 
-def render_scatter(dataset, vlines: tuple[Marker, ...], title: str) -> str:
+def render_scatter(dataset, vlines: tuple[tuple[float, str, str], ...], title: str) -> str:
     """Point cloud of (parameter, terminal state) pairs, one dot per
-    sample, with vertical reference lines."""
+    sample, with vertical reference lines given as (x, color, label)
+    tuples, as render_histograms' markers."""
     params = dataset.parameters
     states = dataset.terminal_states
     if len(params) == 0 or states.size == 0:
@@ -196,5 +188,5 @@ def render_scatter(dataset, vlines: tuple[Marker, ...], title: str) -> str:
     canvas.parts.extend(dots)
     canvas.parts.append("</g>")
     for slot, m in enumerate(vlines):
-        canvas.vline(m.x, m.color, m.label, slot)
+        canvas.vline(*m, slot)
     return canvas.finish()

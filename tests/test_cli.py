@@ -22,7 +22,7 @@ from stochlogistic.experiments import deterministic_bifurcation
 from stochlogistic.measure import Histogram, uniform_ensemble
 from stochlogistic.cli import _SUBCOMMANDS, ENV_OUTDIR, OPTIONS, load_config, parse_and_dispatch
 from stochlogistic.errors import DomainError
-from stochlogistic.svgplot import Marker, render_histograms, render_scatter
+from stochlogistic.svgplot import render_histograms, render_scatter
 
 FAST_COMPARE = ["--particles", "500", "--generations", "600", "--window", "300"]
 
@@ -359,8 +359,18 @@ class TestInputRejected:
             (["bifurcation", "--n-iter", "-1"], "need n_init >= 1 and n_iter >= 0"),
             (["compare", "--lambda-bar", "3.2", "--config", "{tmp}/missing.cfg"], "cannot read config file"),
             (["compare", "--lambda-bar", "3.2", "--outdir", "{tmp}/afile/sub"], "is not writable"),
+            # next to either end of the two-cycle regime no variance ladder fits:
+            # the message names the rate given, then the last window's reason
+            *(
+                (["verify", "--lambda-bar", lam, "--delta", "0", "--particles", "50", "--generations", "100",
+                  "--window", "50"],
+                 "no variance ladder h, h/2, h/4, h/8 with 1e-06 <= h <= 0.05 fits the two-cycle regime "
+                 f"at lambda_bar={lam}: window [")
+                for lam in ("3.0000001", "3.000002", "3.4494897")
+            ),
         ],
-        ids=["bins-0", "n-init-0", "n-iter-minus-1", "missing-config", "outdir-under-a-file"],
+        ids=["bins-0", "n-init-0", "n-iter-minus-1", "missing-config", "outdir-under-a-file",
+             "verify-ladder-at-3.0000001", "verify-ladder-at-3.000002", "verify-ladder-at-3.4494897"],
     )
     def test_exit_2_with_message(self, argv, message, tmp_path, capsys):
         (tmp_path / "afile").write_text("")
@@ -814,7 +824,7 @@ class TestEnvOutdir:
 class TestSvgRendering:
     def test_histogram_markers(self):
         h = Histogram.from_samples(uniform_ensemble(500, seed=1).particles, n_bins=20)
-        svg = render_histograms([h], "state distribution", markers=(Marker(0.5, "#008837", "mid"),))
+        svg = render_histograms([h], "state distribution", markers=((0.5, "#008837", "mid"),))
         assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
         assert "mid" in svg
 
@@ -827,7 +837,7 @@ class TestSvgRendering:
 
     def test_scatter(self):
         data = deterministic_bifurcation(2.0, 2.5, step=0.25, n_init=4, n_iter=50, seed=2)
-        svg = render_scatter(data, (Marker(2.2, "#555555", "ref"),), "bifurcation diagram")
+        svg = render_scatter(data, ((2.2, "#555555", "ref"),), "bifurcation diagram")
         assert svg.count("<circle") == 3 * 4
         assert "ref" in svg
 

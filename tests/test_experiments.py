@@ -266,11 +266,11 @@ class TestDistributionEvolution:
         final = distribution_evolution(
             dist, n_particles=2000, checkpoints=(0, 500), seed=10, n_bins=200
         )[-1]
-        sup = support_intervals(3.208, 0.024)
+        (p_lo, p_hi), (q_lo, q_hi) = support_intervals(3.208, 0.024)
         width = final.edges[1] - final.edges[0]
         centers = 0.5 * (final.edges[:-1] + final.edges[1:])
-        in_p = (centers >= sup.p_lo - width) & (centers <= sup.p_hi + width)
-        in_q = (centers >= sup.q_lo - width) & (centers <= sup.q_hi + width)
+        in_p = (centers >= p_lo - width) & (centers <= p_hi + width)
+        in_q = (centers >= q_lo - width) & (centers <= q_hi + width)
         assert final.counts[in_p].sum() > 0.4 * final.total
         assert final.counts[in_q].sum() > 0.4 * final.total
         assert final.counts[in_p | in_q].sum() >= 0.995 * final.total
@@ -332,7 +332,7 @@ class TestMeanComparison:
     def test_slow_cycle_next_to_a_doubling_has_the_regime_length(self, lambda_bar, delta, regime, length):
         # just below a doubling the tolerance test passes at twice the
         # cycle length first; the report must still name the regime's length
-        assert classify_regime(lambda_bar - delta, lambda_bar + delta).value == regime
+        assert classify_regime(lambda_bar - delta, lambda_bar + delta) == regime
         assert len(periodic_orbit(lambda_bar)) == length
         rep, _ = mean_comparison(lambda_bar, delta, FAST)
         assert (rep.regime, rep.period) == (regime, length)
@@ -347,7 +347,7 @@ class TestMeanComparison:
             for _ in range(64):
                 lam = math.nextafter(lam, toward)
                 inside.append(lam)
-        assert {classify_regime(lam, lam).value for lam in inside} == {"period4"}
+        assert {classify_regime(lam, lam) for lam in inside} == {"period4"}
         assert {detect_period(lam) for lam in inside} == {4}
         assert detect_period(analytic.LAMBDA_C4) == 2 and detect_period(analytic.LAMBDA_C4_END) == 8
 
@@ -439,16 +439,16 @@ class TestZScoreRule:
         monkeypatch.setattr(experiments, "ensemble_time_mean", lambda *a, **k: (0.9, 0.0, None))
         rep, _ = mean_comparison(3.208, 0.024, FAST)
         row = flipflop_scan((1,), 0.024, FAST).rows[0]
-        assert rep.z_score == row.z_score == math.inf
-        assert rep.verdict == row.verdict == "stochastic_greater"
+        assert rep.z_score == row["z_score"] == math.inf
+        assert rep.verdict == row["verdict"] == "stochastic_greater"
 
     def test_float_noise_difference_scores_zero_in_both(self, monkeypatch):
         det = float(np.mean(periodic_orbit(3.208)))
         monkeypatch.setattr(experiments, "ensemble_time_mean", lambda *a, **k: (det + 1e-13, 1e-14, None))
         rep, _ = mean_comparison(3.208, 0.024, FAST)
         row = flipflop_scan((1,), 0.024, FAST).rows[0]
-        assert rep.z_score == row.z_score == 0.0
-        assert rep.verdict == row.verdict == "inconclusive"
+        assert rep.z_score == row["z_score"] == 0.0
+        assert rep.verdict == row["verdict"] == "inconclusive"
 
     def test_float_noise_identity_statistic_passes_check_ii(self, monkeypatch):
         # a pushforward statistic below float-noise scale with a still smaller
@@ -567,33 +567,37 @@ class TestLemmaSuite:
 class TestFlipFlopScan:
     def test_signs_and_verdicts(self):
         report = flipflop_scan((1, 2, 3), 0.024, FAST)
-        rows = {r.rho: r for r in report.rows}
-        assert rows[1].sign == "+" and rows[1].verdict == "stochastic_greater"
-        assert rows[2].sign == "-" and rows[2].verdict == "stochastic_less"
-        assert rows[3].verdict == "exploratory"
-        assert rows[3].ci_low < rows[3].difference < rows[3].ci_high
-        assert rows[3].period == 8
+        rows = {r["rho"]: r for r in report.rows}
+        assert rows[1]["sign"] == "+" and rows[1]["verdict"] == "stochastic_greater"
+        assert rows[2]["sign"] == "-" and rows[2]["verdict"] == "stochastic_less"
+        assert rows[3]["verdict"] == "exploratory"
+        assert rows[3]["ci_low"] < rows[3]["difference"] < rows[3]["ci_high"]
+        assert rows[3]["period"] == 8
 
     def test_row_signs_follow_the_small_noise_oracle(self):
         # conclusive rows, the conjectured alternation at rho >= 3 included,
         # carry the sign of their window's noise-free O(delta**2) gap
         report = flipflop_scan((1, 2, 3, 4), 0.024, MonteCarloConfig(2000, 1000, 500, 12345))
-        conclusive = [row for row in report.rows if abs(row.z_score) >= 3.0]
-        assert [row.rho for row in conclusive] == [1, 2, 3, 4]
+        conclusive = [row for row in report.rows if abs(row["z_score"]) >= 3.0]
+        assert [row["rho"] for row in conclusive] == [1, 2, 3, 4]
         for row in conclusive:
-            gap = small_noise_gap(row.lambda_bar, row.delta_lambda)
-            assert row.sign == {1.0: "+", -1.0: "-"}[np.sign(gap)]
+            gap = small_noise_gap(row["lambda_bar"], row["delta_lambda"])
+            assert row["sign"] == {1.0: "+", -1.0: "-"}[np.sign(gap)]
 
-    def test_window_shrinks_for_period8(self):
-        report = flipflop_scan((3,), 0.024, FAST)
-        row = report.rows[0]
-        # requested half-width cannot fit inside the period-8 regime
-        assert row.delta_lambda < 0.024
-        assert 3.54409 < row.lambda_bar < 3.56995
+    @pytest.mark.parametrize(
+        "rho, delta, half_width",
+        # 0.024 cannot fit inside the period-8 regime; at 100 both ends lie
+        # outside [0, 4], where detect_period refuses the rate, down to 100/2**9
+        [(3, 0.024, 0.006), (1, 100.0, 0.1953125)],
+    )
+    def test_window_shrinks_into_the_regime(self, rho, delta, half_width):
+        row = flipflop_scan((rho,), delta, FAST).rows[0]
+        assert row["delta_lambda"] == half_width and row["period"] == 2**rho
+        assert row["lambda_bar"] == experiments._RHO_CENTERS[rho]
 
     def test_half_width_below_1e_6_is_tested_as_requested(self):
         row = flipflop_scan((1,), 1e-7, FAST).rows[0]
-        assert row.delta_lambda == 1e-7 and row.period == 2
+        assert row["delta_lambda"] == 1e-7 and row["period"] == 2
 
     def test_reproducible_bytes(self):
         def encoded():
@@ -641,10 +645,10 @@ class TestFlipFlopScan:
 
     def test_rows_are_mean_comparison_reports(self):
         row = flipflop_scan((2,), 0.024, FAST).rows[0]
-        rep, _ = mean_comparison(row.lambda_bar, row.delta_lambda, replace(FAST, seed=FAST.seed + 2))
+        rep, _ = mean_comparison(row["lambda_bar"], row["delta_lambda"], replace(FAST, seed=FAST.seed + 2))
         for key in ("period", "stochastic_mean", "stochastic_se", "deterministic_mean",
                     "difference", "z_score", "verdict"):
-            assert getattr(row, key) == getattr(rep, key)
+            assert row[key] == getattr(rep, key)
 
 
 def _ergodic_consistency(lambda_bar, delta_lambda, cfg):
@@ -674,6 +678,6 @@ class TestPeriodicOrbitIntegration:
         # cycle mean
         report = flipflop_scan((2,), 0.024, FAST)
         row = report.rows[0]
-        assert row.deterministic_mean == pytest.approx(
-            float(np.mean(periodic_orbit(row.lambda_bar))), abs=1e-12
+        assert row["deterministic_mean"] == pytest.approx(
+            float(np.mean(periodic_orbit(row["lambda_bar"]))), abs=1e-12
         )

@@ -3,6 +3,7 @@ map as the ensemble kernel pf_step applies it."""
 
 from __future__ import annotations
 
+import math
 import subprocess
 import sys
 from dataclasses import replace
@@ -49,10 +50,11 @@ class TestParameterDistribution:
 
     @pytest.mark.parametrize(
         "lb,dl",
-        [(3.9, 0.2), (0.05, 0.1), (-0.5, 0.0), (4.5, 0.0), (2.0, -0.1)],
+        [(3.9, 0.2), (0.05, 0.1), (-0.5, 0.0), (4.5, 0.0), (2.0, -0.1),
+         (math.nan, 0.0), (math.inf, 0.0), (-math.inf, 0.0), (3.2, math.nan), (3.2, math.inf), (3.2, -math.inf)],
     )
     def test_invalid_support_rejected(self, lb, dl):
-        with pytest.raises(DomainError, match=r"must be >= 0|must lie within \[0, 4\]"):
+        with pytest.raises(DomainError, match=r"must be >= 0|must lie within \[0, 4\]|must be finite"):
             ParameterDistribution(lb, dl)
 
 

@@ -163,8 +163,9 @@ class TestSplitPeaks:
         # is mapped into itself by every rate in the window
         dist = ParameterDistribution(lambda_bar, delta)
         e = pf_iterate(uniform_ensemble(4000, seed=12), dist, 1000)
-        sup = support_intervals(lambda_bar, delta)
-        assert sup.contains(e.particles, inflate=1e-9).all()
+        (p_lo, p_hi), (q_lo, q_hi) = support_intervals(lambda_bar, delta)
+        x = e.particles
+        assert (((p_lo - 1e-9 <= x) & (x <= p_hi + 1e-9)) | ((q_lo - 1e-9 <= x) & (x <= q_hi + 1e-9))).all()
 
 
 class TestFusedStep:
@@ -533,8 +534,8 @@ class TestVarianceOfRightPeak:
         cfg = MonteCarloConfig(n_particles=2000, generations=1500, window=1000, seed=15)
         for h in (0.05, 0.024):
             v, _ = variance_of_right_peak(3.2, _converged(3.2, h, cfg))
-            sup = support_intervals(3.2, h)
-            assert 0.0 <= v <= (sup.q_hi - sup.q_lo) ** 2
+            _, (q_lo, q_hi) = support_intervals(3.2, h)
+            assert 0.0 <= v <= (q_hi - q_lo) ** 2
 
     @pytest.mark.parametrize("lambda_bar, h", [(3.2, 0.05), (3.208, 0.024), (3.2, 0.0125)])
     def test_standard_error_matches_a_plain_bootstrap(self, lambda_bar, h):
@@ -638,9 +639,9 @@ class TestOccupationFraction:
         assert np.mean((x >= 0.0) & (x <= 1.0)) == 1.0
 
     def test_half_time_in_each_peak(self):
-        sup = support_intervals(3.208, 0.024)
+        (p_lo, p_hi), _ = support_intervals(3.208, 0.024)
         x = _pooled_states(ParameterDistribution(3.208, 0.024), 100, 1000, 100, seed=6)
-        frac = np.mean((x >= sup.p_lo) & (x <= sup.p_hi))
+        frac = np.mean((x >= p_lo) & (x <= p_hi))
         assert frac == pytest.approx(0.5, abs=0.01)
 
     def test_gap_unvisited(self):
