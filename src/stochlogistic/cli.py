@@ -194,8 +194,8 @@ def _mc_config(ns):
 
 
 def _json_default(obj):
-    """JSON form of a numpy array or scalar (tolist) or of a report (to_dict)."""
-    return obj.tolist() if hasattr(obj, "tolist") else obj.to_dict()
+    """JSON form of a numpy array or scalar."""
+    return obj.tolist()
 
 
 def _num(v: float) -> str:
@@ -214,7 +214,7 @@ def _write(ns, mid: str, delta: float, payload, rows, svg=None) -> int:
 
     ``rows`` yields the CSV text, formatted by the run a line at a time,
     header first, and streamed to disk; ``payload`` returns the JSON
-    object (arrays and reports encoded by _json_default) and ``svg`` the
+    object (numpy values encoded by _json_default) and ``svg`` the
     drawing (None for the subcommands in _NO_SVG, which reject --format
     svg up front).
     Nothing is produced for a format that was not requested.
@@ -266,7 +266,7 @@ def _run_bifurcation(ns) -> int:
         ns,
         f"{ns.kind}-{_num(ns.lam_from)}to{_num(ns.lam_to)}",
         data.delta_lambda,
-        data.to_dict,
+        lambda: vars(data),
         sweep_csv,
         lambda: svgplot.render_scatter(data, vlines=vlines, title=f"{ns.kind} bifurcation sweep"),
     )
@@ -318,15 +318,14 @@ def _run_compare(ns) -> int:
 
     report, final = experiments.mean_comparison(ns.lambda_bar, ns.delta, _mc_config(ns))
     print(
-        f"stochastic mean {report.stochastic_mean:.7f} (se {report.stochastic_se:.2e}) vs "
-        f"deterministic {report.deterministic_mean:.7f}: z={report.z_score:+.2f} -> {report.verdict}"
+        f"stochastic mean {report['stochastic_mean']:.7f} (se {report['stochastic_se']:.2e}) vs "
+        f"deterministic {report['deterministic_mean']:.7f}: z={report['z_score']:+.2f} -> {report['verdict']}"
     )
-    fields = report.to_dict()
 
     def svg() -> str:
         markers = (
-            (report.stochastic_mean, "#008837", "stochastic mean"),
-            (report.deterministic_mean, "#e66101", "deterministic mean"),
+            (report["stochastic_mean"], "#008837", "stochastic mean"),
+            (report["deterministic_mean"], "#e66101", "deterministic mean"),
         )
         return svgplot.render_histograms(
             [measure.Histogram.from_samples(final.particles, OPTIONS["bins"][2])],
@@ -334,33 +333,33 @@ def _run_compare(ns) -> int:
             title=f"invariant distribution at {ns.lambda_bar:g} +/- {ns.delta:g}",
         )
 
-    rows = (fields, fields.values())
-    return _write(ns, _num(ns.lambda_bar), ns.delta, report.to_dict, lambda: map(_csv_row, rows), svg)
+    rows = (report, report.values())
+    return _write(ns, _num(ns.lambda_bar), ns.delta, lambda: report, lambda: map(_csv_row, rows), svg)
 
 
 def _run_verify(ns) -> int:
     from . import experiments
 
     report = experiments.lemma_suite(ns.lambda_bar, ns.delta, _mc_config(ns))
-    for check in report.checks:
-        print(f"{check.name}: {'PASS' if check.passed else 'FAIL'}")
-    rows = [("check", "passed"), *((check.name, check.passed) for check in report.checks)]
-    return _write(ns, _num(ns.lambda_bar), ns.delta, report.to_dict, lambda: map(_csv_row, rows))
+    rows = [("check", "passed"), *((check["name"], check["passed"]) for check in report["checks"])]
+    for name, passed in rows[1:]:
+        print(f"{name}: {'PASS' if passed else 'FAIL'}")
+    return _write(ns, _num(ns.lambda_bar), ns.delta, lambda: report, lambda: map(_csv_row, rows))
 
 
 def _run_flipflop(ns) -> int:
     from . import experiments
 
     report = experiments.flipflop_scan(ns.rho, ns.delta, _mc_config(ns))
-    for row in report.rows:
+    for row in report["rows"]:
         print(
             f"rho={row['rho']} (period {row['period']}) at {row['lambda_bar']:.6g} "
             f"+/- {row['delta_lambda']:g}: sign {row['sign']} z={row['z_score']:+.2f} "
             f"[{row['verdict']}]"
         )
-    rows = [report.rows[0].keys(), *(r.values() for r in report.rows)]
-    mid = "-".join(str(r["rho"]) for r in report.rows)
-    return _write(ns, mid, ns.delta, report.to_dict, lambda: map(_csv_row, rows))
+    rows = [report["rows"][0].keys(), *(r.values() for r in report["rows"])]
+    mid = "-".join(str(r["rho"]) for r in report["rows"])
+    return _write(ns, mid, ns.delta, lambda: report, lambda: map(_csv_row, rows))
 
 
 #: subcommand -> (runner, help, its option keys, which are also the keys

@@ -11,8 +11,10 @@ Every experiment is a pure function of its configuration and seed;
 reruns produce identical artifacts byte for byte.  The ensemble
 experiments take their seed and averaging window from the
 MonteCarloConfig alone (``replace(cfg, ...)`` derives a per-row seed or a
-cycle-aligned window), and each flipflop row is the ``mean_comparison``
-report of its period-2^rho window.
+cycle-aligned window).  ``mean_comparison``, ``lemma_suite`` and
+``flipflop_scan`` return the plain dicts their JSON artifacts hold, and
+each flipflop row copies the ``mean_comparison`` values of its
+period-2^rho window.
 """
 
 from __future__ import annotations
@@ -43,15 +45,9 @@ from .measure import (
 Z_THRESHOLD = 3.0
 
 
-class _Record:
-    """A result whose JSON form is its dataclass fields, in order."""
-
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
-
+# a record, not a dict: stochbench/spans.py::_sweep_steps counts its terminal_states and n_iter
 @dataclass(frozen=True, eq=False)
-class BifurcationDataset(_Record):
+class BifurcationDataset:
     """Terminal states of many initial conditions on a grid of rates."""
 
     kind: str  # "deterministic" or "stochastic"
@@ -140,27 +136,6 @@ def distribution_evolution(
     return out
 
 
-@dataclass(frozen=True)
-class ComparisonReport(_Record):
-    """Stochastic ensemble mean versus the deterministic cycle mean at
-    the center rate, with a z-scored verdict."""
-
-    lambda_bar: float
-    delta_lambda: float
-    regime: str
-    period: int
-    stochastic_mean: float
-    stochastic_se: float
-    deterministic_mean: float
-    difference: float
-    z_score: float
-    verdict: str
-    n_particles: int
-    generations: int
-    window: int
-    seed: int
-
-
 def _verdict(z: float) -> str:
     if z >= Z_THRESHOLD:
         return "stochastic_greater"
@@ -181,16 +156,24 @@ def _z_score(diff: float, se: float) -> float:
     return diff / se
 
 
-def _parity_window(window: int, period: int) -> int:
-    return max(window - window % period, period)
+def _parity_window(cfg: MonteCarloConfig, period: int) -> MonteCarloConfig:
+    """cfg with its window clipped to whole cycles of the given length."""
+    if period > cfg.generations:
+        raise DomainError(f"the window holds whole cycles, but the cycle length {period} "
+                          f"exceeds the generations ({cfg.generations})")
+    return replace(cfg, window=max(cfg.window - cfg.window % period, period))
 
 
 def mean_comparison(
     lambda_bar: float, delta_lambda: float, cfg: MonteCarloConfig
-) -> tuple[ComparisonReport, Ensemble]:
+) -> tuple[dict, Ensemble]:
     """Compare the converged stochastic mean against the mean of the
     attracting cycle of the fixed-rate map at lambda_bar; returns the
     report and the ensemble's final snapshot, at cfg.generations.
+
+    The report is a dict with keys, in order: lambda_bar, delta_lambda,
+    regime, period, stochastic_mean, stochastic_se, deterministic_mean,
+    difference, z_score, verdict, n_particles, generations, window, seed.
 
     The window of the rates must sit strictly inside one regime.  The
     stochastic mean pools the trailing window of generations (clipped to
@@ -201,59 +184,45 @@ def mean_comparison(
     regime = classify_regime(lambda_bar - delta_lambda, lambda_bar + delta_lambda)
     orbit = periodic_orbit(lambda_bar)
     period, det_mean = len(orbit), float(np.mean(orbit))
-    cfg = replace(cfg, window=_parity_window(cfg.window, period))
+    cfg = _parity_window(cfg, period)
     stoch_mean, se, final = ensemble_time_mean(ParameterDistribution(lambda_bar, delta_lambda), cfg)
     diff = stoch_mean - det_mean
     z = _z_score(diff, se)
-    return ComparisonReport(
-        lambda_bar=lambda_bar,
-        delta_lambda=delta_lambda,
-        regime=regime,
-        period=period,
-        stochastic_mean=stoch_mean,
-        stochastic_se=se,
-        deterministic_mean=det_mean,
-        difference=diff,
-        z_score=z,
-        verdict=_verdict(z),
-        n_particles=cfg.n_particles,
-        generations=cfg.generations,
-        window=cfg.window,
-        seed=cfg.seed,
-    ), final
+    return {
+        "lambda_bar": lambda_bar, "delta_lambda": delta_lambda, "regime": regime, "period": period,
+        "stochastic_mean": stoch_mean, "stochastic_se": se, "deterministic_mean": det_mean,
+        "difference": diff, "z_score": z, "verdict": _verdict(z), "n_particles": cfg.n_particles,
+        "generations": cfg.generations, "window": cfg.window, "seed": cfg.seed,
+    }, final
 
 
-@dataclass(frozen=True)
-class LemmaCheck(_Record):
-    name: str
-    passed: bool
-    details: dict
-
-
-@dataclass(frozen=True)
-class LemmaSuiteReport(_Record):
-    """The checks of the lemma suite; ``passed`` when all of them pass."""
-
-    lambda_bar: float
-    delta_lambda: float
-    seed: int
-    passed: bool
-    checks: tuple[LemmaCheck, ...]
+def _analytic_bounds(ladder) -> tuple[list[float], bool]:
+    """Check (iv)'s bound |I_q(h)|**2/h per rung, and whether it falls strictly along the ladder."""
+    bounds = [(i_q[1] - i_q[0]) ** 2 / h for h, (_, i_q) in ladder]
+    return bounds, all(b2 < b1 for b1, b2 in zip(bounds, bounds[1:]))
 
 
 def _variance_ladder(lambda_bar: float) -> list[tuple[float, tuple]]:
+    """(h, support_intervals(lambda_bar, h)) for h = h0, h0/2, h0/4, h0/8,
+    with h0 halved from 0.05 until the four windows fit the two-cycle
+    regime and the analytic bound falls along them: next to 1 + sqrt(6)
+    |I_q| grows more slowly than h until h is small."""
     h0 = 0.05
     while True:
         try:
-            return [(h, analytic.support_intervals(lambda_bar, h)) for h in (h0, h0 / 2, h0 / 4, h0 / 8)]
+            ladder = [(h, analytic.support_intervals(lambda_bar, h)) for h in (h0, h0 / 2, h0 / 4, h0 / 8)]
+            if _analytic_bounds(ladder)[1]:
+                return ladder
+            reason = f"the bound |I_q|**2/h does not fall from h={h0!r} to h={h0 / 8!r}"
         except DomainError as exc:
-            h0 /= 2
-            if h0 < 1e-6:
-                raise DomainError(f"no variance ladder h, h/2, h/4, h/8 with 1e-06 <= h <= 0.05 fits "
-                                  f"the two-cycle regime at lambda_bar={lambda_bar}: {exc}") from exc
+            reason = str(exc)
+        h0 /= 2
+        if h0 < 1e-6:
+            raise DomainError(f"no variance ladder h, h/2, h/4, h/8 with 1e-06 <= h <= 0.05 fits "
+                              f"the two-cycle regime at lambda_bar={lambda_bar}: {reason}")
 
 
-def _root_chain_check(lambda_bar: float) -> LemmaCheck:
+def _root_chain_check(lambda_bar: float) -> dict:
     p, q = analytic.period2_points(lambda_bar)
     x_star = analytic.fixed_point(lambda_bar)
     # quarter epsilon, to 3.6e-15, until H has four real zeros: next to lam = 3 only a tiny one does
@@ -264,21 +233,24 @@ def _root_chain_check(lambda_bar: float) -> LemmaCheck:
         except RootCountError:
             pass
     else:
-        return LemmaCheck("shifted_root_ordering", False, {"error": "no four roots"})
+        return {"name": "shifted_root_ordering", "passed": False, "details": {"error": "no four roots"}}
     z_h, p_h, xs_h, q_h = roots
     ok = z_h < 0.0 < p < p_h < xs_h < x_star < q < q_h
-    return LemmaCheck(
-        "shifted_root_ordering",
-        bool(ok),
-        {"epsilon": eps, "roots": list(roots), "p": p, "x_star": x_star, "q": q},
-    )
+    return {
+        "name": "shifted_root_ordering",
+        "passed": bool(ok),
+        "details": {"epsilon": eps, "roots": list(roots), "p": p, "x_star": x_star, "q": q},
+    }
 
 
-def lemma_suite(
-    lambda_bar: float, delta_lambda: float, cfg: MonteCarloConfig
-) -> LemmaSuiteReport:
+def lemma_suite(lambda_bar: float, delta_lambda: float, cfg: MonteCarloConfig) -> dict:
     """Run the numerical verification chain behind the two-cycle mean
     inequality and report each step.
+
+    The report is a dict with keys, in order: lambda_bar, delta_lambda,
+    seed, passed (all checks pass) and checks, a list of one dict per
+    check with keys name, passed and details (a dict of the check's
+    numbers), in the order below.
 
     Checks: (i) support containment in the invariant intervals I_p, I_q
     and the ordering p_hi < x*(a) <= x*(b) < q_lo, (ii) the pushforward
@@ -289,7 +261,7 @@ def lemma_suite(
     """
     i_p, i_q = analytic.support_intervals(lambda_bar, delta_lambda)
     dist = ParameterDistribution(lambda_bar, delta_lambda)
-    checks: list[LemmaCheck] = []
+    checks: list[dict] = []
 
     # (i) the fixed point between the intervals + containment of a converged snapshot
     ordering_ok = i_p[1] < analytic.fixed_point(dist.low) <= analytic.fixed_point(dist.high) < i_q[0]
@@ -297,37 +269,33 @@ def lemma_suite(
     # lockstep with the stationary run and reuse its variates
     ladder = _variance_ladder(lambda_bar)
     stats = stationary_stats(
-        dist, replace(cfg, window=_parity_window(cfg.window, 2)),
+        dist, _parity_window(cfg, 2),
         companions=tuple(ParameterDistribution(lambda_bar, h) for h, _ in ladder),
     )
     x = stats.final.particles
     inside = ((i_p[0] - 1e-9 <= x) & (x <= i_p[1] + 1e-9)) | ((i_q[0] - 1e-9 <= x) & (x <= i_q[1] + 1e-9))
     fraction = float(inside.mean())
-    checks.append(
-        LemmaCheck(
-            "support_containment_and_ordering",
-            bool(ordering_ok and fraction == 1.0),
-            {
-                "ordering_ok": ordering_ok,
-                "containment_fraction": fraction,
-                "n_outside": int((~inside).sum()),
-                "I_p": list(i_p),
-                "I_q": list(i_q),
-            },
-        )
-    )
+    checks.append({
+        "name": "support_containment_and_ordering",
+        "passed": bool(ordering_ok and fraction == 1.0),
+        "details": {
+            "ordering_ok": ordering_ok,
+            "containment_fraction": fraction,
+            "n_outside": int((~inside).sum()),
+            "I_p": list(i_p),
+            "I_q": list(i_q),
+        },
+    })
 
     # (ii) pushforward identity, per-particle statistic
     g_pp = stats.right_mean_pp - lambda_bar * (stats.left_mean_pp - stats.left_sq_pp)
     g = float(g_pp.mean())
     g_se = standard_error(g_pp)
-    checks.append(
-        LemmaCheck(
-            "pushforward_identity",
-            abs(_z_score(g, g_se)) <= 4.0,
-            {"statistic": g, "se": g_se, "threshold_se": 4.0},
-        )
-    )
+    checks.append({
+        "name": "pushforward_identity",
+        "passed": abs(_z_score(g, g_se)) <= 4.0,
+        "details": {"statistic": g, "se": g_se, "threshold_se": 4.0},
+    })
 
     # (iii) left-peak shift above p(lambda_bar)
     p_center, _ = analytic.period2_points(lambda_bar)
@@ -340,13 +308,11 @@ def lemma_suite(
     else:
         z_gap = _z_score(gap, gap_se)
         shift_ok = z_gap >= Z_THRESHOLD
-    checks.append(
-        LemmaCheck(
-            "left_peak_shift",
-            bool(shift_ok),
-            {"gap": gap, "se": gap_se, "z": z_gap, "p": p_center},
-        )
-    )
+    checks.append({
+        "name": "left_peak_shift",
+        "passed": bool(shift_ok),
+        "details": {"gap": gap, "se": gap_se, "z": z_gap, "p": p_center},
+    })
 
     # (iv) right-peak variance ratio V(h)/h decay with analytic bound
     ratios, ses = [], []
@@ -358,54 +324,34 @@ def lemma_suite(
         ratios[i + 1] <= ratios[i] + Z_THRESHOLD * math.hypot(ses[i], ses[i + 1])
         for i in range(len(ratios) - 1)
     )
-    bounds = [(i_q[1] - i_q[0]) ** 2 / h for h, (_, i_q) in ladder]
-    bound_decreasing = all(b2 < b1 for b1, b2 in zip(bounds, bounds[1:]))
-    checks.append(
-        LemmaCheck(
-            "right_variance_decay",
-            bool(monotone and bound_decreasing),
-            {
-                "h": [h for h, _ in ladder],
-                "ratio": ratios,
-                "ratio_se": ses,
-                "analytic_bound": bounds,
-            },
-        )
-    )
+    bounds, bound_decreasing = _analytic_bounds(ladder)
+    checks.append({
+        "name": "right_variance_decay",
+        "passed": bool(monotone and bound_decreasing),
+        "details": {"h": [h for h, _ in ladder], "ratio": ratios, "ratio_se": ses, "analytic_bound": bounds},
+    })
 
     # (v) shifted-root ordering
     checks.append(_root_chain_check(lambda_bar))
 
     # (vi) convexity of h on I_p
     convex = analytic.convexity_on_interval(lambda_bar, i_p)
-    checks.append(
-        LemmaCheck("left_interval_convexity", bool(convex), {"I_p": list(i_p)})
-    )
+    checks.append({"name": "left_interval_convexity", "passed": bool(convex), "details": {"I_p": list(i_p)}})
 
-    return LemmaSuiteReport(
-        lambda_bar=lambda_bar,
-        delta_lambda=delta_lambda,
-        seed=cfg.seed,
-        passed=all(c.passed for c in checks),
-        checks=tuple(checks),
-    )
+    return {
+        "lambda_bar": lambda_bar,
+        "delta_lambda": delta_lambda,
+        "seed": cfg.seed,
+        "passed": all(c["passed"] for c in checks),
+        "checks": checks,
+    }
 
 
-#: Flipflop row columns copied from the row's ComparisonReport, after "rho".
+#: Flipflop row columns copied from the row's mean_comparison report, after "rho".
 _FROM_COMPARISON = (
     "period", "lambda_bar", "delta_lambda", "stochastic_mean", "stochastic_se",
     "deterministic_mean", "difference", "z_score",
 )
-
-
-@dataclass(frozen=True)
-class FlipFlopReport(_Record):
-    """The flipflop table: one dict per rho, keyed by its columns in order
-    ("rho", _FROM_COMPARISON, "sign", "verdict", "ci_low", "ci_high")."""
-
-    delta_lambda: float
-    seed: int
-    rows: tuple[dict, ...]
 
 
 #: Window center per doubling level (see _window_for_rho).
@@ -435,18 +381,20 @@ def _window_for_rho(rho: int, delta_lambda: float) -> tuple[float, float]:
             )
 
 
-def flipflop_scan(
-    rho_values: tuple[int, ...], delta_lambda: float, cfg: MonteCarloConfig
-) -> FlipFlopReport:
+def flipflop_scan(rho_values: tuple[int, ...], delta_lambda: float, cfg: MonteCarloConfig) -> dict:
     """Sign table of (stochastic mean - deterministic cycle mean) across
     period-2^rho regimes.
 
-    Each row is a dict of plain values (columns as in FlipFlopReport.rows)
-    taken from the ``mean_comparison`` report of the rho window, run at
-    seed cfg.seed + rho, plus the sign of its difference and a 3-sigma
-    confidence interval.  rho = 1 and 2 keep the report's verdict at the
-    usual z threshold; rows with rho >= 3 are exploratory (conjectured
-    alternation) and carry the interval instead of a pass/fail claim.
+    The table is a dict with keys, in order: delta_lambda, seed and rows,
+    a list of one dict per rho with keys, in order: rho, then
+    _FROM_COMPARISON (period, lambda_bar, delta_lambda, stochastic_mean,
+    stochastic_se, deterministic_mean, difference, z_score) taken from
+    the ``mean_comparison`` report of the rho window, run at seed
+    cfg.seed + rho, then sign (of the difference), verdict, and ci_low,
+    ci_high (a 3-sigma confidence interval).  rho = 1 and 2 keep the
+    report's verdict at the usual z threshold; rows with rho >= 3 are
+    exploratory (conjectured alternation) and carry the interval instead
+    of a pass/fail claim.
     Every rho is checked before any row runs: DomainError for a level
     without a tabulated window, or for a row seed past 2**64 - 1.
     """
@@ -462,13 +410,13 @@ def flipflop_scan(
     for rho in rho_values:
         center, delta = _window_for_rho(rho, delta_lambda)
         rep, _ = mean_comparison(center, delta, replace(cfg, seed=cfg.seed + rho))
-        diff, half = rep.difference, Z_THRESHOLD * rep.stochastic_se
+        diff, half = rep["difference"], Z_THRESHOLD * rep["stochastic_se"]
         rows.append({
             "rho": rho,
-            **{k: getattr(rep, k) for k in _FROM_COMPARISON},
+            **{k: rep[k] for k in _FROM_COMPARISON},
             "sign": "+" if diff > 0 else ("-" if diff < 0 else "0"),
-            "verdict": "exploratory" if rho >= 3 else rep.verdict,
+            "verdict": "exploratory" if rho >= 3 else rep["verdict"],
             "ci_low": diff - half,
             "ci_high": diff + half,
         })
-    return FlipFlopReport(delta_lambda=delta_lambda, seed=cfg.seed, rows=tuple(rows))
+    return {"delta_lambda": delta_lambda, "seed": cfg.seed, "rows": rows}

@@ -368,9 +368,21 @@ class TestInputRejected:
                  f"at lambda_bar={lam}: window [")
                 for lam in ("3.0000001", "3.000002", "3.4494897")
             ),
+            # the window fits the generations given, but rounded up to whole
+            # cycles it would not: the message names the cycle, not the window
+            *(
+                ([*argv, "--particles", "50", "--generations", str(g), "--window", str(g)],
+                 f"the window holds whole cycles, but the cycle length {period} exceeds the generations ({g})")
+                for argv, period, g in (
+                    (["compare", "--lambda-bar", "3.2", "--delta", "0.05"], 2, 1),
+                    (["verify", "--lambda-bar", "3.2", "--delta", "0.05"], 2, 1),
+                    (["flipflop", "--rho", "3"], 8, 5),
+                )
+            ),
         ],
         ids=["bins-0", "n-init-0", "n-iter-minus-1", "missing-config", "outdir-under-a-file",
-             "verify-ladder-at-3.0000001", "verify-ladder-at-3.000002", "verify-ladder-at-3.4494897"],
+             "verify-ladder-at-3.0000001", "verify-ladder-at-3.000002", "verify-ladder-at-3.4494897",
+             "compare-cycle-over-generations", "verify-cycle-over-generations", "flipflop-cycle-over-generations"],
     )
     def test_exit_2_with_message(self, argv, message, tmp_path, capsys):
         (tmp_path / "afile").write_text("")

@@ -289,19 +289,19 @@ class TestDistributionEvolution:
 class TestMeanComparison:
     def test_period1_verdict(self):
         rep, _ = mean_comparison(1.508, 0.024, FAST)
-        assert rep.verdict == "stochastic_less"
-        assert rep.regime == "period1"
-        assert rep.deterministic_mean == pytest.approx(fixed_point(1.508), abs=1e-12)
+        assert rep["verdict"] == "stochastic_less"
+        assert rep["regime"] == "period1"
+        assert rep["deterministic_mean"] == pytest.approx(fixed_point(1.508), abs=1e-12)
 
     def test_period2_verdict(self):
         rep, _ = mean_comparison(3.208, 0.024, FAST)
-        assert rep.verdict == "stochastic_greater"
-        assert rep.period == 2
+        assert rep["verdict"] == "stochastic_greater"
+        assert rep["period"] == 2
 
     def test_deterministic_mean_consistency(self):
         rep, _ = mean_comparison(3.2, 0.02, FAST)
         expected = two_cycle_mean(3.2)
-        assert abs(rep.deterministic_mean - expected) <= 2 * np.spacing(expected)
+        assert abs(rep["deterministic_mean"] - expected) <= 2 * np.spacing(expected)
 
     def test_verdict_iff_three_sigma(self):
         reports = [
@@ -310,12 +310,12 @@ class TestMeanComparison:
             mean_comparison(3.2, 0.0, FAST)[0],
         ]
         for rep in reports:
-            assert (rep.verdict == "inconclusive") == (abs(rep.z_score) < 3.0)
+            assert (rep["verdict"] == "inconclusive") == (abs(rep["z_score"]) < 3.0)
 
     def test_zero_noise_inconclusive(self):
         rep, _ = mean_comparison(3.2, 0.0, FAST)
-        assert rep.verdict == "inconclusive"
-        assert rep.z_score == 0.0
+        assert rep["verdict"] == "inconclusive"
+        assert rep["z_score"] == 0.0
 
     def test_straddle_error(self):
         with pytest.raises(DomainError, match="touches the bifurcation boundary at 3$"):
@@ -335,7 +335,7 @@ class TestMeanComparison:
         assert classify_regime(lambda_bar - delta, lambda_bar + delta) == regime
         assert len(periodic_orbit(lambda_bar)) == length
         rep, _ = mean_comparison(lambda_bar, delta, FAST)
-        assert (rep.regime, rep.period) == (regime, length)
+        assert (rep["regime"], rep["period"]) == (regime, length)
 
     def test_period4_regime_bounds_are_where_the_cycle_length_changes(self):
         # mean_comparison takes the period from the cycle and the regime from
@@ -356,17 +356,17 @@ class TestMeanComparison:
         b, _ = mean_comparison(3.208, 0.024, FAST)
         assert a == b
         c, _ = mean_comparison(3.208, 0.024, replace(FAST, seed=99))
-        assert c.stochastic_mean != a.stochastic_mean
+        assert c["stochastic_mean"] != a["stochastic_mean"]
 
     def test_extinction_window(self):
         rep, _ = mean_comparison(0.5, 0.1, FAST)
-        assert rep.deterministic_mean == 0.0
-        assert rep.stochastic_mean == pytest.approx(0.0, abs=1e-30)
-        assert rep.verdict == "inconclusive"
+        assert rep["deterministic_mean"] == 0.0
+        assert rep["stochastic_mean"] == pytest.approx(0.0, abs=1e-30)
+        assert rep["verdict"] == "inconclusive"
 
     def test_json_round_trip(self):
         rep, _ = mean_comparison(3.208, 0.024, FAST)
-        payload = json.loads(json.dumps(rep.to_dict()))
+        payload = json.loads(json.dumps(rep))
         assert payload["verdict"] == "stochastic_greater"
         assert payload["lambda_bar"] == 3.208
 
@@ -382,11 +382,11 @@ class TestSmallNoiseOracle:
         cfg = MonteCarloConfig(n_particles=2000, generations=1000, window=500, seed=7)
         rep, _ = mean_comparison(lambda_bar, delta, cfg)
         gap = small_noise_gap(lambda_bar, delta)
-        assert np.sign(rep.difference) == np.sign(gap) != 0
-        assert abs(rep.z_score) >= 3.0
+        assert np.sign(rep["difference"]) == np.sign(gap) != 0
+        assert abs(rep["z_score"]) >= 3.0
         # the period-4 window is checked by sign only: its O(delta**4) remainder is larger
         if within is not None:
-            assert rep.difference == pytest.approx(gap, rel=within)
+            assert rep["difference"] == pytest.approx(gap, rel=within)
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -401,8 +401,8 @@ class TestSmallNoiseOracle:
         closure needs smaller half-widths than these."""
         rep, _ = mean_comparison(lambda_bar, delta, MonteCarloConfig(2000, 1000, 500, seed))
         gap = small_noise_gap(lambda_bar, delta)
-        if abs(gap) >= 5 * rep.stochastic_se:
-            assert np.sign(rep.difference) == np.sign(gap)
+        if abs(gap) >= 5 * rep["stochastic_se"]:
+            assert np.sign(rep["difference"]) == np.sign(gap)
 
     @pytest.mark.parametrize("delta", [3.75e-4, 1.875e-4])
     def test_period16_window_meets_the_oracle_at_small_delta(self, delta):
@@ -411,8 +411,8 @@ class TestSmallNoiseOracle:
         # within 15% of it
         lambda_bar = experiments._RHO_CENTERS[4]
         rep, _ = mean_comparison(lambda_bar, delta, MonteCarloConfig(20_000, 2_000, 1_024, 12345))
-        assert rep.period == 16
-        assert rep.difference == pytest.approx(small_noise_gap(lambda_bar, delta), rel=0.15)
+        assert rep["period"] == 16
+        assert rep["difference"] == pytest.approx(small_noise_gap(lambda_bar, delta), rel=0.15)
 
     @pytest.mark.parametrize(
         "lambda_bar, delta, iterated",
@@ -438,17 +438,17 @@ class TestZScoreRule:
     def test_zero_se_is_conclusive_in_both(self, monkeypatch):
         monkeypatch.setattr(experiments, "ensemble_time_mean", lambda *a, **k: (0.9, 0.0, None))
         rep, _ = mean_comparison(3.208, 0.024, FAST)
-        row = flipflop_scan((1,), 0.024, FAST).rows[0]
-        assert rep.z_score == row["z_score"] == math.inf
-        assert rep.verdict == row["verdict"] == "stochastic_greater"
+        row = flipflop_scan((1,), 0.024, FAST)["rows"][0]
+        assert rep["z_score"] == row["z_score"] == math.inf
+        assert rep["verdict"] == row["verdict"] == "stochastic_greater"
 
     def test_float_noise_difference_scores_zero_in_both(self, monkeypatch):
         det = float(np.mean(periodic_orbit(3.208)))
         monkeypatch.setattr(experiments, "ensemble_time_mean", lambda *a, **k: (det + 1e-13, 1e-14, None))
         rep, _ = mean_comparison(3.208, 0.024, FAST)
-        row = flipflop_scan((1,), 0.024, FAST).rows[0]
-        assert rep.z_score == row["z_score"] == 0.0
-        assert rep.verdict == row["verdict"] == "inconclusive"
+        row = flipflop_scan((1,), 0.024, FAST)["rows"][0]
+        assert rep["z_score"] == row["z_score"] == 0.0
+        assert rep["verdict"] == row["verdict"] == "inconclusive"
 
     def test_float_noise_identity_statistic_passes_check_ii(self, monkeypatch):
         # a pushforward statistic below float-noise scale with a still smaller
@@ -461,29 +461,35 @@ class TestZScoreRule:
             return replace(stats, left_sq_pp=stats.left_mean_pp, right_mean_pp=noise)
 
         monkeypatch.setattr(experiments, "stationary_stats", planted)
-        check = next(c for c in lemma_suite(3.208, 0.024, FAST).checks if c.name == "pushforward_identity")
-        g, se = check.details["statistic"], check.details["se"]
+        check = next(c for c in lemma_suite(3.208, 0.024, FAST)["checks"] if c["name"] == "pushforward_identity")
+        g, se = check["details"]["statistic"], check["details"]["se"]
         assert abs(g) < 1e-12 and 0.0 < se < abs(g) / 4
-        assert check.passed is True
+        assert check["passed"] is True
+
+
+def _bound_falls(ladder):
+    """Whether check (iv)'s analytic bound |I_q(h)|**2/h falls strictly along the ladder."""
+    bounds = [(i_q[1] - i_q[0]) ** 2 / h for h, (_, i_q) in ladder]
+    return all(b2 < b1 for b1, b2 in zip(bounds, bounds[1:]))
 
 
 class TestLemmaSuite:
     def test_reference_window(self):
         cfg = MonteCarloConfig(n_particles=1000, generations=1500, window=750, seed=22)
         report = lemma_suite(3.208, 0.024, cfg)
-        by_name = {c.name: c for c in report.checks}
-        assert len(report.checks) == 6
-        assert report.passed and all(c.passed for c in report.checks)
+        by_name = {c["name"]: c for c in report["checks"]}
+        assert len(report["checks"]) == 6
+        assert report["passed"] and all(c["passed"] for c in report["checks"])
         # every particle lies in the invariant pair, with x*(a), x*(b) between
         cont = by_name["support_containment_and_ordering"]
-        assert cont.details["ordering_ok"] is True
-        assert cont.details["containment_fraction"] == 1.0
+        assert cont["details"]["ordering_ok"] is True
+        assert cont["details"]["containment_fraction"] == 1.0
 
     def test_degenerate_window_passes_everything(self):
         cfg = MonteCarloConfig(n_particles=500, generations=1000, window=500, seed=23)
         report = lemma_suite(3.2, 0.0, cfg)
-        assert report.passed
-        assert all(c.passed for c in report.checks)
+        assert report["passed"]
+        assert all(c["passed"] for c in report["checks"])
 
     def test_regime_error(self):
         with pytest.raises(DomainError, match="touches the bifurcation boundary at 3.44949$"):
@@ -500,8 +506,27 @@ class TestLemmaSuite:
         for h, pair in ladder:
             assert pair == support_intervals(lambda_bar, h)
         if hs[0] < 0.05:
-            with pytest.raises(DomainError, match="merge into one band|touches the bifurcation boundary"):
-                support_intervals(lambda_bar, 2 * hs[0])
+            # twice h0 leaves the regime or merges the pair, or (at 3.44) its bound |I_q|**2/h rises
+            try:
+                wider = [(h, support_intervals(lambda_bar, h)) for h in (2 * hs[0], *hs[:3])]
+            except DomainError as exc:
+                assert "merge into one band" in str(exc) or "touches the bifurcation boundary" in str(exc)
+            else:
+                assert not _bound_falls(wider)
+
+    @pytest.mark.parametrize("lambda_bar", np.linspace(3.001, 1 + math.sqrt(6) - 1e-4, 200).tolist())
+    def test_analytic_checks_hold_across_the_two_cycle_regime(self, lambda_bar):
+        # seed-free: the ladder of check (iv) exists and its bound falls, and
+        # the ordering of (i), at delta 0 and at the ladder's widest window,
+        # (v) and (vi) hold.  Next to 1 + sqrt(6) the first ladder that fits
+        # once had a rising bound, which failed (iv) at every seed
+        ladder = experiments._variance_ladder(lambda_bar)
+        assert _bound_falls(ladder)
+        (h0, (j_p, j_q)), (i_p, i_q) = ladder[0], support_intervals(lambda_bar, 0.0)
+        assert i_p[1] < fixed_point(lambda_bar) < i_q[0]
+        assert j_p[1] < fixed_point(lambda_bar - h0) <= fixed_point(lambda_bar + h0) < j_q[0]
+        assert experiments._root_chain_check(lambda_bar)["passed"] is True
+        assert analytic.convexity_on_interval(lambda_bar, i_p)
 
     @pytest.mark.parametrize(
         "lambda_bar, quarterings",
@@ -511,9 +536,9 @@ class TestLemmaSuite:
         # epsilon is quartered until the four roots are real; a fixed four
         # tries stopped at 1.5625e-5 and failed the check for lam <~ 3.004
         check = experiments._root_chain_check(lambda_bar)
-        assert check.passed is True
-        assert check.details["epsilon"] == 1e-3 / 4**quarterings
-        d = check.details
+        assert check["passed"] is True
+        assert check["details"]["epsilon"] == 1e-3 / 4**quarterings
+        d = check["details"]
         z_h, p_h, xs_h, q_h = d["roots"]
         assert z_h < 0.0 < d["p"] < p_h < xs_h < d["x_star"] < d["q"] < q_h
 
@@ -526,15 +551,15 @@ class TestLemmaSuite:
 
         monkeypatch.setattr(analytic, "h_function_roots", never_four)
         check = experiments._root_chain_check(3.2)
-        assert (check.passed, check.details) == (False, {"error": "no four roots"})
+        assert (check["passed"], check["details"]) == (False, {"error": "no four roots"})
         assert tried == [1e-3 / 4**k for k in range(20)] and 1e-15 < tried[-1] < 4e-15
 
     def test_json_serializable(self):
         cfg = MonteCarloConfig(n_particles=300, generations=600, window=300, seed=24)
         report = lemma_suite(3.2, 0.01, cfg)
-        payload = json.loads(json.dumps(report.to_dict(), default=cli._json_default))
-        assert payload["passed"] is report.passed is all(c.passed for c in report.checks)
-        assert [c["name"] for c in payload["checks"]] == [c.name for c in report.checks]
+        payload = json.loads(json.dumps(report, default=cli._json_default))
+        assert payload["passed"] is report["passed"] is all(c["passed"] for c in report["checks"])
+        assert [c["name"] for c in payload["checks"]] == [c["name"] for c in report["checks"]]
 
     def test_seed_override_reaches_variance_ladder(self):
         # a seed set with replace() reaches the four ladder ensembles that
@@ -543,8 +568,8 @@ class TestLemmaSuite:
         base = MonteCarloConfig(n_particles=300, generations=400, window=200, seed=1)
 
         def ratios(cfg):
-            checks = lemma_suite(3.2, 0.05, cfg).checks
-            return next(c for c in checks if c.name == "right_variance_decay").details["ratio"]
+            checks = lemma_suite(3.2, 0.05, cfg)["checks"]
+            return next(c for c in checks if c["name"] == "right_variance_decay")["details"]["ratio"]
 
         cfg = replace(base, seed=2)
         alone = []
@@ -567,7 +592,7 @@ class TestLemmaSuite:
 class TestFlipFlopScan:
     def test_signs_and_verdicts(self):
         report = flipflop_scan((1, 2, 3), 0.024, FAST)
-        rows = {r["rho"]: r for r in report.rows}
+        rows = {r["rho"]: r for r in report["rows"]}
         assert rows[1]["sign"] == "+" and rows[1]["verdict"] == "stochastic_greater"
         assert rows[2]["sign"] == "-" and rows[2]["verdict"] == "stochastic_less"
         assert rows[3]["verdict"] == "exploratory"
@@ -578,7 +603,7 @@ class TestFlipFlopScan:
         # conclusive rows, the conjectured alternation at rho >= 3 included,
         # carry the sign of their window's noise-free O(delta**2) gap
         report = flipflop_scan((1, 2, 3, 4), 0.024, MonteCarloConfig(2000, 1000, 500, 12345))
-        conclusive = [row for row in report.rows if abs(row["z_score"]) >= 3.0]
+        conclusive = [row for row in report["rows"] if abs(row["z_score"]) >= 3.0]
         assert [row["rho"] for row in conclusive] == [1, 2, 3, 4]
         for row in conclusive:
             gap = small_noise_gap(row["lambda_bar"], row["delta_lambda"])
@@ -591,18 +616,18 @@ class TestFlipFlopScan:
         [(3, 0.024, 0.006), (1, 100.0, 0.1953125)],
     )
     def test_window_shrinks_into_the_regime(self, rho, delta, half_width):
-        row = flipflop_scan((rho,), delta, FAST).rows[0]
+        row = flipflop_scan((rho,), delta, FAST)["rows"][0]
         assert row["delta_lambda"] == half_width and row["period"] == 2**rho
         assert row["lambda_bar"] == experiments._RHO_CENTERS[rho]
 
     def test_half_width_below_1e_6_is_tested_as_requested(self):
-        row = flipflop_scan((1,), 1e-7, FAST).rows[0]
+        row = flipflop_scan((1,), 1e-7, FAST)["rows"][0]
         assert row["delta_lambda"] == 1e-7 and row["period"] == 2
 
     def test_reproducible_bytes(self):
         def encoded():
             report = flipflop_scan((1, 2), 0.024, FAST)
-            return json.dumps(report.to_dict(), default=cli._json_default, sort_keys=True)
+            return json.dumps(report, default=cli._json_default, sort_keys=True)
 
         assert encoded() == encoded()
 
@@ -644,11 +669,11 @@ class TestFlipFlopScan:
             flipflop_scan((1,), delta, FAST)
 
     def test_rows_are_mean_comparison_reports(self):
-        row = flipflop_scan((2,), 0.024, FAST).rows[0]
+        row = flipflop_scan((2,), 0.024, FAST)["rows"][0]
         rep, _ = mean_comparison(row["lambda_bar"], row["delta_lambda"], replace(FAST, seed=FAST.seed + 2))
         for key in ("period", "stochastic_mean", "stochastic_se", "deterministic_mean",
                     "difference", "z_score", "verdict"):
-            assert row[key] == getattr(rep, key)
+            assert row[key] == rep[key]
 
 
 def _ergodic_consistency(lambda_bar, delta_lambda, cfg):
@@ -677,7 +702,7 @@ class TestPeriodicOrbitIntegration:
         # the deterministic mean used by the scanner equals the plain
         # cycle mean
         report = flipflop_scan((2,), 0.024, FAST)
-        row = report.rows[0]
+        row = report["rows"][0]
         assert row["deterministic_mean"] == pytest.approx(
             float(np.mean(periodic_orbit(row["lambda_bar"]))), abs=1e-12
         )

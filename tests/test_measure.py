@@ -578,8 +578,8 @@ class TestRightDerivativeProfile:
 
     def test_shape(self):
         cfg = MonteCarloConfig(n_particles=500, generations=600, window=300, seed=16)
-        checks = lemma_suite(3.2, 0.05, cfg).checks
-        details = next(c for c in checks if c.name == "right_variance_decay").details
+        checks = lemma_suite(3.2, 0.05, cfg)["checks"]
+        details = next(c for c in checks if c["name"] == "right_variance_decay")["details"]
         hs = details["h"]
         assert hs == [0.05, 0.025, 0.0125, 0.00625]
         assert len(details["ratio"]) == len(details["ratio_se"]) == len(hs)
